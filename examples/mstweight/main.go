@@ -35,8 +35,8 @@ func main() {
 	var windowBuf []arrival
 
 	fmt.Printf("tracking (1+%.2f)-approx MSF weight over the last %d readings\n", eps, window)
-	fmt.Printf("levels maintained: %d connectivity structures\n\n", approx.Levels())
-	fmt.Printf("%6s %14s %14s %8s\n", "round", "approx", "exact", "ratio")
+	fmt.Printf("weight levels: R = %d; a level is kept only while its bucket holds a live reading\n\n", approx.Levels())
+	fmt.Printf("%6s %14s %14s %8s %8s\n", "round", "approx", "exact", "ratio", "levels")
 	for round := 1; round <= rounds; round++ {
 		b := make([]repro.WeightedStreamEdge, batch)
 		for i := range b {
@@ -68,7 +68,7 @@ func main() {
 			if exact > 0 {
 				ratio = got / float64(exact)
 			}
-			fmt.Printf("%6d %14.0f %14d %8.3f\n", round, got, exact, ratio)
+			fmt.Printf("%6d %14.0f %14d %8.3f %4d/%d\n", round, got, exact, ratio, approx.LiveLevels(), approx.Levels())
 		}
 	}
 	fmt.Printf("\nthe ratio stays within [1, %v] as Theorem 5.4 guarantees.\n", 1+eps)

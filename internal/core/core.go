@@ -68,6 +68,10 @@ func (m *BatchMSF) HasEdge(id wgraph.EdgeID) bool { return m.f.HasEdge(id) }
 // EdgeByID returns the forest edge with the given id.
 func (m *BatchMSF) EdgeByID(id wgraph.EdgeID) (wgraph.Edge, bool) { return m.f.EdgeByID(id) }
 
+// WaveWork returns the rake-compress tree's cumulative change-propagation
+// work: affected vertex-rounds recomputed over all batches so far.
+func (m *BatchMSF) WaveWork() int64 { return m.f.RC().WaveWork() }
+
 // PathMaxEdge returns the heaviest forest edge on the path between u and v,
 // or false when they are disconnected or equal. O(lg n) expected.
 func (m *BatchMSF) PathMaxEdge(u, v int32) (wgraph.Edge, bool) {

@@ -215,6 +215,7 @@ type Tree struct {
 	decRnd    []int32
 	decVal    []Decision
 	decTgt    []int32
+	waveWork  int64 // Phase-1 decisions computed, over all waves (WaveWork)
 
 	// Marking scratch (see cpt marking in mark.go).
 	markEpoch  uint64

@@ -3,7 +3,6 @@ package rctree
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 )
 
 // BatchUpdate deletes the base edges named by cuts, inserts ins, and
@@ -170,14 +169,7 @@ func (t *Tree) propagate() {
 			continue
 		}
 		// Phase 1: stage decisions for affected alive vertices.
-		DebugWaveWork.Add(int64(len(A)))
-		if DebugRounds != nil {
-			for int32(len(DebugRounds)) <= r {
-				DebugRounds = append(DebugRounds, 0)
-			}
-			DebugRounds[r] += len(A)
-		}
-		bumpMaxRound(r)
+		t.waveWork += int64(len(A))
 		dSet = dSet[:0]
 		for _, v := range A {
 			if !t.aliveAt(v, r) {
@@ -474,27 +466,7 @@ func (t *Tree) fixKeysUpward(s int32) {
 	}
 }
 
-// DebugWaveWork accumulates the number of Phase-1 decision recomputations
-// across all waves. Temporary instrumentation for performance debugging.
-// Atomic: independent trees may run BatchUpdate concurrently (the stream
-// layer fans batches out across monitors and windows in parallel).
-var DebugWaveWork atomic.Int64
-
-// DebugMaxRound tracks the deepest round processed by any wave (atomic
-// running max, same concurrency caveat as DebugWaveWork).
-var DebugMaxRound atomic.Int32
-
-func bumpMaxRound(r int32) {
-	for {
-		cur := DebugMaxRound.Load()
-		if r <= cur || DebugMaxRound.CompareAndSwap(cur, r) {
-			return
-		}
-	}
-}
-
-// DebugRounds, when non-nil, accumulates per-round affected-set sizes.
-// Unlike DebugWaveWork/DebugMaxRound it is NOT safe to enable while trees
-// run BatchUpdate concurrently (the stream layer's parallel fan-out and
-// multi-window pipelines do): only set it in single-threaded debugging.
-var DebugRounds []int
+// WaveWork returns the number of Phase-1 decision recomputations across
+// all of this tree's change-propagation waves so far: the affected
+// vertex-rounds whose locality Theorem 1.1's work bound rests on.
+func (t *Tree) WaveWork() int64 { return t.waveWork }

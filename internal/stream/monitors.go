@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/parallel"
 	"repro/internal/sw"
@@ -41,7 +42,10 @@ func (c *MonitorConfig) withDefaults() MonitorConfig {
 // monitor's write lock with exactly one writer in the pipeline, and the
 // sw structures convert the slice into their own representation before
 // returning, retaining nothing.
-func newMonitor(name string, n int, cfg MonitorConfig, seed uint64, workers *parallel.Limiter) (Monitor, error) {
+//
+// levels receives the msfweight monitor's materialised level count after
+// every mutation (the sw_msfweight_levels_live gauge reads it lock-free).
+func newMonitor(name string, n int, cfg MonitorConfig, seed uint64, workers *parallel.Limiter, levels *atomic.Int64) (Monitor, error) {
 	switch name {
 	case MonitorConn:
 		return &connMonitor{c: sw.NewConnEager(n, seed)}, nil
@@ -53,7 +57,7 @@ func newMonitor(name string, n int, cfg MonitorConfig, seed uint64, workers *par
 		// shared budget, so nested parallelism — monitor fan-out × level
 		// fan-out × N windows — stays bounded by one configured number.
 		a.SetWorkers(workers)
-		return &msfWeightMonitor{a: a, maxW: cfg.MaxWeight}, nil
+		return &msfWeightMonitor{a: a, maxW: cfg.MaxWeight, levels: levels}, nil
 	case MonitorKCert:
 		return &kcertMonitor{k: sw.NewKCert(n, cfg.K, seed)}, nil
 	case MonitorCycleFree:
@@ -103,6 +107,7 @@ func (m *bipartiteMonitor) BatchExpire(delta int) { m.b.BatchExpire(delta) }
 type msfWeightMonitor struct {
 	a       *sw.ApproxMSF
 	maxW    int64
+	levels  *atomic.Int64 // published LiveLevels
 	scratch []sw.WeightedStreamEdge
 }
 
@@ -121,9 +126,13 @@ func (m *msfWeightMonitor) BatchInsert(edges []Edge) {
 	}
 	m.scratch = batch
 	m.a.BatchInsert(batch)
+	m.levels.Store(int64(m.a.LiveLevels()))
 }
 
-func (m *msfWeightMonitor) BatchExpire(delta int) { m.a.BatchExpire(delta) }
+func (m *msfWeightMonitor) BatchExpire(delta int) {
+	m.a.BatchExpire(delta)
+	m.levels.Store(int64(m.a.LiveLevels()))
+}
 
 // kcertMonitor wraps the sliding-window k-certificate (Theorem 5.5).
 type kcertMonitor struct {

@@ -60,6 +60,11 @@ type Multiplexer struct {
 	// quarTotal counts slots currently quarantined; the post-apply rebuild
 	// scan is gated on it so the healthy hot path pays one atomic load.
 	quarTotal atomic.Int32
+
+	// msfLevels is the msfweight monitor's materialised level count, which
+	// the monitor publishes after every mutation so a metrics scrape reads
+	// it without taking the monitor's lock. Shared with rebuilt monitors.
+	msfLevels atomic.Int64
 }
 
 // QuarantineInfo describes one quarantined monitor: why it was isolated and
@@ -112,8 +117,9 @@ type monitorSlot struct {
 	waitShared  *telemetry.Histogram
 
 	// Last op's timings, written by this slot's fan-out goroutine and read
-	// by Apply after the fork-join barrier — ordinary fields, no atomics
-	// needed. They feed the fanoutReport that the slow-batch trace logs.
+	// on the writer after the fork-join barrier — ordinary fields, no
+	// atomics needed. They feed the batch trace's per-monitor spans
+	// (forEachLastTiming).
 	lastApplyNS int64
 	lastWaitNS  int64
 }
@@ -135,15 +141,6 @@ type MonitorApplyStats struct {
 	ApplyP99NS int64 `json:"apply_p99_ns"`
 	ApplyMaxNS int64 `json:"apply_max_ns"`
 	WaitP99NS  int64 `json:"wait_p99_ns"`
-}
-
-// fanoutReport summarizes one fan-out for the slow-batch trace: the
-// monitor with the longest lock hold and the max hold/wait across slots
-// (== the fan-out critical path under parallel apply).
-type fanoutReport struct {
-	slowest string
-	applyNS int64
-	waitNS  int64
 }
 
 // NewMultiplexer builds a multiplexer over the named monitors. sequential
@@ -168,7 +165,7 @@ func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, seque
 			continue
 		}
 		monSeed := seed + uint64(i)*0x9e3779b97f4a7c15 + 1
-		mon, err := newMonitor(name, n, cfg, monSeed, workers)
+		mon, err := newMonitor(name, n, cfg, monSeed, workers, &m.msfLevels)
 		if err != nil {
 			return nil, err
 		}
@@ -215,16 +212,12 @@ func (m *Multiplexer) setTelemetry(tm *Metrics) {
 // call, so sharing it across the parallel region — and recycling it after
 // Apply returns — is safe. Single-writer: never call concurrently.
 //
-// The returned report carries the slowest monitor's name and the max
-// hold/wait across slots for this op — the fan-out critical path, which
-// the slow-batch trace attributes blame with.
-//
 // traceID tags the shared per-monitor histograms' observations with the
 // flight-recorder trace of this op (0 = untraced), so a per-monitor p99
 // exemplar links back to the batch that set it.
-func (m *Multiplexer) Apply(edges []Edge, delta int, traceID uint64) fanoutReport {
+func (m *Multiplexer) Apply(edges []Edge, delta int, traceID uint64) {
 	if len(edges) == 0 && delta <= 0 {
-		return fanoutReport{}
+		return
 	}
 	one := func(s *monitorSlot) {
 		if s.quar.Load() != nil {
@@ -287,18 +280,6 @@ func (m *Multiplexer) Apply(edges []Edge, delta int, traceID uint64) fanoutRepor
 		}
 		parallel.Do(fns...)
 	}
-	// All slot goroutines joined; lastApplyNS/lastWaitNS are settled.
-	var rep fanoutReport
-	for _, s := range m.slots {
-		if s.lastApplyNS >= rep.applyNS {
-			rep.applyNS = s.lastApplyNS
-			rep.slowest = s.mon.Name()
-		}
-		if s.lastWaitNS > rep.waitNS {
-			rep.waitNS = s.lastWaitNS
-		}
-	}
-	return rep
 }
 
 // withRead runs fn on the named monitor under that monitor's read lock,
@@ -396,7 +377,7 @@ func (m *Multiplexer) claimRebuilds() []*monitorSlot {
 // slot's original seed and the multiplexer's retained (defaulted) config —
 // the replacement is distribution-identical to the original at birth.
 func (m *Multiplexer) rebuildMonitor(s *monitorSlot) (Monitor, error) {
-	return newMonitor(s.name, m.n, m.cfg, s.seed, m.workers)
+	return newMonitor(s.name, m.n, m.cfg, s.seed, m.workers, &m.msfLevels)
 }
 
 // swapMonitor installs the rebuilt monitor and lifts the quarantine. The

@@ -198,6 +198,10 @@ func NewRegistry(cfg RegistryConfig) *WindowRegistry {
 		health("healthy", func(h, _, _ int) int { return h })
 		health("degraded", func(_, d, _ int) int { return d })
 		health("quarantined", func(_, _, q int) int { return q })
+		// Same rule: one registry-wide sum, no per-window label.
+		cfg.Telemetry.GaugeFunc("sw_msfweight_levels_live",
+			"Materialised msfweight weight levels (buckets holding a live edge), summed over windows.",
+			func() float64 { return float64(r.msfLevelsLive()) })
 	} else {
 		r.metrics = noMetrics
 	}
@@ -560,6 +564,24 @@ func (r *WindowRegistry) healthCounts() (healthy, degraded, quarantined int) {
 		sh.mu.RUnlock()
 	}
 	return healthy, degraded, quarantined
+}
+
+// msfLevelsLive sums the materialised msfweight levels over the live
+// windows. Each window's count is an atomic its writer publishes, so this
+// takes no monitor lock.
+func (r *WindowRegistry) msfLevelsLive() int64 {
+	var total int64
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.RLock()
+		for _, h := range sh.wins {
+			if h.svc != nil {
+				total += h.svc.Window().mux.msfLevels.Load()
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return total
 }
 
 // DegradedWindows lists windows currently serving without a working WAL,

@@ -85,6 +85,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wantValue("sw_ingest_edges_total", nil, 3)
 	wantValue("sw_apply_edges_total", nil, 3)
 	wantValue("sw_windows_live", nil, 1)
+	// The three unweighted edges clamp to weight 1: one occupied bucket.
+	wantValue("sw_msfweight_levels_live", nil, 1)
 	wantValue("sw_ingest_queue_batches", nil, 0)
 	wantValue("sw_ingest_queue_edges", nil, 0)
 

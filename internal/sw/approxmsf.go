@@ -19,7 +19,18 @@ import (
 // Each G_i is an eager sliding-window connectivity structure sharing global
 // timestamps, so expiry is uniform across all R = O(log_{1+ε} maxW) levels.
 //
-// The R levels are fully independent forests that only share the global
+// Only occupied levels are paid for. Level i's bucket is the weights it is
+// the first to admit, (⌊(1+ε)^{i-1}⌋, ⌊(1+ε)^i⌋]. While no live arrival
+// falls in that bucket, G_i = G_{i-1}, and with recency weights a level's
+// live forest is its whole state (Lemma 5.1), so level i is simply not
+// kept: reads resolve it to the nearest kept level below. A level is
+// materialised on its bucket's first live arrival, seeded with the
+// pre-batch live forest of the nearest kept level below (original τ
+// preserved), and retired when expiry drains its bucket. A live count per
+// bucket, decremented through a FIFO of bucket ids in τ order, makes that
+// exact: expiry is always oldest-first, under count and time windows alike.
+//
+// The kept levels are fully independent forests that only share the global
 // (τ, TW) counters, so batch application forks-and-joins across them: each
 // level's insert (and expiry) runs under that level's own writer guard, on
 // the calling goroutine plus however many workers the configured budget
@@ -35,8 +46,12 @@ type ApproxMSF struct {
 	n      int
 	eps    float64
 	maxW   int64
-	thresh []int64 // thresh[i] = floor((1+eps)^i), last >= maxW
-	inst   []*ConnEager
+	seed   uint64
+	thresh []int64      // thresh[i] = floor((1+eps)^i), last >= maxW
+	inst   []*ConnEager // inst[i] is nil while level i is not materialised
+	kept   []int        // materialised levels, highest first (the fork order)
+	live   []int32      // live arrivals per bucket; inst[i] != nil iff live[i] > 0
+	fifo   bucketRing   // bucket of every live arrival, oldest first
 	tau    int64
 	tw     int64
 	guard  writerGuard
@@ -74,21 +89,28 @@ func NewApproxMSF(n int, eps float64, maxWeight int64, seed uint64) *ApproxMSF {
 	if maxWeight < 1 {
 		panic("sw: maxWeight must be at least 1")
 	}
-	a := &ApproxMSF{n: n, eps: eps, maxW: maxWeight}
+	a := &ApproxMSF{n: n, eps: eps, maxW: maxWeight, seed: seed}
 	for x := 1.0; ; x *= 1 + eps {
 		t := int64(math.Floor(x))
 		a.thresh = append(a.thresh, t)
-		a.inst = append(a.inst, NewConnEager(n, seed+uint64(len(a.inst))*0x2545F491+3))
 		if t >= maxWeight {
 			break
 		}
 	}
-	a.cum = make([]int, len(a.inst))
+	r := len(a.thresh)
+	a.inst = make([]*ConnEager, r)
+	a.live = make([]int32, r)
+	a.cum = make([]int, r)
 	return a
 }
 
-// Levels returns R, the number of maintained connectivity levels.
+// Levels returns R, the number of connectivity levels the reduction sums
+// over, materialised or not.
 func (a *ApproxMSF) Levels() int { return len(a.inst) }
+
+// LiveLevels returns the number of materialised levels: those whose bucket
+// holds at least one live arrival.
+func (a *ApproxMSF) LiveLevels() int { return len(a.kept) }
 
 // SetWorkers installs the fork-join worker budget batch application borrows
 // from (nil restores the process-wide parallel.Default budget; an empty
@@ -108,8 +130,9 @@ func (a *ApproxMSF) SetLevelTiming(on bool) {
 
 // LevelSpans calls fn for every level the last timed BatchInsert ran
 // (highest level first, matching the fork order), with the level's start
-// offset from the fork point and its duration. Call after the mutation
-// returns, from the same writer; the data is valid until the next insert.
+// offset from the fork point and its duration. Only materialised levels
+// run. Call after the mutation returns, from the same writer; the data is
+// valid until the next insert.
 func (a *ApproxMSF) LevelSpans(fn func(level int, startNS, durNS int64)) {
 	if !a.timeLevels || a.levelDurNS == nil {
 		return
@@ -128,17 +151,43 @@ func (a *ApproxMSF) pool() *parallel.Limiter {
 	return parallel.Default()
 }
 
-// forEachLevel runs body over every level index, highest level first (the
-// top levels see the most edges, so they must start before the cheap ones
-// for the fork-join's dynamic load balance to matter).
+// forEachLevel runs body over every materialised level, highest level
+// first (the top levels see the most edges, so they must start before the
+// cheap ones for the fork-join's dynamic load balance to matter).
 func (a *ApproxMSF) forEachLevel(body func(level int)) {
-	r := len(a.inst)
-	parallel.ForEachLimited(r, a.pool(), func(i int) { body(r - 1 - i) })
+	kept := a.kept
+	parallel.ForEachLimited(len(kept), a.pool(), func(i int) { body(kept[i]) })
 }
 
 // levelOf returns the first (smallest) level whose threshold admits w.
 func (a *ApproxMSF) levelOf(w int64) int {
 	return sort.Search(len(a.thresh), func(i int) bool { return a.thresh[i] >= w })
+}
+
+// materialise creates level i from the current (pre-batch) window. G_i
+// equals G_j for the nearest materialised level j < i (or is empty), so
+// level j's live forest, at its original timestamps, is all of level i's
+// state.
+func (a *ApproxMSF) materialise(i int) {
+	c := NewConnEager(a.n, a.seed+uint64(i)*0x2545F491+3)
+	c.tau, c.tw = a.tau, a.tw
+	for j := i - 1; j >= 0; j-- {
+		if a.inst[j] != nil {
+			c.seedFrom(a.inst[j])
+			break
+		}
+	}
+	a.inst[i] = c
+}
+
+// relist rebuilds the fork order (O(R), once per mutation).
+func (a *ApproxMSF) relist() {
+	a.kept = a.kept[:0]
+	for i := len(a.inst) - 1; i >= 0; i-- {
+		if a.inst[i] != nil {
+			a.kept = append(a.kept, i)
+		}
+	}
 }
 
 // BatchInsert appends weighted edge arrivals (weights in [1, maxWeight]).
@@ -167,6 +216,20 @@ func (a *ApproxMSF) BatchInsert(edges []WeightedStreamEdge) {
 		a.cum[l]++
 	}
 	a.lvls = lvls
+
+	// Materialise the newly occupied levels lowest first, before any level
+	// moves, so each is seeded from the pre-batch window; then count the
+	// batch into the live buckets.
+	for i, c := range a.cum {
+		if c > 0 && a.inst[i] == nil {
+			a.materialise(i)
+		}
+		a.live[i] += int32(c)
+	}
+	a.relist()
+	for _, l := range lvls {
+		a.fifo.push(l)
+	}
 
 	// Bucket offsets: after the scatter below, cum[i] = #edges with bucket
 	// <= i — exactly the length of level i's prefix.
@@ -225,8 +288,9 @@ func (a *ApproxMSF) BatchInsert(edges []WeightedStreamEdge) {
 	})
 }
 
-// BatchExpire expires the oldest delta arrivals at every level, fork-joined
-// across levels like BatchInsert.
+// BatchExpire expires the oldest delta arrivals. Levels whose bucket this
+// drains are retired outright; the rest expire fork-joined across levels
+// like BatchInsert.
 // Single-writer: mutations must be externally serialized.
 func (a *ApproxMSF) BatchExpire(delta int) {
 	if delta <= 0 {
@@ -234,10 +298,17 @@ func (a *ApproxMSF) BatchExpire(delta int) {
 	}
 	a.guard.enter()
 	defer a.guard.exit()
-	a.tw += int64(delta)
-	if a.tw > a.tau {
-		a.tw = a.tau
+	tw := a.tw + int64(delta)
+	if tw > a.tau {
+		tw = a.tau
 	}
+	for ; a.tw < tw; a.tw++ {
+		l := a.fifo.pop()
+		if a.live[l]--; a.live[l] == 0 {
+			a.inst[l] = nil
+		}
+	}
+	a.relist()
 	a.forEachLevel(func(i int) {
 		inst := a.inst[i]
 		inst.guard.enter()
@@ -248,19 +319,57 @@ func (a *ApproxMSF) BatchExpire(delta int) {
 
 // Weight returns the (1+ε)-approximate MSF weight of the window graph,
 // treating each connected component separately (equation (1) of the paper).
-// O(R) work.
+// O(R) work. An absent level has cc(G_i) = cc(G_{i-1}), so its term is
+// zero; scale still advances once per level.
 func (a *ApproxMSF) Weight() float64 {
-	w := float64(a.n - a.inst[0].NumComponents())
+	cc := a.n
+	if a.inst[0] != nil {
+		cc = a.inst[0].NumComponents()
+	}
+	w := float64(a.n - cc)
 	scale := 1.0
 	for i := 1; i < len(a.inst); i++ {
 		scale *= 1 + a.eps
-		w += float64(a.inst[i-1].NumComponents()-a.inst[i].NumComponents()) * scale
+		if a.inst[i] == nil {
+			continue
+		}
+		next := a.inst[i].NumComponents()
+		w += float64(cc-next) * scale
+		cc = next
 	}
 	return w
 }
 
 // NumComponents returns the number of connected components of the window
-// graph (the top level sees every edge).
+// graph: the highest materialised level sees every live edge.
 func (a *ApproxMSF) NumComponents() int {
-	return a.inst[len(a.inst)-1].NumComponents()
+	if len(a.kept) == 0 {
+		return a.n
+	}
+	return a.inst[a.kept[0]].NumComponents()
+}
+
+// bucketRing is a growable FIFO ring of bucket ids.
+type bucketRing struct {
+	buf  []int32
+	head int // index of the oldest entry
+	size int
+}
+
+func (r *bucketRing) push(b int32) {
+	if r.size == len(r.buf) {
+		grown := make([]int32, max(64, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.size)%len(r.buf)] = b
+	r.size++
+}
+
+func (r *bucketRing) pop() int32 {
+	b := r.buf[r.head]
+	r.head = (r.head + 1) % len(r.buf)
+	r.size--
+	return b
 }

@@ -11,8 +11,8 @@ import (
 // test the recent-edge condition on the heaviest (oldest) path edge.
 type Conn struct {
 	msf     *core.BatchMSF
-	tau     int64 // arrivals so far
-	tw      int64 // expired prefix; the window is (tw, tau]
+	tau     int64         // arrivals so far
+	tw      int64         // expired prefix; the window is (tw, tau]
 	scratch []wgraph.Edge // conversion buffer, reused across batches
 }
 
@@ -137,6 +137,19 @@ func (c *ConnEager) batchInsertAt(edges []StreamEdge, taus []int64) {
 	}
 	c.scratch = batch
 	c.tau = maxTau
+	c.applyBatch(batch)
+}
+
+// seedFrom inserts src's live forest at its original timestamps. With
+// recency weights that forest is all of src's live state (Lemma 5.1), so c
+// then holds exactly the forest src holds.
+func (c *ConnEager) seedFrom(src *ConnEager) {
+	batch := c.scratch[:0]
+	src.ForestEdges(func(e wgraph.Edge) bool {
+		batch = append(batch, e)
+		return true
+	})
+	c.scratch = batch
 	c.applyBatch(batch)
 }
 

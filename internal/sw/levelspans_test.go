@@ -40,10 +40,15 @@ func TestApproxMSFLevelSpans(t *testing.T) {
 				t.Fatalf("batch %d: spans not highest-level-first: %v", b, levels)
 			}
 		}
-		// Nested levels: the highest level sees every batch, so it must
-		// always appear.
-		if levels[0] != timed.Levels()-1 {
-			t.Fatalf("batch %d: top level missing from spans: %v", b, levels)
+		// Nested levels: the highest materialised level sees every batch,
+		// so it must always appear, and no absent level may.
+		if levels[0] != timed.kept[0] {
+			t.Fatalf("batch %d: top materialised level %d missing from spans: %v", b, timed.kept[0], levels)
+		}
+		for _, l := range levels {
+			if timed.inst[l] == nil {
+				t.Fatalf("batch %d: span for level %d, which is not materialised", b, l)
+			}
 		}
 		if timed.Weight() != plain.Weight() || timed.NumComponents() != plain.NumComponents() {
 			t.Fatalf("batch %d: timing changed results: %v vs %v", b, timed.Weight(), plain.Weight())

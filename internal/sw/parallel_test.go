@@ -2,6 +2,7 @@ package sw
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,29 +10,53 @@ import (
 	"repro/internal/wgraph"
 )
 
-// seqBatchInsert applies a batch the way the pre-parallel implementation
-// did: a fresh filtered sub-slice per level, in input order, each level
-// applied on the calling goroutine. It is the sequential reference the
-// fork-join + bucket-routing path is pinned against: recency weights make
-// every level's MSF unique, so the two must agree bit-for-bit.
-func seqBatchInsert(a *ApproxMSF, edges []WeightedStreamEdge) {
+// allLevels is the all-levels reference for ApproxMSF: every one of the R
+// eager levels kept at all times and fed sequentially, each level a fresh
+// filtered sub-slice of the batch in input order. It is what the lazy,
+// fork-joined, bucket-routed structure is pinned against: recency weights
+// make every level's MSF unique, so the two must agree bit-for-bit. It
+// also keeps every arrival's weight, so tests can count occupied buckets
+// without asking the structure under test.
+type allLevels struct {
+	n       int
+	eps     float64
+	maxW    int64
+	thresh  []int64
+	inst    []*ConnEager
+	weights []int64 // every arrival's weight; the live ones are weights[tw:]
+	tau, tw int64
+}
+
+func newAllLevels(n int, eps float64, maxW int64, seed uint64) *allLevels {
+	r := &allLevels{n: n, eps: eps, maxW: maxW}
+	for x := 1.0; ; x *= 1 + eps {
+		t := int64(math.Floor(x))
+		r.thresh = append(r.thresh, t)
+		r.inst = append(r.inst, NewConnEager(n, seed+uint64(len(r.inst))*0x2545F491+3))
+		if t >= maxW {
+			break
+		}
+	}
+	return r
+}
+
+func (r *allLevels) BatchInsert(edges []WeightedStreamEdge) {
 	if len(edges) == 0 {
 		return
 	}
-	a.guard.enter()
-	defer a.guard.exit()
 	for _, e := range edges {
-		if e.W < 1 || e.W > a.maxW {
+		if e.W < 1 || e.W > r.maxW {
 			panic("bad weight in reference")
 		}
+		r.weights = append(r.weights, e.W)
 	}
-	base := a.tau
-	a.tau += int64(len(edges))
-	for i, inst := range a.inst {
+	base := r.tau
+	r.tau += int64(len(edges))
+	for i, inst := range r.inst {
 		var sub []StreamEdge
 		var subTau []int64
 		for j, e := range edges {
-			if e.W <= a.thresh[i] {
+			if e.W <= r.thresh[i] {
 				sub = append(sub, StreamEdge{U: e.U, V: e.V})
 				subTau = append(subTau, base+int64(j)+1)
 			}
@@ -42,26 +67,52 @@ func seqBatchInsert(a *ApproxMSF, edges []WeightedStreamEdge) {
 	}
 }
 
-// seqBatchExpire is the sequential reference for BatchExpire.
-func seqBatchExpire(a *ApproxMSF, delta int) {
+func (r *allLevels) BatchExpire(delta int) {
 	if delta <= 0 {
 		return
 	}
-	a.guard.enter()
-	defer a.guard.exit()
-	a.tw += int64(delta)
-	if a.tw > a.tau {
-		a.tw = a.tau
+	r.tw += int64(delta)
+	if r.tw > r.tau {
+		r.tw = r.tau
 	}
-	for _, inst := range a.inst {
+	for _, inst := range r.inst {
 		inst.guard.enter()
-		inst.expireTo(a.tw)
+		inst.expireTo(r.tw)
 		inst.guard.exit()
 	}
 }
 
+func (r *allLevels) Weight() float64 {
+	w := float64(r.n - r.inst[0].NumComponents())
+	scale := 1.0
+	for i := 1; i < len(r.inst); i++ {
+		scale *= 1 + r.eps
+		w += float64(r.inst[i-1].NumComponents()-r.inst[i].NumComponents()) * scale
+	}
+	return w
+}
+
+func (r *allLevels) NumComponents() int { return r.inst[len(r.inst)-1].NumComponents() }
+
+// occupied counts the buckets (first-admitting levels) of the live
+// arrivals.
+func (r *allLevels) occupied() int {
+	seen := make(map[int]bool)
+	for _, w := range r.weights[r.tw:] {
+		i := 0
+		for r.thresh[i] < w {
+			i++
+		}
+		seen[i] = true
+	}
+	return len(seen)
+}
+
 func levelForest(c *ConnEager) []wgraph.Edge {
 	var out []wgraph.Edge
+	if c == nil {
+		return out
+	}
 	c.ForestEdges(func(e wgraph.Edge) bool {
 		out = append(out, e)
 		return true
@@ -69,29 +120,49 @@ func levelForest(c *ConnEager) []wgraph.Edge {
 	return out
 }
 
-func requireIdentical(t *testing.T, step int, par, ref *ApproxMSF) {
-	t.Helper()
-	if pw, rw := par.Weight(), ref.Weight(); pw != rw {
-		t.Fatalf("step %d: Weight %v (parallel) != %v (reference)", step, pw, rw)
-	}
-	if pc, rc := par.NumComponents(), ref.NumComponents(); pc != rc {
-		t.Fatalf("step %d: NumComponents %d (parallel) != %d (reference)", step, pc, rc)
-	}
-	for i := range par.inst {
-		pf, rf := levelForest(par.inst[i]), levelForest(ref.inst[i])
-		if len(pf) != len(rf) {
-			t.Fatalf("step %d level %d: forest sizes %d != %d", step, i, len(pf), len(rf))
+// resolvedLevel is the structure that answers for level i: the nearest
+// materialised level at or below it, or nil for an empty graph.
+func resolvedLevel(a *ApproxMSF, i int) *ConnEager {
+	for ; i >= 0; i-- {
+		if a.inst[i] != nil {
+			return a.inst[i]
 		}
-		for j := range pf {
-			if pf[j] != rf[j] {
-				t.Fatalf("step %d level %d edge %d: %+v != %+v", step, i, j, pf[j], rf[j])
+	}
+	return nil
+}
+
+// requireIdentical pins a against the all-levels reference: bit-identical
+// Weight, equal NumComponents, equal resolved per-level forests, and
+// exactly the occupied buckets materialised.
+func requireIdentical(t *testing.T, step int, a *ApproxMSF, ref *allLevels) {
+	t.Helper()
+	if aw, rw := a.Weight(), ref.Weight(); math.Float64bits(aw) != math.Float64bits(rw) {
+		t.Fatalf("step %d: Weight %v != %v (all levels)", step, aw, rw)
+	}
+	if ac, rc := a.NumComponents(), ref.NumComponents(); ac != rc {
+		t.Fatalf("step %d: NumComponents %d != %d (all levels)", step, ac, rc)
+	}
+	if a.Levels() != len(ref.inst) {
+		t.Fatalf("step %d: Levels %d != %d", step, a.Levels(), len(ref.inst))
+	}
+	if got, want := a.LiveLevels(), ref.occupied(); got != want {
+		t.Fatalf("step %d: LiveLevels %d, want %d occupied buckets", step, got, want)
+	}
+	for i := range ref.inst {
+		af, rf := levelForest(resolvedLevel(a, i)), levelForest(ref.inst[i])
+		if len(af) != len(rf) {
+			t.Fatalf("step %d level %d: forest sizes %d != %d", step, i, len(af), len(rf))
+		}
+		for j := range af {
+			if af[j] != rf[j] {
+				t.Fatalf("step %d level %d edge %d: %+v != %+v", step, i, j, af[j], rf[j])
 			}
 		}
 	}
 }
 
 // TestApproxMSFParallelMatchesSequential pins the fork-join, bucket-routed
-// apply bit-identically to the pre-parallel sequential reference across
+// apply bit-identically to the sequential all-levels reference across
 // randomized insert/expire schedules and seeds (run under -race in CI: the
 // small worker budget forces real cross-goroutine level application).
 func TestApproxMSFParallelMatchesSequential(t *testing.T) {
@@ -105,17 +176,14 @@ func TestApproxMSFParallelMatchesSequential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
 			par := NewApproxMSF(n, eps, maxW, seed)
 			par.SetWorkers(parallel.NewLimiter(3))
-			ref := NewApproxMSF(n, eps, maxW, seed)
-			if par.Levels() != ref.Levels() {
-				t.Fatalf("level counts differ: %d != %d", par.Levels(), ref.Levels())
-			}
+			ref := newAllLevels(n, eps, maxW, seed)
 			r := rand.New(rand.NewSource(int64(seed)))
 			live := 0
 			for step := 0; step < 60; step++ {
 				if live > 0 && r.Intn(4) == 0 {
 					delta := 1 + r.Intn(live)
 					par.BatchExpire(delta)
-					seqBatchExpire(ref, delta)
+					ref.BatchExpire(delta)
 					live -= delta
 				} else {
 					b := r.Intn(40) // occasionally zero: empty batches must be no-ops
@@ -128,7 +196,7 @@ func TestApproxMSFParallelMatchesSequential(t *testing.T) {
 						}
 					}
 					par.BatchInsert(batch)
-					seqBatchInsert(ref, batch)
+					ref.BatchInsert(batch)
 					live += b
 				}
 				requireIdentical(t, step, par, ref)
@@ -166,7 +234,7 @@ func TestApproxMSFValidationAtomic(t *testing.T) {
 	}
 
 	// The structure must remain usable and track a clean twin thereafter.
-	twin := NewApproxMSF(16, 0.5, 100, 7)
+	twin := newAllLevels(16, 0.5, 100, 7)
 	twin.BatchInsert(good)
 	more := []WeightedStreamEdge{{U: 2, V: 3, W: 7}, {U: 4, V: 5, W: 9}}
 	a.BatchInsert(more)

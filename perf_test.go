@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graphgen"
-	"repro/internal/rctree"
 )
 
 // TestWaveLocality is a performance regression guard on the change
@@ -19,12 +18,12 @@ func TestWaveLocality(t *testing.T) {
 	m := NewBatchMSF(n, 0xC0FFEE)
 	// Saturate.
 	m.BatchInsert(stream[:20_000])
-	rctree.DebugWaveWork.Store(0)
+	before := m.WaveWork()
 	const probes = 10_000
 	for i := 20_000; i < 20_000+probes; i++ {
 		m.BatchInsert(stream[i : i+1])
 	}
-	avg := rctree.DebugWaveWork.Load() / probes
+	avg := (m.WaveWork() - before) / probes
 	t.Logf("average wave work per steady-state insert: %d", avg)
 	if avg > 2_000 {
 		t.Fatalf("change propagation is not local: %d affected vertex-rounds per insert", avg)
