@@ -72,6 +72,11 @@ func (m *BatchMSF) EdgeByID(id wgraph.EdgeID) (wgraph.Edge, bool) { return m.f.E
 // work: affected vertex-rounds recomputed over all batches so far.
 func (m *BatchMSF) WaveWork() int64 { return m.f.RC().WaveWork() }
 
+// TreeVertices returns the number of rake-compress tree vertices in use:
+// the n vertices plus the chain nodes that the degree-3 adapter (package
+// ternary) adds for vertices of forest degree above 3.
+func (m *BatchMSF) TreeVertices() int { return m.f.Vertices() }
+
 // PathMaxEdge returns the heaviest forest edge on the path between u and v,
 // or false when they are disconnected or equal. O(lg n) expected.
 func (m *BatchMSF) PathMaxEdge(u, v int32) (wgraph.Edge, bool) {

@@ -2,93 +2,98 @@
 // required by the rake-compress tree (the "bounded-degree equivalent" of
 // Section 2.2 of the paper, maintained dynamically as in reference [2]).
 //
-// Every real vertex v owns a gadget: a chain of virtual nodes
+// Every real vertex v owns a gadget, a path v = g0 — g1 — ... — gk of
+// rctree vertices joined by chain links of weight math.MinInt64+1 (above
+// the rctree's MinKey identity, below every real key, so they never win a
+// path-max query). A gadget node anchors edges of v up to its capacity, 3
+// minus its chain links; the real edge (u, v) is one rctree edge between
+// its anchors in u's and v's gadgets, carrying the real key.
 //
-//	v — c1 — c2 — ... — ck
+// Layout: v anchors its first three edges itself (k = 0). The fourth grows
+// the chain; from then on g0 anchors 2 edges, every interior node 1 and the
+// tail gk 1 or 2, so only the tail may have spare capacity. An insert at v
+// anchors the edge on the tail if it has room; otherwise it appends a node
+// (recycling a retired one first), moves one tail edge onto it and anchors
+// the new edge there. A removal from a non-tail node refills the hole with
+// one tail edge, and a tail other than g0 left empty is retired. A degree-d
+// vertex thus holds d-3 chain nodes after growth and at most d-2 after
+// removals, so the rctree has at most n + 2m vertices.
 //
-// where chain node ci anchors exactly one real edge incident to v. Chain
-// links are virtual edges of weight math.MinInt64+1 (strictly above the
-// rctree's MinKey identity, strictly below every real edge key), so they
-// never win a path-max query. The real edge (u, v) becomes an rctree edge
-// between u's and v's anchoring chain nodes, carrying the real key.
-//
-// Degrees: a real vertex touches only its first chain link (degree <= 1); a
-// chain node touches at most two chain links plus its real edge (degree
-// <= 3). Inserting an edge appends a chain node (O(1) virtual links);
-// deleting an edge splices its chain node out (O(1) virtual cuts/links). A
-// batch of l real operations becomes O(l) rctree operations, preserving the
-// paper's O(l·lg(1+n/l)) batch bound.
+// Moving an edge cuts its rctree edge and re-links it at its new anchor. A
+// batch's rctree changes go through one pending list into one rctree batch:
+// endpoints are read at emission, and an edge moved then removed, or a
+// chain link created then retired, is cancelled. A real operation costs
+// O(1) rctree changes, preserving the O(l·lg(1+n/l)) batch bound.
 package ternary
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rctree"
 	"repro/internal/wgraph"
 )
 
-// VirtualWeight is the weight of chain links. Real edge weights must be
-// strictly greater than math.MinInt64+1.
-const VirtualWeight = math.MinInt64 + 1
+const (
+	// VirtualWeight is the weight of chain links. Real edge weights must
+	// be strictly greater than math.MinInt64+1.
+	VirtualWeight = math.MinInt64 + 1
 
-const nilNode = int32(-1)
+	nilNode  = int32(-1)
+	noHandle = rctree.Handle(-1)
+	maxDeg   = 3 // rctree degree bound
+)
 
-type chainNode struct {
-	prev, next int32         // chain-node slots within the gadget (nilNode ends)
-	owner      int32         // real vertex owning the gadget
-	edge       wgraph.EdgeID // the real edge anchored here
-	prevLink   rctree.Handle // materialized link to prev side (or pending)
-	pendingIdx int32         // index into the current batch's pending links, -1 if materialized
-	inUse      bool
-}
-
-type gadget struct {
-	head, tail int32
-	deg        int
+// node is a gadget node, indexed by its rctree vertex id. Real vertex v is
+// the g0 of its own gadget and also holds the gadget's tail and degree.
+type node struct {
+	owner   int32         // real vertex whose gadget holds the node
+	prev    int32         // neighbour towards g0; nilNode for g0 and spares
+	link    rctree.Handle // chain link to prev; noHandle until emitted
+	queued  bool          // link waits in the batch's pending list
+	nAnch   int8          // anchors in use
+	anchors [maxDeg]*edgeInfo
+	tail    int32 // g0 only: last gadget node, v itself while k = 0
+	deg     int   // g0 only: real degree
 }
 
 type edgeInfo struct {
 	e      wgraph.Edge
-	nodeU  int32 // chain-node slot anchoring e at e.U
-	nodeV  int32
-	handle rctree.Handle
+	at     [2]int32      // gadget nodes anchoring e at e.U and e.V
+	handle rctree.Handle // rctree edge between the anchors; noHandle until emitted
+	queued bool          // waits in the batch's pending list
+}
+
+// side returns the index into at of ei's end at real vertex v.
+func (ei *edgeInfo) side(v int32) int {
+	if ei.e.U == v {
+		return 0
+	}
+	return 1
 }
 
 // Forest maintains an arbitrary-degree dynamic forest on top of an rctree.
 type Forest struct {
 	t       *rctree.Tree
 	n       int
-	gadgets []gadget
-	nodes   []chainNode
-	nodeIDs []int32 // slot -> rctree vertex id
-	free    []int32
+	nodes   []node  // by rctree vertex id
+	free    []int32 // retired chain nodes, isolated in the rctree
 	edges   map[wgraph.EdgeID]*edgeInfo
 	nextVID int64
 
-	// Per-batch scratch.
-	pend    []pendLink
-	rcCuts  []rctree.Handle
-	newReal []wgraph.EdgeID // ids of edges inserted this batch, in rcIns order
-}
-
-type pendLink struct {
-	a, b      int32 // rctree vertex ids
-	nodeSlot  int32 // node whose prevLink this is
-	cancelled bool
+	// Per-batch pending list and rctree scratch.
+	pendNodes []int32
+	pendEdges []*edgeInfo
+	rcIns     []rctree.Edge
+	rcCuts    []rctree.Handle
 }
 
 // New creates a forest over n real vertices (rctree vertices 0..n-1).
 func New(n int, seed uint64) *Forest {
-	f := &Forest{
-		t:       rctree.New(n, seed),
-		n:       n,
-		gadgets: make([]gadget, n),
-		edges:   make(map[wgraph.EdgeID]*edgeInfo),
-		nextVID: -2,
-	}
-	for i := range f.gadgets {
-		f.gadgets[i] = gadget{head: nilNode, tail: nilNode}
+	f := &Forest{t: rctree.New(n, seed), n: n, nodes: make([]node, n), edges: make(map[wgraph.EdgeID]*edgeInfo), nextVID: -2}
+	for v := range int32(n) {
+		f.nodes[v] = node{owner: v, prev: nilNode, link: noHandle, tail: v}
 	}
 	return f
 }
@@ -97,25 +102,22 @@ func New(n int, seed uint64) *Forest {
 // construction and queries over the virtual topology.
 func (f *Forest) RC() *rctree.Tree { return f.t }
 
-// N returns the number of real vertices.
-func (f *Forest) N() int { return f.n }
+// Vertices returns the number of rctree vertices in use: the n real
+// vertices plus every gadget's chain nodes (retired spares excluded).
+func (f *Forest) Vertices() int { return len(f.nodes) - len(f.free) }
 
 // NumEdges returns the number of live real edges.
 func (f *Forest) NumEdges() int { return len(f.edges) }
 
 // HasEdge reports whether the real edge id is present.
-func (f *Forest) HasEdge(id wgraph.EdgeID) bool {
-	_, ok := f.edges[id]
-	return ok
-}
+func (f *Forest) HasEdge(id wgraph.EdgeID) bool { return f.edges[id] != nil }
 
 // EdgeByID returns the stored edge for a live id.
 func (f *Forest) EdgeByID(id wgraph.EdgeID) (wgraph.Edge, bool) {
-	ei, ok := f.edges[id]
-	if !ok {
-		return wgraph.Edge{}, false
+	if ei, ok := f.edges[id]; ok {
+		return ei.e, true
 	}
-	return ei.e, true
+	return wgraph.Edge{}, false
 }
 
 // RangeEdges calls fn for every live real edge until fn returns false.
@@ -128,44 +130,26 @@ func (f *Forest) RangeEdges(fn func(wgraph.Edge) bool) {
 	}
 }
 
-// OwnerOf maps any rctree vertex back to the real vertex whose gadget it
-// belongs to (real vertices map to themselves). Chain-node rctree ids are
-// allocated densely after the n real vertices.
-func (f *Forest) OwnerOf(rcID int32) int32 {
-	if int(rcID) < f.n {
-		return rcID
-	}
-	return f.nodes[int(rcID)-f.n].owner
-}
+// OwnerOf maps any rctree vertex of a gadget back to the real vertex owning
+// the gadget (real vertices map to themselves).
+func (f *Forest) OwnerOf(rcID int32) int32 { return f.nodes[rcID].owner }
 
 // Degree returns the real degree of vertex v.
-func (f *Forest) Degree(v int32) int { return f.gadgets[v].deg }
+func (f *Forest) Degree(v int32) int { return f.nodes[v].deg }
 
 // Connected reports whether real vertices u and v are connected.
 func (f *Forest) Connected(u, v int32) bool { return f.t.Connected(u, v) }
 
-// NumComponents returns the number of components among the real vertices
-// (virtual chain nodes never form their own components).
-func (f *Forest) NumComponents() int {
-	// Each real component contributes one rctree root; chain nodes are
-	// always attached to their owner. Total rctree components = real
-	// components + 0 spare, but freed chain nodes linger as isolated rctree
-	// vertices, so subtract them.
-	return f.t.NumComponents() - f.isolatedSpares()
-}
-
-func (f *Forest) isolatedSpares() int {
-	return len(f.free)
-}
+// NumComponents returns the number of components among the real vertices.
+// Chain nodes hang off their owner; retired spares linger as isolated
+// rctree vertices and are subtracted.
+func (f *Forest) NumComponents() int { return f.t.NumComponents() - len(f.free) }
 
 // PathMax returns the heaviest real edge key on the real path between u and
 // v, or false when disconnected or equal. Virtual links can never be the
 // maximum because a nonempty real path contains at least one real edge.
 func (f *Forest) PathMax(u, v int32) (wgraph.Key, bool) {
-	if u == v {
-		return wgraph.Key{}, false
-	}
-	k, ok := f.t.PathMax(u, v)
+	k, ok := f.t.PathMax(u, v) // false when u == v
 	if !ok {
 		return wgraph.Key{}, false
 	}
@@ -175,95 +159,103 @@ func (f *Forest) PathMax(u, v int32) (wgraph.Key, bool) {
 	return k, true
 }
 
-func (f *Forest) virtualKey() wgraph.Key {
-	k := wgraph.Key{W: VirtualWeight, ID: wgraph.EdgeID(f.nextVID)}
-	f.nextVID--
-	return k
-}
-
-func (f *Forest) allocNode() int32 {
-	if len(f.free) > 0 {
-		s := f.free[len(f.free)-1]
-		f.free = f.free[:len(f.free)-1]
-		return s
+// chainLinks returns the number of chain links at gadget node x.
+func (f *Forest) chainLinks(x int32) (l int8) {
+	if f.nodes[x].prev != nilNode {
+		l++
 	}
-	vid := f.t.AddVertices(1)
-	f.nodes = append(f.nodes, chainNode{})
-	f.nodeIDs = append(f.nodeIDs, vid)
-	return int32(len(f.nodes) - 1)
-}
-
-// rcID returns the rctree vertex of a chain slot, or the real vertex when
-// slot is nilNode relative to owner v.
-func (f *Forest) rcID(v int32, slot int32) int32 {
-	if slot == nilNode {
-		return v
+	if f.nodes[f.nodes[x].owner].tail != x {
+		l++
 	}
-	return f.nodeIDs[slot]
+	return l
 }
 
-// killLink retires the prevLink of the given node: a pending link is
-// cancelled, a materialized one is queued for cutting.
-func (f *Forest) killLink(slot int32) {
-	nd := &f.nodes[slot]
-	if nd.pendingIdx >= 0 {
-		f.pend[nd.pendingIdx].cancelled = true
-		nd.pendingIdx = -1
+// cut queues the rctree edge *h for cutting, if it is materialised.
+func (f *Forest) cut(h *rctree.Handle) {
+	if *h != noHandle {
+		f.rcCuts = append(f.rcCuts, *h)
+		*h = noHandle
+	}
+}
+
+// queueEdge schedules ei's rctree edge to be (re-)linked at emission,
+// cutting the materialised one.
+func (f *Forest) queueEdge(ei *edgeInfo) {
+	f.cut(&ei.handle)
+	if !ei.queued {
+		ei.queued = true
+		f.pendEdges = append(f.pendEdges, ei)
+	}
+}
+
+// anchor anchors ei's end at v on gadget node x.
+func (f *Forest) anchor(ei *edgeInfo, v, x int32) {
+	nd := &f.nodes[x]
+	nd.anchors[nd.nAnch] = ei
+	nd.nAnch++
+	ei.at[ei.side(v)] = x
+}
+
+func (f *Forest) unanchor(ei *edgeInfo, x int32) {
+	nd := &f.nodes[x]
+	i := slices.Index(nd.anchors[:nd.nAnch], ei)
+	nd.nAnch--
+	nd.anchors[i], nd.anchors[nd.nAnch] = nd.anchors[nd.nAnch], nil
+}
+
+// move re-anchors the end at v of an edge anchored at gadget node from onto
+// gadget node to. An edge already waiting in the pending list moves for
+// free, so it is preferred.
+func (f *Forest) move(v, from, to int32) {
+	nd := &f.nodes[from]
+	ei := nd.anchors[nd.nAnch-1]
+	for _, a := range nd.anchors[:nd.nAnch] {
+		if a.queued {
+			ei = a
+		}
+	}
+	f.unanchor(ei, from)
+	f.anchor(ei, v, to)
+	f.queueEdge(ei)
+}
+
+// attach anchors ei's end at v in v's gadget.
+func (f *Forest) attach(ei *edgeInfo, v int32) {
+	f.nodes[v].deg++
+	t := f.nodes[v].tail
+	if f.nodes[t].nAnch+f.chainLinks(t) < maxDeg {
+		f.anchor(ei, v, t)
 		return
 	}
-	f.rcCuts = append(f.rcCuts, nd.prevLink)
-}
-
-// makeLink plans a fresh virtual link from the prev side to node slot.
-func (f *Forest) makeLink(v, prevSlot, slot int32) {
-	nd := &f.nodes[slot]
-	nd.pendingIdx = int32(len(f.pend))
-	f.pend = append(f.pend, pendLink{a: f.rcID(v, prevSlot), b: f.nodeIDs[slot], nodeSlot: slot})
-}
-
-// appendNode grows v's gadget with a chain node anchoring edge id, returning
-// the new slot.
-func (f *Forest) appendNode(v int32, id wgraph.EdgeID) int32 {
-	slot := f.allocNode()
-	g := &f.gadgets[v]
-	f.nodes[slot] = chainNode{prev: g.tail, next: nilNode, owner: v, edge: id, pendingIdx: -1, inUse: true}
-	f.makeLink(v, g.tail, slot)
-	if g.tail != nilNode {
-		f.nodes[g.tail].next = slot
+	var x int32
+	if k := len(f.free); k > 0 {
+		x, f.free = f.free[k-1], f.free[:k-1]
 	} else {
-		g.head = slot
+		x = f.t.AddVertices(1)
+		f.nodes = append(f.nodes, node{}) // moves f.nodes: hold no pointers across
 	}
-	g.tail = slot
-	g.deg++
-	return slot
+	f.nodes[x] = node{owner: v, prev: t, link: noHandle, queued: true}
+	f.nodes[v].tail = x
+	f.pendNodes = append(f.pendNodes, x)
+	f.move(v, t, x)
+	f.anchor(ei, v, x)
 }
 
-// detachNode splices the chain node out of v's gadget.
-func (f *Forest) detachNode(v int32, slot int32) {
-	nd := &f.nodes[slot]
-	g := &f.gadgets[v]
-	prv, nxt := nd.prev, nd.next
-	f.killLink(slot)
-	if nxt != nilNode {
-		f.killLink(nxt)
-		f.nodes[nxt].prev = prv
-		f.makeLink(v, prv, nxt)
-		if prv != nilNode {
-			f.nodes[prv].next = nxt
-		} else {
-			g.head = nxt
-		}
-	} else {
-		if prv != nilNode {
-			f.nodes[prv].next = nilNode
-		} else {
-			g.head = nilNode
-		}
-		g.tail = prv
-	}
+// detach removes ei's end at v from v's gadget.
+func (f *Forest) detach(ei *edgeInfo, v int32) {
+	g := &f.nodes[v]
 	g.deg--
-	*nd = chainNode{pendingIdx: -1}
-	f.free = append(f.free, slot)
+	x := ei.at[ei.side(v)]
+	f.unanchor(ei, x)
+	if x != g.tail {
+		f.move(v, g.tail, x)
+	}
+	if t := g.tail; t != v && f.nodes[t].nAnch == 0 {
+		f.cut(&f.nodes[t].link)
+		g.tail = f.nodes[t].prev
+		f.nodes[t] = node{prev: nilNode, link: noHandle}
+		f.free = append(f.free, t)
+	}
 }
 
 // BatchUpdate removes the edges named in cuts, then inserts ins, all in one
@@ -271,114 +263,119 @@ func (f *Forest) detachNode(v int32, slot int32) {
 // remain a forest (no acyclicity check is performed here — the MSF layer
 // guarantees it); self-loops and duplicate ids panic.
 func (f *Forest) BatchUpdate(ins []wgraph.Edge, cuts []wgraph.EdgeID) {
-	f.pend = f.pend[:0]
 	f.rcCuts = f.rcCuts[:0]
-	f.newReal = f.newReal[:0]
-
 	for _, id := range cuts {
 		ei, ok := f.edges[id]
 		if !ok {
 			panic(fmt.Sprintf("ternary: cutting unknown edge %d", id))
 		}
-		f.rcCuts = append(f.rcCuts, ei.handle)
-		f.detachNode(ei.e.U, ei.nodeU)
-		f.detachNode(ei.e.V, ei.nodeV)
 		delete(f.edges, id)
+		f.cut(&ei.handle)
+		ei.queued = false
+		f.detach(ei, ei.e.U)
+		f.detach(ei, ei.e.V)
 	}
 	for _, e := range ins {
-		if e.IsLoop() {
-			panic(fmt.Sprintf("ternary: self-loop %v", e))
+		if _, dup := f.edges[e.ID]; dup || e.IsLoop() || e.W <= VirtualWeight {
+			panic(fmt.Sprintf("ternary: insert %v is a self-loop, a duplicate id or not above VirtualWeight", e))
 		}
-		if e.W <= VirtualWeight {
-			panic(fmt.Sprintf("ternary: weight %d not above VirtualWeight", e.W))
-		}
-		if _, dup := f.edges[e.ID]; dup {
-			panic(fmt.Sprintf("ternary: duplicate edge id %d", e.ID))
-		}
-		nu := f.appendNode(e.U, e.ID)
-		nv := f.appendNode(e.V, e.ID)
-		f.edges[e.ID] = &edgeInfo{e: e, nodeU: nu, nodeV: nv}
-		f.newReal = append(f.newReal, e.ID)
+		ei := &edgeInfo{e: e, handle: noHandle}
+		f.edges[e.ID] = ei
+		f.queueEdge(ei)
+		f.attach(ei, e.U)
+		f.attach(ei, e.V)
 	}
 
-	// Emit: surviving pending links first, then real edges; map handles back
-	// positionally.
-	rcIns := make([]rctree.Edge, 0, len(f.pend)+len(f.newReal))
-	slots := make([]int32, 0, len(f.pend))
-	for _, p := range f.pend {
-		if p.cancelled {
-			continue
+	// Emit what is still pending, chain links first, and map the handles
+	// back positionally. An entry cancelled (or listed twice) is skipped.
+	rcIns := f.rcIns[:0]
+	links := f.pendNodes[:0]
+	for _, x := range f.pendNodes {
+		if nd := &f.nodes[x]; nd.queued {
+			nd.queued = false
+			rcIns = append(rcIns, rctree.Edge{U: nd.prev, V: x, Key: wgraph.Key{W: VirtualWeight, ID: wgraph.EdgeID(f.nextVID)}})
+			f.nextVID--
+			links = append(links, x)
 		}
-		rcIns = append(rcIns, rctree.Edge{U: p.a, V: p.b, Key: f.virtualKey()})
-		slots = append(slots, p.nodeSlot)
 	}
-	for _, id := range f.newReal {
-		ei := f.edges[id]
-		rcIns = append(rcIns, rctree.Edge{
-			U: f.nodeIDs[ei.nodeU], V: f.nodeIDs[ei.nodeV], Key: wgraph.KeyOf(ei.e),
-		})
+	reals := f.pendEdges[:0]
+	for _, ei := range f.pendEdges {
+		if ei.queued {
+			ei.queued = false
+			rcIns = append(rcIns, rctree.Edge{U: ei.at[0], V: ei.at[1], Key: wgraph.KeyOf(ei.e)})
+			reals = append(reals, ei)
+		}
 	}
 	handles := f.t.BatchUpdate(rcIns, f.rcCuts)
-	for i, slot := range slots {
-		f.nodes[slot].prevLink = handles[i]
-		f.nodes[slot].pendingIdx = -1
+	for i, x := range links {
+		f.nodes[x].link = handles[i]
 	}
-	for i, id := range f.newReal {
-		f.edges[id].handle = handles[len(slots)+i]
+	for i, ei := range reals {
+		ei.handle = handles[len(links)+i]
 	}
+	clear(f.pendEdges) // drop references to removed edges
+	f.rcIns, f.pendNodes, f.pendEdges = rcIns, links[:0], reals[:0]
 }
 
-// Validate checks gadget-chain and degree invariants plus the underlying
-// rctree's invariants. Test use only.
+// Validate checks the gadget layout and the underlying rctree's invariants:
+// each gadget node's rctree degree is its chain links plus its anchors,
+// every node but the tail is saturated, no tail other than g0 is empty, and
+// each anchor agrees with its edge record. Test use only.
 func (f *Forest) Validate() error {
 	if err := f.t.Validate(); err != nil {
 		return err
 	}
-	degSum := 0
-	for v := int32(0); v < int32(f.n); v++ {
-		g := &f.gadgets[v]
-		count := 0
-		prev := nilNode
-		for s := g.head; s != nilNode; s = f.nodes[s].next {
-			nd := &f.nodes[s]
-			if !nd.inUse {
-				return fmt.Errorf("vertex %d: chain slot %d not in use", v, s)
-			}
-			if nd.owner != v {
-				return fmt.Errorf("vertex %d: chain slot %d owned by %d", v, s, nd.owner)
-			}
-			if nd.prev != prev {
-				return fmt.Errorf("vertex %d: chain slot %d prev=%d want %d", v, s, nd.prev, prev)
-			}
-			if nd.pendingIdx != -1 {
-				return fmt.Errorf("vertex %d: chain slot %d has pending link outside batch", v, s)
-			}
-			ei, ok := f.edges[nd.edge]
-			if !ok {
-				return fmt.Errorf("vertex %d: chain slot %d anchors dead edge %d", v, s, nd.edge)
-			}
-			if ei.nodeU != s && ei.nodeV != s {
-				return fmt.Errorf("vertex %d: edge %d does not reference slot %d", v, nd.edge, s)
-			}
-			prev = s
-			count++
-			if count > f.n*4 {
-				return fmt.Errorf("vertex %d: chain cycle", v)
-			}
+	joins := func(h rctree.Handle, a, b int32) bool {
+		if h == noHandle {
+			return false
 		}
-		if g.tail != prev {
-			return fmt.Errorf("vertex %d: tail %d want %d", v, g.tail, prev)
-		}
-		if count != g.deg {
-			return fmt.Errorf("vertex %d: chain length %d != degree %d", v, count, g.deg)
-		}
-		degSum += count
-		if f.t.Degree(v) > 1 {
-			return fmt.Errorf("real vertex %d has rctree degree %d", v, f.t.Degree(v))
-		}
+		u, w := f.t.EdgeEndpoints(h)
+		return u == a && w == b
 	}
-	if degSum != 2*len(f.edges) {
-		return fmt.Errorf("degree sum %d != 2*edges %d", degSum, 2*len(f.edges))
+	chain, anchors := 0, 0
+	for v := int32(0); v < int32(f.n); v++ {
+		g := &f.nodes[v]
+		deg := 0
+		for x := g.tail; ; x = f.nodes[x].prev {
+			if x < 0 || (x < int32(f.n)) != (x == v) || chain > len(f.nodes) {
+				return fmt.Errorf("vertex %d: gadget chain reaches %d", v, x)
+			}
+			nd := &f.nodes[x]
+			links := f.chainLinks(x)
+			switch {
+			case nd.owner != v:
+				return fmt.Errorf("vertex %d: gadget node %d owned by %d", v, x, nd.owner)
+			case f.t.Degree(x) != int(links+nd.nAnch):
+				return fmt.Errorf("vertex %d: node %d has rctree degree %d, want %d links + %d anchors", v, x, f.t.Degree(x), links, nd.nAnch)
+			case x != g.tail && links+nd.nAnch != maxDeg:
+				return fmt.Errorf("vertex %d: non-tail node %d holds %d links + %d anchors", v, x, links, nd.nAnch)
+			case x != v && nd.nAnch == 0 && x == g.tail:
+				return fmt.Errorf("vertex %d: empty tail %d", v, x)
+			case x != v && (nd.queued || !joins(nd.link, nd.prev, x)):
+				return fmt.Errorf("vertex %d: chain link of node %d is pending or misplaced", v, x)
+			}
+			for _, ei := range nd.anchors[:nd.nAnch] {
+				if (ei.e.U != v && ei.e.V != v) || ei.at[ei.side(v)] != x || f.edges[ei.e.ID] != ei || ei.queued || !joins(ei.handle, ei.at[0], ei.at[1]) {
+					return fmt.Errorf("vertex %d: node %d anchors edge %v, recorded at %v with rctree edge %d", v, x, ei.e, ei.at, ei.handle)
+				}
+			}
+			deg += int(nd.nAnch)
+			if x == v {
+				break
+			}
+			chain++
+		}
+		if deg != g.deg {
+			return fmt.Errorf("vertex %d: gadget anchors %d edges, degree %d", v, deg, g.deg)
+		}
+		anchors += deg
+	}
+	if anchors != 2*len(f.edges) {
+		return fmt.Errorf("anchors %d != 2*edges %d", anchors, 2*len(f.edges))
+	}
+	if f.n+chain+len(f.free) != f.t.NumVertices() || len(f.edges)+chain != f.t.NumBaseEdges() {
+		return fmt.Errorf("n=%d + %d chain nodes + %d spares, %d real edges: rctree has %d vertices, %d edges",
+			f.n, chain, len(f.free), len(f.edges), f.t.NumVertices(), f.t.NumBaseEdges())
 	}
 	return nil
 }

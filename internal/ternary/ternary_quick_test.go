@@ -90,17 +90,19 @@ func TestOwnerOfMapping(t *testing.T) {
 			t.Fatalf("OwnerOf(%d)=%d", v, fo.OwnerOf(v))
 		}
 	}
-	// Every chain node maps to a real vertex with matching degree share.
+	// Every chain node maps to its gadget's real vertex. The degree-4 hub
+	// anchors two edges itself and grows one chain node for the other two;
+	// the degree-1 leaves anchor their edge themselves.
 	counts := map[int32]int{}
 	for id := n; id < fo.RC().NumVertices(); id++ {
 		counts[fo.OwnerOf(int32(id))]++
 	}
-	if counts[0] != 4 {
-		t.Fatalf("hub chain nodes=%d want 4", counts[0])
+	if counts[0] != 1 {
+		t.Fatalf("hub chain nodes=%d want 1", counts[0])
 	}
 	for v := int32(1); v < n; v++ {
-		if counts[v] != 1 {
-			t.Fatalf("leaf %d chain nodes=%d want 1", v, counts[v])
+		if counts[v] != 0 {
+			t.Fatalf("leaf %d chain nodes=%d want 0", v, counts[v])
 		}
 	}
 }

@@ -246,3 +246,45 @@ func TestWeightBelowVirtualPanics(t *testing.T) {
 	}()
 	f.BatchUpdate([]wgraph.Edge{{ID: 1, U: 0, V: 1, W: VirtualWeight}}, nil)
 }
+
+// TestDegreeTransitions grows one vertex from degree 0 to 8 and drains it
+// back to 0, once one edge per batch and once all in one batch, validating
+// the layout after every step: no chain up to degree 3, d-3 chain nodes
+// after growth, at most d-2 while draining, and every chain node retired
+// once the hub is isolated again.
+func TestDegreeTransitions(t *testing.T) {
+	const n, d = 9, 8
+	star := make([]wgraph.Edge, d)
+	ids := make([]wgraph.EdgeID, d)
+	for i := range star {
+		star[i] = wgraph.Edge{ID: wgraph.EdgeID(i + 1), U: 0, V: int32(i + 1), W: int64(10 * (i + 1))}
+		ids[i] = star[i].ID
+	}
+	for _, step := range []int{1, d} {
+		f := New(n, 5)
+		chain := func() int { return f.RC().NumVertices() - len(f.free) - n }
+		for i := 0; i < d; i += step {
+			f.BatchUpdate(star[i:i+step], nil)
+			mustValidate(t, f)
+			if got, want := chain(), max(0, f.Degree(0)-3); got != want {
+				t.Fatalf("step %d: degree %d holds %d chain nodes, want %d", step, f.Degree(0), got, want)
+			}
+		}
+		// Drain oldest first, as a sliding window expires.
+		for i := 0; i < d; i += step {
+			f.BatchUpdate(nil, ids[i:i+step])
+			mustValidate(t, f)
+			if got, deg := chain(), f.Degree(0); got > max(0, deg-2) {
+				t.Fatalf("step %d: degree %d holds %d chain nodes, want at most %d", step, deg, got, max(0, deg-2))
+			}
+			for j, e := range star {
+				if got, want := f.Connected(0, e.V), j >= i+step; got != want {
+					t.Fatalf("step %d: Connected(0,%d)=%v after cutting %d edges", step, e.V, got, i+step)
+				}
+			}
+		}
+		if got := f.RC().NumVertices() - len(f.free); got != n {
+			t.Fatalf("step %d: %d rctree vertices in use after draining, want %d", step, got, n)
+		}
+	}
+}
