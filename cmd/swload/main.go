@@ -11,8 +11,9 @@
 // edges where the unbatched one pays the full lg factor per edge.
 //
 // The -fanout-compare mode runs the same stream with all five monitors
-// twice — parallel monitor fan-out vs sequential — and reports the mean
-// batch apply time (write-lock hold) of each, isolating the fork-join win.
+// (three fan-out slots) twice — parallel fan-out vs sequential — and
+// reports the mean batch apply time (write-lock hold) of each, isolating
+// the fork-join win.
 //
 // The -windows M mode runs M windows in one registry server with producers
 // and readers spread across them (multi-tenant). Adding -compare drives the
@@ -56,7 +57,7 @@
 //
 // The -mixed report also carries the ingest-queue backlog in both units
 // (queue_batches and queue_edges, scraped from /stats before the drain),
-// a per-monitor apply p50/p99 table scraped from /metrics — the
+// a per-slot apply p50/p99 table scraped from /metrics — the
 // server-side view the client percentiles can only approximate — and a
 // slowest-stage attribution table scraped from the batch flight recorder
 // (/debug/flight): per batch, which pipeline stage dominated its wall
@@ -64,8 +65,8 @@
 // at a glance.
 //
 // -cpuprofile/-memprofile write pprof profiles of any mode; the fan-out
-// labels every monitor apply with its monitor name, so a CPU profile
-// attributes apply time per monitor (go tool pprof -tags).
+// labels every slot apply with its slot name, so a CPU profile attributes
+// apply time per slot (go tool pprof -tags).
 //
 //	swload -n 50000 -edges 200000 -producers 8 -chunk 256
 //	swload -mixed -readers 8 -duration 5s -window 200000 -json mixed.json
@@ -153,8 +154,8 @@ type EndpointLatency struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// MonitorLatency is one monitor's server-side apply summary, scraped from
-// /metrics (-mixed only). Percentiles carry the telemetry histogram's
+// MonitorLatency is one fan-out slot's server-side apply summary, scraped
+// from /metrics (-mixed only). Percentiles carry the telemetry histogram's
 // bucket-upper-bound semantics: conservative upper bounds in milliseconds.
 type MonitorLatency struct {
 	Applies    int64   `json:"applies"`
@@ -217,7 +218,7 @@ type LoadResult struct {
 	QueueBatches int64 `json:"queue_batches,omitempty"`
 	QueueEdges   int64 `json:"queue_edges,omitempty"`
 	QueueCap     int   `json:"queue_cap,omitempty"`
-	// Monitors is the server-side per-monitor apply table scraped from
+	// Monitors is the server-side per-slot apply table scraped from
 	// /metrics (-mixed only).
 	Monitors map[string]MonitorLatency `json:"monitors,omitempty"`
 	// Flight is the batch flight-recorder attribution summary scraped
@@ -416,7 +417,7 @@ func main() {
 		runWALCompare(o, &rep)
 	case o.fanoutCompare:
 		// The fan-out win only exists when there is fan-out: force the full
-		// monitor set so each batch has five independent applies.
+		// monitor set so each batch has three independent slot applies.
 		o.monitors = ""
 		par := runInProc(o, "parallel-fanout", o.batch, false, false, nil)
 		seq := runInProc(o, "sequential-fanout", o.batch, true, false, nil)
@@ -828,13 +829,13 @@ func runMixed(o options) LoadResult {
 	}
 	svc.Flush()
 
-	// Server-side per-monitor apply percentiles, scraped from /metrics
-	// after the drain so the histograms hold every applied batch.
+	// Server-side per-slot apply percentiles, scraped from /metrics after
+	// the drain so the histograms hold every applied batch.
 	monitors := make(map[string]MonitorLatency)
 	if exp, err := scrapeMetrics(client, base); err != nil {
 		fmt.Fprintf(os.Stderr, "swload -mixed: /metrics scrape failed: %v\n", err)
 	} else {
-		for _, name := range stream.AllMonitors() {
+		for _, name := range stream.AllSlots() {
 			lbl := map[string]string{"monitor": name}
 			cnt, ok := exp.Value("sw_monitor_apply_seconds_count", lbl)
 			if !ok || cnt == 0 {
@@ -949,7 +950,7 @@ func printMixed(r LoadResult) {
 		r.QueueBatches, r.QueueEdges, r.QueueCap)
 	printAdmission(r)
 	if len(r.Monitors) > 0 {
-		fmt.Printf("  server-side monitor applies (from /metrics):\n")
+		fmt.Printf("  server-side slot applies (from /metrics):\n")
 		mons := make([]string, 0, len(r.Monitors))
 		for name := range r.Monitors {
 			mons = append(mons, name)

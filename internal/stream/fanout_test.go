@@ -110,14 +110,10 @@ func TestFanoutParallelMatchesSequential(t *testing.T) {
 			cmp("cycle", a, b, e1, e2)
 		}
 		{
-			a, e1 := par.CertificateSize()
-			b, e2 := seq.CertificateSize()
+			a, ac, e1 := par.KCertInfo()
+			b, bc, e2 := seq.KCertInfo()
 			cmp("certsize", a, b, e1, e2)
-		}
-		if round%10 == 9 { // the min-cut check is the expensive one
-			a, e1 := par.EdgeConnectivityUpToK()
-			b, e2 := seq.EdgeConnectivityUpToK()
-			cmp("edge connectivity", a, b, e1, e2)
+			cmp("edge connectivity", ac, bc, e1, e2)
 		}
 		for trial := 0; trial < 10; trial++ {
 			u, v := int32(r.Intn(n)), int32(r.Intn(n))

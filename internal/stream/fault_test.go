@@ -388,10 +388,11 @@ func TestKillWhileDegradedIsLoud(t *testing.T) {
 
 // TestApplyPanicQuarantineIsolation pins the quarantine fault domain with
 // no rebuild escape hatch: an unbounded window retains no live edges, so a
-// panicking monitor is quarantined permanently — its queries fail with
-// ErrMonitorQuarantined, every sibling monitor of the same window and every
-// other window keeps answering, and the quarantine is machine-readable in
-// the query summary.
+// panicking slot is quarantined permanently — the queries of every monitor
+// it answers fail with ErrMonitorQuarantined (conn and cyclefree read the
+// one forest), the sibling slots of the same window and every other window
+// keep answering, and the quarantine is machine-readable in the query
+// summary.
 func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	inj := fault.NewInjector(nil, 1)
 	reg := NewRegistry(RegistryConfig{
@@ -411,7 +412,7 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := inj.Set(fault.Rule{
-		ID: "boom", Op: fault.OpApply, Path: "w1/" + MonitorConn, Kind: fault.KindPanic, Count: 1,
+		ID: "boom", Op: fault.OpApply, Path: "w1/" + SlotForest, Kind: fault.KindPanic, Count: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -438,27 +439,28 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 			t.Fatalf("quarantine not permanent after 5s: %+v", q)
 		}
 	}
-	if q[0].Monitor != MonitorConn || q[0].Reason == "" || q[0].RebuildErr == "" {
+	if q[0].Monitor != SlotForest || q[0].Reason == "" || q[0].RebuildErr == "" {
 		t.Fatalf("quarantine record: %+v", q[0])
 	}
 
-	// Quarantined monitor: 503-shaped error, machine-readable.
+	// Quarantined slot: 503-shaped errors, machine-readable, for every
+	// monitor the forest answers.
 	if _, err := w1.Window().IsConnected(0, 1); !errors.Is(err, ErrMonitorQuarantined) {
 		t.Fatalf("IsConnected on quarantined monitor: err=%v, want ErrMonitorQuarantined", err)
 	}
-	// Sibling monitors of the same window keep answering.
+	if _, err := w1.Window().HasCycle(); !errors.Is(err, ErrMonitorQuarantined) {
+		t.Fatalf("HasCycle on quarantined monitor: err=%v, want ErrMonitorQuarantined", err)
+	}
+	// Sibling slots of the same window keep answering.
 	if b, err := w1.Window().IsBipartite(); err != nil || !b {
 		t.Fatalf("bipartite on w1 = %v, %v; the batch is a forest, want true", b, err)
 	}
 	if _, err := w1.Window().MSFWeight(); err != nil {
 		t.Fatalf("msfweight on w1: %v", err)
 	}
-	if _, err := w1.Window().HasCycle(); err != nil {
-		t.Fatalf("cycle on w1: %v", err)
-	}
 	// The consistent summary serves what it can and names the hole.
 	sum := w1.Window().QuerySummary()
-	if len(sum.Quarantined) != 1 || sum.Quarantined[0] != MonitorConn {
+	if len(sum.Quarantined) != 1 || sum.Quarantined[0] != SlotForest {
 		t.Fatalf("summary quarantined list: %+v", sum.Quarantined)
 	}
 	// The other window is a separate fault domain: fully healthy.
@@ -530,7 +532,7 @@ func TestApplyPanicRebuildRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	// This batch panics msfweight's apply; the fan-out quarantines it and
-	// keeps applying to the other four monitors.
+	// keeps applying to the other two slots.
 	step()
 	if inj.Trips() == 0 {
 		t.Fatal("apply panic rule never fired")

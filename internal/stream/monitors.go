@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"fmt"
 	"sync/atomic"
 
-	"repro/internal/parallel"
 	"repro/internal/sw"
 )
 
@@ -33,37 +31,41 @@ func (c *MonitorConfig) withDefaults() MonitorConfig {
 	return out
 }
 
-// newMonitor builds the named monitor over n vertices. Each monitor derives
-// its own seed so window instances stay independent.
+// slotOf maps each monitor name to the fan-out slot that answers it: conn,
+// kcert and cyclefree are views of one maximal spanning forest
+// decomposition, so they share the forest slot.
+var slotOf = map[string]string{
+	MonitorConn:      SlotForest,
+	MonitorKCert:     SlotForest,
+	MonitorCycleFree: SlotForest,
+	MonitorBipartite: MonitorBipartite,
+	MonitorMSFWeight: MonitorMSFWeight,
+}
+
+// newMonitor builds the structure behind slot s from the slot's seed and
+// the multiplexer's retained (defaulted) config and monitor names, so a
+// rebuilt replacement is distribution-identical to the original at birth.
+// The forest slot serves the views among the names.
 //
 // Every monitor adapter below carries its own conversion scratch buffer,
 // reused across batches. That is sound under the same single-writer
 // contract the internal/sw structures assert: BatchInsert runs under the
-// monitor's write lock with exactly one writer in the pipeline, and the
+// slot's write lock with exactly one writer in the pipeline, and the
 // sw structures convert the slice into their own representation before
 // returning, retaining nothing.
-//
-// levels receives the msfweight monitor's materialised level count after
-// every mutation (the sw_msfweight_levels_live gauge reads it lock-free).
-func newMonitor(name string, n int, cfg MonitorConfig, seed uint64, workers *parallel.Limiter, levels *atomic.Int64) (Monitor, error) {
-	switch name {
-	case MonitorConn:
-		return &connMonitor{c: sw.NewConnEager(n, seed)}, nil
+func (m *Multiplexer) newMonitor(s *monitorSlot) Monitor {
+	switch s.name {
+	case SlotForest:
+		return newForestMonitor(m.names, m.n, m.cfg.K, s.seed)
 	case MonitorBipartite:
-		return &bipartiteMonitor{b: sw.NewBipartite(n, seed)}, nil
-	case MonitorMSFWeight:
-		a := sw.NewApproxMSF(n, cfg.Eps, cfg.MaxWeight, seed)
+		return &bipartiteMonitor{b: sw.NewBipartite(m.n, s.seed)}
+	default:
+		a := sw.NewApproxMSF(m.n, m.cfg.Eps, m.cfg.MaxWeight, s.seed)
 		// The level fork-join borrows from the window's (or registry's)
 		// shared budget, so nested parallelism — monitor fan-out × level
 		// fan-out × N windows — stays bounded by one configured number.
-		a.SetWorkers(workers)
-		return &msfWeightMonitor{a: a, maxW: cfg.MaxWeight, levels: levels}, nil
-	case MonitorKCert:
-		return &kcertMonitor{k: sw.NewKCert(n, cfg.K, seed)}, nil
-	case MonitorCycleFree:
-		return &cycleFreeMonitor{c: sw.NewCycleFree(n, seed)}, nil
-	default:
-		return nil, fmt.Errorf("stream: unknown monitor %q", name)
+		a.SetWorkers(m.workers)
+		return &msfWeightMonitor{a: a, maxW: m.cfg.MaxWeight, levels: &m.msfLevels}
 	}
 }
 
@@ -75,18 +77,59 @@ func appendStreamEdges(buf []sw.StreamEdge, edges []Edge) []sw.StreamEdge {
 	return buf
 }
 
-// connMonitor wraps eager sliding-window connectivity (Theorem 5.2).
-type connMonitor struct {
-	c       *sw.ConnEager
+// forestMonitor is the forest slot: one sliding-window k-certificate
+// (Theorem 5.5) whose views answer three monitors. conn reads F_1, the
+// eager connectivity forest of Theorem 5.2; cyclefree reads |F_2| > 0
+// (Theorem 5.6); kcert reads F_1, ..., F_K. The certificate's order is the
+// largest any configured view needs: 1 for conn, 2 for cyclefree, K for
+// kcert — so a conn-only window keeps exactly one forest.
+type forestMonitor struct {
+	kc    *sw.KCert
+	conn  bool // conn is configured
+	cycle bool // cyclefree is configured
+	// k is the kcert view's order K, 0 when kcert is not configured. The
+	// view reads F_1, ..., F_K only: cyclefree may keep F_2 beyond K = 1.
+	k       int
 	scratch []sw.StreamEdge
 }
 
-func (m *connMonitor) Name() string { return MonitorConn }
-func (m *connMonitor) BatchInsert(edges []Edge) {
-	m.scratch = appendStreamEdges(m.scratch[:0], edges)
-	m.c.BatchInsert(m.scratch)
+func newForestMonitor(names []string, n, k int, seed uint64) *forestMonitor {
+	m := &forestMonitor{}
+	order := 0
+	for _, name := range names {
+		switch name {
+		case MonitorConn:
+			m.conn, order = true, max(order, 1)
+		case MonitorCycleFree:
+			m.cycle, order = true, max(order, 2)
+		case MonitorKCert:
+			m.k, order = k, max(order, k)
+		}
+	}
+	m.kc = sw.NewKCert(n, order, seed)
+	return m
 }
-func (m *connMonitor) BatchExpire(delta int) { m.c.BatchExpire(delta) }
+
+func (m *forestMonitor) BatchInsert(edges []Edge) {
+	m.scratch = appendStreamEdges(m.scratch[:0], edges)
+	m.kc.BatchInsert(m.scratch)
+}
+func (m *forestMonitor) BatchExpire(delta int) { m.kc.BatchExpire(delta) }
+
+func (m *forestMonitor) summarize(res *QuerySummary) {
+	if m.conn {
+		cc := m.kc.NumComponents()
+		res.Components = &cc
+	}
+	if m.cycle {
+		hc := m.kc.HasCycle()
+		res.HasCycle = &hc
+	}
+	if m.k > 0 {
+		sz := m.kc.SizeUpTo(m.k)
+		res.CertificateSize = &sz
+	}
+}
 
 // bipartiteMonitor wraps sliding-window bipartiteness (Theorem 5.3).
 type bipartiteMonitor struct {
@@ -94,12 +137,16 @@ type bipartiteMonitor struct {
 	scratch []sw.StreamEdge
 }
 
-func (m *bipartiteMonitor) Name() string { return MonitorBipartite }
 func (m *bipartiteMonitor) BatchInsert(edges []Edge) {
 	m.scratch = appendStreamEdges(m.scratch[:0], edges)
 	m.b.BatchInsert(m.scratch)
 }
 func (m *bipartiteMonitor) BatchExpire(delta int) { m.b.BatchExpire(delta) }
+
+func (m *bipartiteMonitor) summarize(res *QuerySummary) {
+	b := m.b.IsBipartite()
+	res.Bipartite = &b
+}
 
 // msfWeightMonitor wraps the (1+ε)-approximate MSF weight structure
 // (Theorem 5.4). Weights are clamped into [1, MaxWeight] so arbitrary
@@ -107,11 +154,9 @@ func (m *bipartiteMonitor) BatchExpire(delta int) { m.b.BatchExpire(delta) }
 type msfWeightMonitor struct {
 	a       *sw.ApproxMSF
 	maxW    int64
-	levels  *atomic.Int64 // published LiveLevels
+	levels  *atomic.Int64 // published LiveLevels (sw_msfweight_levels_live reads it lock-free)
 	scratch []sw.WeightedStreamEdge
 }
-
-func (m *msfWeightMonitor) Name() string { return MonitorMSFWeight }
 
 func (m *msfWeightMonitor) BatchInsert(edges []Edge) {
 	batch := m.scratch[:0]
@@ -134,28 +179,7 @@ func (m *msfWeightMonitor) BatchExpire(delta int) {
 	m.levels.Store(int64(m.a.LiveLevels()))
 }
 
-// kcertMonitor wraps the sliding-window k-certificate (Theorem 5.5).
-type kcertMonitor struct {
-	k       *sw.KCert
-	scratch []sw.StreamEdge
+func (m *msfWeightMonitor) summarize(res *QuerySummary) {
+	wt := m.a.Weight()
+	res.MSFWeight = &wt
 }
-
-func (m *kcertMonitor) Name() string { return MonitorKCert }
-func (m *kcertMonitor) BatchInsert(edges []Edge) {
-	m.scratch = appendStreamEdges(m.scratch[:0], edges)
-	m.k.BatchInsert(m.scratch)
-}
-func (m *kcertMonitor) BatchExpire(delta int) { m.k.BatchExpire(delta) }
-
-// cycleFreeMonitor wraps sliding-window cycle detection (Theorem 5.6).
-type cycleFreeMonitor struct {
-	c       *sw.CycleFree
-	scratch []sw.StreamEdge
-}
-
-func (m *cycleFreeMonitor) Name() string { return MonitorCycleFree }
-func (m *cycleFreeMonitor) BatchInsert(edges []Edge) {
-	m.scratch = appendStreamEdges(m.scratch[:0], edges)
-	m.c.BatchInsert(m.scratch)
-}
-func (m *cycleFreeMonitor) BatchExpire(delta int) { m.c.BatchExpire(delta) }

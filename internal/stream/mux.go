@@ -13,45 +13,50 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Multiplexer fans one ingested stream out to several monitors that share
-// the batching pipeline: every monitor receives every batch and every
-// expiry count, so all monitors observe the same window at all times.
+// Multiplexer fans one ingested stream out to the structures behind a
+// window's monitors, one slot per structure: every slot receives every
+// batch and every expiry count, so all monitors observe the same window
+// at all times. conn, kcert and cyclefree are views of one k-certificate
+// and share the forest slot (slotOf); bipartite and msfweight have a slot
+// each, so a window fans out to at most three slots.
 //
-// Each monitor sits behind its own RWMutex. The window's single writer
-// (see WindowManager) applies a staged op — batch insert plus expiry —
-// to every monitor under that monitor's write lock, in parallel across
-// monitors by default (parallel.Do); queries take only their target
-// monitor's read lock, so a connectivity probe blocks for at most the
-// conn monitor's own apply, never the slowest monitor's. Insert and
-// expiry land under one lock hold, so a reader always observes a whole
-// number of staged ops on its monitor — never half a batch.
+// Each slot sits behind its own RWMutex. The window's single writer (see
+// WindowManager) applies a staged op — batch insert plus expiry — to
+// every slot under that slot's write lock, in parallel across slots by
+// default (parallel.Do); a query takes only the read lock of the slot
+// that answers it, so a connectivity probe blocks for at most the forest
+// slot's own apply, never the slowest slot's. Insert and expiry land under
+// one lock hold, so a reader always observes a whole number of staged ops
+// on its slot — never half a batch.
 //
 // The fan-out is also where apply time becomes observable: each slot
 // keeps a log₂ histogram of the time the writer spent holding (apply) and
 // waiting for (wait) its lock — not just cumulative sums, so /stats and
-// /metrics can answer "what does the p99 lock hold on the conn monitor
+// /metrics can answer "what does the p99 lock hold on the forest slot
 // look like", which is exactly the window a query can block for. The
-// apply runs under a pprof label ("monitor" = name) so CPU profiles
-// attribute fan-out time per monitor.
+// apply runs under a pprof label ("monitor" = slot name) so CPU profiles
+// attribute fan-out time per slot.
 //
 // Writer-side methods (Apply) must only be called by the window's writer
 // goroutine, one op at a time; the WindowManager's writer lock enforces
 // that. Read-side methods are safe for any number of goroutines.
 type Multiplexer struct {
 	slots      []*monitorSlot
-	byName     map[string]*monitorSlot
+	byName     map[string]*monitorSlot // configured monitor name → its slot
+	names      []string                // configured monitor names, deduplicated
 	sequential bool
 
-	// Construction parameters, retained so a quarantined monitor can be
-	// rebuilt bit-identically (same defaulted config, same per-slot seed).
+	// Construction parameters, retained so a quarantined slot can be
+	// rebuilt bit-identically (same defaulted config and monitor names, so
+	// the same forest order; same per-slot seed).
 	n       int
 	cfg     MonitorConfig
 	workers *parallel.Limiter
 
-	// applyCheck, when set, runs at the top of every per-monitor apply —
-	// the fault injector's hook for inducing panics and latency at the
-	// fan-out boundary ("op":"apply", path "window/monitor").
-	applyCheck func(monitor string)
+	// applyCheck, when set, runs at the top of every per-slot apply — the
+	// fault injector's hook for inducing panics and latency at the fan-out
+	// boundary ("op":"apply", path "window/slot").
+	applyCheck func(slot string)
 
 	// onQuarantine, when set, fires once per new quarantine (metrics +
 	// structured log wiring; runs on the panicking fan-out goroutine).
@@ -67,11 +72,11 @@ type Multiplexer struct {
 	msfLevels atomic.Int64
 }
 
-// QuarantineInfo describes one quarantined monitor: why it was isolated and
+// QuarantineInfo describes one quarantined slot: why it was isolated and
 // whether a rebuild can bring it back. Served machine-readably on 503s and
-// in /stats.
+// in /stats. Every monitor the slot answers is quarantined with it.
 type QuarantineInfo struct {
-	Monitor string    `json:"monitor"`
+	Monitor string    `json:"monitor"` // the slot name
 	Reason  string    `json:"reason"`
 	Stack   string    `json:"stack,omitempty"`
 	At      time.Time `json:"at"`
@@ -82,11 +87,11 @@ type QuarantineInfo struct {
 	RebuildErr string `json:"rebuild_error,omitempty"`
 }
 
-// monitorSlot is one monitor plus its lock and apply accounting.
+// monitorSlot is one structure plus its lock and apply accounting.
 type monitorSlot struct {
 	mon    Monitor
-	name   string
-	idx    int // fan-out position; the span Arg monitor-scoped spans carry
+	name   string // slot name: SlotForest, MonitorBipartite or MonitorMSFWeight
+	idx    int    // fan-out position; the span Arg monitor-scoped spans carry
 	seed   uint64
 	mu     sync.RWMutex
 	labels pprof.LabelSet
@@ -110,7 +115,7 @@ type monitorSlot struct {
 	applyH telemetry.Histogram
 	waitH  telemetry.Histogram
 
-	// Shared process-wide per-monitor-name histograms from the telemetry
+	// Shared process-wide per-slot-name histograms from the telemetry
 	// bundle (nil when telemetry is off) — the /metrics view, aggregated
 	// across windows.
 	applyShared *telemetry.Histogram
@@ -124,9 +129,9 @@ type monitorSlot struct {
 	lastWaitNS  int64
 }
 
-// MonitorApplyStats is one monitor's cumulative apply accounting.
+// MonitorApplyStats is one fan-out slot's cumulative apply accounting.
 type MonitorApplyStats struct {
-	Name string `json:"name"`
+	Name string `json:"name"` // the slot name
 	// Ops counts applied staged ops (batch inserts and/or expiries).
 	Ops int64 `json:"ops"`
 	// ApplyNS is the cumulative time the writer held this monitor's write
@@ -143,11 +148,12 @@ type MonitorApplyStats struct {
 	WaitP99NS  int64 `json:"wait_p99_ns"`
 }
 
-// NewMultiplexer builds a multiplexer over the named monitors. sequential
-// forces one-monitor-at-a-time fan-out; the default is parallel fork-join.
-// workers is the budget monitors with internal fork-joins (msfweight's
-// per-level apply) borrow auxiliary goroutines from; nil uses the
-// process-wide default budget.
+// NewMultiplexer builds a multiplexer over the named monitors, one slot
+// per structure they need, in order of each slot's first monitor.
+// sequential forces one-slot-at-a-time fan-out; the default is parallel
+// fork-join. workers is the budget monitors with internal fork-joins
+// (msfweight's per-level apply) borrow auxiliary goroutines from; nil uses
+// the process-wide default budget.
 func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, sequential bool, workers *parallel.Limiter) (*Multiplexer, error) {
 	if len(names) == 0 {
 		names = AllMonitors()
@@ -160,25 +166,35 @@ func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, seque
 		cfg:        cfg,
 		workers:    workers,
 	}
+	bySlot := make(map[string]*monitorSlot, len(slotOf))
 	for i, name := range names {
 		if _, dup := m.byName[name]; dup {
 			continue
 		}
-		monSeed := seed + uint64(i)*0x9e3779b97f4a7c15 + 1
-		mon, err := newMonitor(name, n, cfg, monSeed, workers, &m.msfLevels)
-		if err != nil {
-			return nil, err
+		slot, ok := slotOf[name]
+		if !ok {
+			return nil, fmt.Errorf("stream: unknown monitor %q", name)
 		}
-		s := &monitorSlot{mon: mon, name: name, idx: len(m.slots), seed: monSeed, labels: pprof.Labels("monitor", name)}
-		m.slots = append(m.slots, s)
+		m.names = append(m.names, name)
+		s := bySlot[slot]
+		if s == nil {
+			s = &monitorSlot{name: slot, idx: len(m.slots), seed: seed + uint64(i)*0x9e3779b97f4a7c15 + 1, labels: pprof.Labels("monitor", slot)}
+			m.slots = append(m.slots, s)
+			bySlot[slot] = s
+		}
 		m.byName[name] = s
+	}
+	// Built once every name is known: the forest's order depends on all
+	// of its views.
+	for _, s := range m.slots {
+		s.mon = m.newMonitor(s)
 	}
 	return m, nil
 }
 
 // setApplyCheck installs the fault-injection hook run at the top of every
-// per-monitor apply. Called during wiring, before the window is published.
-func (m *Multiplexer) setApplyCheck(fn func(monitor string)) { m.applyCheck = fn }
+// per-slot apply. Called during wiring, before the window is published.
+func (m *Multiplexer) setApplyCheck(fn func(slot string)) { m.applyCheck = fn }
 
 // setOnQuarantine installs the new-quarantine callback. Called during
 // wiring, before the window is published.
@@ -194,26 +210,26 @@ func describePanic(r any) (reason, stack string) {
 	return fmt.Sprint(r), string(debug.Stack())
 }
 
-// setTelemetry points each slot at the process-wide per-monitor histograms
+// setTelemetry points each slot at the process-wide per-slot histograms
 // so fan-out timings land in /metrics as well as /stats. Called during
 // wiring, before the window is published to writers.
 func (m *Multiplexer) setTelemetry(tm *Metrics) {
 	for _, s := range m.slots {
-		s.applyShared = tm.monitorApplyHist(s.mon.Name())
-		s.waitShared = tm.monitorWaitHist(s.mon.Name())
+		s.applyShared = tm.monitorApplyHist(s.name)
+		s.waitShared = tm.monitorWaitHist(s.name)
 	}
 }
 
 // Apply applies one staged op — a batch insert (possibly empty) followed
-// by an expiry of delta arrivals — to every monitor, each under its own
+// by an expiry of delta arrivals — to every slot, each under its own
 // write lock, in parallel unless the multiplexer is sequential or
 // trivially small. The batch slice is only read by the monitors (each
 // converts it into its own representation) and is not retained past the
 // call, so sharing it across the parallel region — and recycling it after
 // Apply returns — is safe. Single-writer: never call concurrently.
 //
-// traceID tags the shared per-monitor histograms' observations with the
-// flight-recorder trace of this op (0 = untraced), so a per-monitor p99
+// traceID tags the shared per-slot histograms' observations with the
+// flight-recorder trace of this op (0 = untraced), so a per-slot p99
 // exemplar links back to the batch that set it.
 func (m *Multiplexer) Apply(edges []Edge, delta int, traceID uint64) {
 	if len(edges) == 0 && delta <= 0 {
@@ -282,63 +298,43 @@ func (m *Multiplexer) Apply(edges []Edge, delta int, traceID uint64) {
 	}
 }
 
-// withRead runs fn on the named monitor under that monitor's read lock,
-// reporting whether the monitor is configured (ok) and, when it is, whether
-// it is currently quarantined (q != nil — fn did NOT run). The quarantine
-// check happens under the read lock: a quarantine is published while the
-// apply still holds the write lock, so a reader that sees q == nil holds a
-// monitor no panic has touched. fn runs concurrently with other readers and
-// with applies to OTHER monitors; it waits out only an in-flight apply to
-// this one.
-func (m *Multiplexer) withRead(name string, fn func(Monitor)) (q *QuarantineInfo, ok bool) {
-	s := m.byName[name]
-	if s == nil {
-		return nil, false
-	}
+// read runs fn on the slot's monitor under the read lock unless the slot
+// is quarantined, returning the quarantine record if it is (fn did NOT
+// run). The check happens under the read lock: a quarantine is published
+// while the apply still holds the write lock, so a reader that sees no
+// record holds a monitor no panic has touched. fn runs concurrently with
+// other readers and with applies to OTHER slots; it waits out only an
+// in-flight apply to this one.
+func (s *monitorSlot) read(fn func(Monitor)) *QuarantineInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if q := s.quar.Load(); q != nil {
-		return q, true
+		return q
 	}
 	fn(s.mon)
-	return nil, true
+	return nil
 }
 
-// withReadTimed is withRead plus query-span timing: it reports the
-// monitor's fan-out index, how long fn waited for the read lock (the
-// time an in-flight apply held it out) and how long fn ran. Three extra
-// clock reads; the untraced query path keeps using withRead.
-func (m *Multiplexer) withReadTimed(name string, fn func(Monitor)) (idx int, waitNS, execNS int64, q *QuarantineInfo, ok bool) {
-	s := m.byName[name]
-	if s == nil {
-		return 0, 0, 0, nil, false
-	}
+// readTimed is read plus query-span timing: how long fn waited for the
+// read lock (the time an in-flight apply held it out) and how long fn
+// ran. Three extra clock reads; the untraced query path keeps using read.
+func (s *monitorSlot) readTimed(fn func(Monitor)) (waitNS, execNS int64, q *QuarantineInfo) {
 	t0 := time.Now()
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	t1 := time.Now()
 	if q := s.quar.Load(); q != nil {
-		s.mu.RUnlock()
-		return s.idx, t1.Sub(t0).Nanoseconds(), 0, q, true
+		return t1.Sub(t0).Nanoseconds(), 0, q
 	}
 	fn(s.mon)
-	execNS = time.Since(t1).Nanoseconds()
-	s.mu.RUnlock()
-	return s.idx, t1.Sub(t0).Nanoseconds(), execNS, nil, true
-}
-
-// quarantined returns the named monitor's quarantine record, or nil.
-func (m *Multiplexer) quarantined(name string) *QuarantineInfo {
-	if s := m.byName[name]; s != nil {
-		return s.quar.Load()
-	}
-	return nil
+	return t1.Sub(t0).Nanoseconds(), time.Since(t1).Nanoseconds(), nil
 }
 
 // anyQuarantined reports whether any slot is quarantined — one atomic load,
 // cheap enough for the post-apply hot path.
 func (m *Multiplexer) anyQuarantined() bool { return m.quarTotal.Load() > 0 }
 
-// Quarantined snapshots every quarantined monitor's record, in fan-out
+// Quarantined snapshots every quarantined slot's record, in fan-out
 // order. Empty on a healthy multiplexer.
 func (m *Multiplexer) Quarantined() []QuarantineInfo {
 	if m.quarTotal.Load() == 0 {
@@ -373,13 +369,6 @@ func (m *Multiplexer) claimRebuilds() []*monitorSlot {
 	return out
 }
 
-// rebuildMonitor constructs a replacement monitor for the slot with the
-// slot's original seed and the multiplexer's retained (defaulted) config —
-// the replacement is distribution-identical to the original at birth.
-func (m *Multiplexer) rebuildMonitor(s *monitorSlot) (Monitor, error) {
-	return newMonitor(s.name, m.n, m.cfg, s.seed, m.workers, &m.msfLevels)
-}
-
 // swapMonitor installs the rebuilt monitor and lifts the quarantine. The
 // swap happens under the slot's write lock, so readers move atomically from
 // "503 quarantined" to the healthy replacement.
@@ -406,43 +395,36 @@ func (m *Multiplexer) failRebuild(s *monitorSlot, reason string) {
 
 // forEachLastTiming reads every slot's last-op lock wait and hold. Only
 // valid on the writer goroutine after an Apply's fork-join barrier —
-// exactly where the flight recorder stamps per-monitor spans.
+// exactly where the flight recorder stamps per-slot spans.
 func (m *Multiplexer) forEachLastTiming(fn func(idx int, waitNS, applyNS int64)) {
 	for _, s := range m.slots {
 		fn(s.idx, s.lastWaitNS, s.lastApplyNS)
 	}
 }
 
-// Monitor returns the named monitor, or nil if it was not configured.
-// The caller is responsible for locking (tests and the WindowManager's
-// internal helpers); external readers go through withRead.
-func (m *Multiplexer) Monitor(name string) Monitor {
-	if s := m.byName[name]; s != nil {
-		return s.mon
-	}
-	return nil
-}
-
 // Sequential reports whether fan-out is forced sequential.
 func (m *Multiplexer) Sequential() bool { return m.sequential }
 
-// Names lists the configured monitors in fan-out order.
-func (m *Multiplexer) Names() []string {
+// Names lists the configured monitors, deduplicated, in config order.
+func (m *Multiplexer) Names() []string { return append([]string(nil), m.names...) }
+
+// slotNames lists the slot names in fan-out order.
+func (m *Multiplexer) slotNames() []string {
 	out := make([]string, len(m.slots))
 	for i, s := range m.slots {
-		out[i] = s.mon.Name()
+		out[i] = s.name
 	}
 	return out
 }
 
-// Stats snapshots every monitor's apply accounting, in fan-out order.
+// Stats snapshots every slot's apply accounting, in fan-out order.
 func (m *Multiplexer) Stats() []MonitorApplyStats {
 	out := make([]MonitorApplyStats, len(m.slots))
 	for i, s := range m.slots {
 		a := s.applyH.Snapshot()
 		w := s.waitH.Snapshot()
 		out[i] = MonitorApplyStats{
-			Name:       s.mon.Name(),
+			Name:       s.name,
 			Ops:        a.Count,
 			ApplyNS:    a.Sum,
 			WaitNS:     w.Sum,

@@ -43,10 +43,7 @@ func answersOf(t *testing.T, wm *WindowManager, pairs [][2]int32) monitorAnswers
 	if a.weight, err = wm.MSFWeight(); err != nil {
 		t.Fatal(err)
 	}
-	if a.certSize, err = wm.CertificateSize(); err != nil {
-		t.Fatal(err)
-	}
-	if a.edgeConn, err = wm.EdgeConnectivityUpToK(); err != nil {
+	if a.certSize, a.edgeConn, err = wm.KCertInfo(); err != nil {
 		t.Fatal(err)
 	}
 	if a.cycle, err = wm.HasCycle(); err != nil {

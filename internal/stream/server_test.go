@@ -484,7 +484,7 @@ func TestServerQuerySummary(t *testing.T) {
 	if !*sum.Cycle {
 		t.Fatal("triangle reported cycle-free")
 	}
-	// Per-monitor apply stats surfaced in /stats.
+	// Per-slot apply stats surfaced in /stats.
 	var stats struct {
 		Apply struct {
 			PerMonitor map[string]struct {
@@ -497,7 +497,7 @@ func TestServerQuerySummary(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
-	for _, name := range AllMonitors() {
+	for _, name := range AllSlots() {
 		pm, ok := stats.Apply.PerMonitor[name]
 		if !ok {
 			t.Fatalf("/stats apply.per_monitor missing %q: %+v", name, stats.Apply.PerMonitor)

@@ -77,7 +77,7 @@ func newServiceWith(wm *WindowManager, cfg ServiceConfig) *Service {
 	wm.setTelemetry(cfg.Telemetry)
 	var onFlush func(enqNS, admitNS int64)
 	if cfg.flight != nil {
-		names := wm.Monitors()
+		names := wm.mux.slotNames()
 		wm.setFlight(
 			cfg.flight.Ring(wm.cfg.Name, trace.KindBatch, names),
 			cfg.flight.Ring(wm.cfg.Name, trace.KindQuery, names),

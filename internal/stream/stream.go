@@ -20,11 +20,13 @@
 //     through one writer (Apply); queries are served concurrently under an
 //     RWMutex read lock. Timestamps advance uniformly: every monitor sees
 //     every arrival, so one expiry count applies to all of them.
-//   - Multiplexer: fans one ingested batch out to the monitors chosen by
-//     config (connectivity, bipartiteness, approximate MSF weight,
-//     k-certificate, cycle-freeness). The monitors are independent, so the
-//     fan-out is a parallel region (internal/parallel fork-join): the write
-//     lock is held for the max of the monitor apply costs, not the sum.
+//   - Multiplexer: fans one ingested batch out to the structures behind
+//     the monitors chosen by config, one slot per structure: forest (one
+//     k-certificate answering connectivity, k-certificate and
+//     cycle-freeness), bipartite and msfweight (approximate MSF weight).
+//     The slots are independent, so the fan-out is a parallel region
+//     (internal/parallel fork-join): the write lock is held for the max of
+//     the slot apply costs, not the sum.
 //   - WindowRegistry: creates, lists and drops named windows at runtime.
 //     The name → window table is partitioned over independent lock shards,
 //     so tenants addressing different windows never contend on registry
@@ -69,18 +71,18 @@ type Edge struct {
 	T time.Time
 }
 
-// Monitor is one sliding-window structure fed by the Multiplexer. All
-// monitors of a window share global timestamps: each sees every arrival of
+// Monitor is the sliding-window structure behind one fan-out slot. All
+// slots of a window share global timestamps: each sees every arrival of
 // the shared stream (BatchInsert) and the same expiry counts (BatchExpire),
 // mirroring the uniform windowing discipline of internal/sw.
 type Monitor interface {
-	// Name returns the config name of the monitor ("conn", "bipartite",
-	// "msfweight", "kcert", "cyclefree").
-	Name() string
 	// BatchInsert appends a batch of arrivals to the monitor's window.
 	BatchInsert(edges []Edge)
 	// BatchExpire expires the oldest delta arrivals.
 	BatchExpire(delta int)
+	// summarize fills the QuerySummary fields of the configured monitors
+	// this slot answers.
+	summarize(res *QuerySummary)
 }
 
 // Monitor names accepted in Config.Monitors.
@@ -96,6 +98,17 @@ const (
 func AllMonitors() []string {
 	return []string{MonitorConn, MonitorBipartite, MonitorMSFWeight, MonitorKCert, MonitorCycleFree}
 }
+
+// SlotForest names the fan-out slot behind conn, kcert and cyclefree: one
+// k-certificate whose views answer all three. bipartite and msfweight each
+// keep a slot of their own name.
+const SlotForest = "forest"
+
+// AllSlots lists every fan-out slot name, in canonical order. Slot names
+// are what per-structure telemetry carries: /stats apply.per_monitor, the
+// monitor label of sw_monitor_{apply,wait}_seconds, pprof labels, flight
+// spans, quarantine records and fault-injection paths.
+func AllSlots() []string { return []string{SlotForest, MonitorBipartite, MonitorMSFWeight} }
 
 // SplitMonitors parses a comma-separated monitor list ("conn, kcert") into
 // names, trimming whitespace and dropping empty entries. Validation of the

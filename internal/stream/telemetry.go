@@ -26,9 +26,10 @@ var processStart = time.Now()
 //
 // Cardinality discipline: windows come and go under tenant control, so no
 // metric is labeled by window name — per-window numbers live in /stats,
-// and the Prometheus families aggregate across windows. The only label in
-// the bundle is the monitor name, whose universe is the fixed AllMonitors
-// set, and the HTTP route pattern, whose universe is the route table.
+// and the Prometheus families aggregate across windows. The only labels in
+// the bundle are the monitor label, whose universe is the fixed AllSlots
+// set of fan-out slot names, and the HTTP route pattern, whose universe is
+// the route table.
 type Metrics struct {
 	reg *telemetry.Registry
 
@@ -150,12 +151,12 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 
 	m.monApply = make(map[string]*telemetry.Histogram)
 	m.monWait = make(map[string]*telemetry.Histogram)
-	for _, name := range AllMonitors() {
+	for _, name := range AllSlots() {
 		m.monApply[name] = reg.Histogram("sw_monitor_apply_seconds",
-			"Time the writer held one monitor's write lock per staged op — the window a query on that monitor can block for.",
+			"Time the writer held one fan-out slot's write lock per staged op — the window a query that slot answers can block for.",
 			telemetry.L("monitor", name))
 		m.monWait[name] = reg.Histogram("sw_monitor_wait_seconds",
-			"Time the writer waited to acquire one monitor's write lock (readers holding it out).",
+			"Time the writer waited to acquire one fan-out slot's write lock (readers holding it out).",
 			telemetry.L("monitor", name))
 	}
 
@@ -311,7 +312,7 @@ func (m *Metrics) Exemplars() []ExemplarView {
 	add("sw_apply_stage_seconds", "", m.stageSeconds)
 	add("sw_apply_fanout_seconds", "", m.fanoutSeconds)
 	add("sw_apply_batch_seconds", "", m.batchSeconds)
-	for _, name := range AllMonitors() {
+	for _, name := range AllSlots() {
 		add("sw_monitor_apply_seconds", name, m.monApply[name])
 		add("sw_monitor_wait_seconds", name, m.monWait[name])
 	}

@@ -101,8 +101,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("%s = %v (present=%v), want >= 1", name, got, ok)
 		}
 	}
-	// Per-monitor apply histograms exist for every monitor, labeled.
-	for _, mon := range AllMonitors() {
+	// Per-slot apply histograms exist for every fan-out slot, labeled.
+	for _, mon := range AllSlots() {
 		lbl := map[string]string{"monitor": mon}
 		if got, ok := exp.Value("sw_monitor_apply_seconds_count", lbl); !ok || got < 1 {
 			t.Errorf("sw_monitor_apply_seconds_count{monitor=%s} = %v (present=%v), want >= 1", mon, got, ok)

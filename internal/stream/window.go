@@ -113,8 +113,9 @@ type QuerySummary struct {
 	MSFWeight       *float64 `json:"msfweight,omitempty"`
 	HasCycle        *bool    `json:"cycle,omitempty"`
 	CertificateSize *int     `json:"kcert_size,omitempty"`
-	// Quarantined lists monitors whose answers are missing above because
-	// they are isolated after an apply panic (their fields stay nil).
+	// Quarantined lists the slots whose answers are missing above because
+	// they are isolated after an apply panic (their fields stay nil): the
+	// forest slot stands for conn, cyclefree and kcert together.
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
@@ -131,11 +132,11 @@ type QuerySummary struct {
 //     (Stats, Watermark, WindowLen, LiveEdges — including the checkpoint
 //     snapshot capture) take coord and therefore wait out at most a
 //     staging, never a monitor apply.
-//   - each monitor has its own RWMutex inside the Multiplexer. The staged
-//     op is applied to every monitor under that monitor's lock (parallel
-//     fork-join by default), so a query — which takes only its target
-//     monitor's read lock — blocks for at most that monitor's own apply,
-//     not the slowest monitor's.
+//   - each fan-out slot has its own RWMutex inside the Multiplexer. The
+//     staged op is applied to every slot under that slot's lock (parallel
+//     fork-join by default), so a query — which takes only the read lock
+//     of the slot that answers it — blocks for at most that slot's own
+//     apply, not the slowest slot's.
 //   - epoch is a seqlock word published around the fan-out: odd while an
 //     op is being applied, even when every monitor reflects every staged
 //     op. Multi-monitor readers (QuerySummary) retry on it to get answers
@@ -695,72 +696,77 @@ func (w *WindowManager) Stats() WindowStats {
 // the budget — and hence the number — is shared across windows.
 func (w *WindowManager) ApplyParallelism() int { return w.workers.Aux() + 1 }
 
-// MonitorStats snapshots each monitor's apply accounting: how long the
-// writer held (ApplyNS) and waited for (WaitNS) that monitor's lock —
-// i.e. which monitor's apply a query on it can block behind, and how much
-// readers pushed back on the writer.
+// MonitorStats snapshots each fan-out slot's apply accounting, named by
+// slot: how long the writer held (ApplyNS) and waited for (WaitNS) that
+// slot's lock — i.e. which apply a query the slot answers can block
+// behind, and how much readers pushed back on the writer.
 func (w *WindowManager) MonitorStats() []MonitorApplyStats { return w.mux.Stats() }
 
-// readMonitor runs fn on the named monitor under that monitor's read
-// lock, translating "not configured" into ErrNoMonitor and "quarantined
-// after an apply panic" into ErrMonitorQuarantined (and nudging the
-// background rebuild, in case no apply has run since the panic). When the
-// flight recorder is wired, each query commits a two-span trace (lock wait
-// + execute) to the window's query ring — the trace lives on the stack, so
-// concurrent queries never contend on anything but the ring slot.
+// readMonitor runs fn on the slot that answers the named monitor, under
+// that slot's read lock, translating "not configured" into ErrNoMonitor
+// and "quarantined after an apply panic" into ErrMonitorQuarantined (and
+// nudging the background rebuild, in case no apply has run since the
+// panic). When the flight recorder is wired, each query commits a
+// two-span trace (lock wait + execute) to the window's query ring — the
+// trace lives on the stack, so concurrent queries never contend on
+// anything but the ring slot.
 func (w *WindowManager) readMonitor(name string, fn func(Monitor)) error {
-	qf := w.qflight
-	if qf == nil {
-		q, ok := w.mux.withRead(name, fn)
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoMonitor, name)
-		}
-		if q != nil {
-			w.kickRebuilds()
-			return fmt.Errorf("%w: %s: %s", ErrMonitorQuarantined, name, q.Reason)
-		}
-		return nil
-	}
-	start := time.Now()
-	idx, waitNS, execNS, q, ok := w.mux.withReadTimed(name, fn)
-	if !ok {
+	s := w.mux.byName[name]
+	if s == nil {
 		return fmt.Errorf("%w: %s", ErrNoMonitor, name)
 	}
+	qf := w.qflight
+	if qf == nil {
+		return w.quarantineErr(name, s.read(fn))
+	}
+	start := time.Now()
+	waitNS, execNS, q := s.readTimed(fn)
 	if q != nil {
-		w.kickRebuilds()
-		return fmt.Errorf("%w: %s: %s", ErrMonitorQuarantined, name, q.Reason)
+		return w.quarantineErr(name, q)
 	}
 	var t trace.Trace
 	t.Reset(trace.KindQuery)
 	t.Seq = qf.SeqNext()
 	t.StartNS = start.UnixNano()
 	if waitNS > 0 {
-		t.Add(trace.SpanLockWait, int32(idx), 0, waitNS)
+		t.Add(trace.SpanLockWait, int32(s.idx), 0, waitNS)
 	}
-	t.Add(trace.SpanExec, int32(idx), waitNS, execNS)
+	t.Add(trace.SpanExec, int32(s.idx), waitNS, execNS)
 	t.TotalNS = waitNS + execNS
 	qf.Commit(&t)
 	return nil
 }
 
-// IsConnected reports window connectivity of u and v (conn monitor).
+// quarantineErr wraps a quarantine record met by a read of the named
+// monitor into ErrMonitorQuarantined, nudging the background rebuild; nil
+// for no record.
+func (w *WindowManager) quarantineErr(name string, q *QuarantineInfo) error {
+	if q == nil {
+		return nil
+	}
+	w.kickRebuilds()
+	return fmt.Errorf("%w: %s: %s", ErrMonitorQuarantined, name, q.Reason)
+}
+
+// IsConnected reports window connectivity of u and v (conn monitor: the
+// forest's F_1).
 func (w *WindowManager) IsConnected(u, v int32) (bool, error) {
 	if u < 0 || int(u) >= w.cfg.N || v < 0 || int(v) >= w.cfg.N {
 		return false, fmt.Errorf("stream: vertex out of range [0, %d)", w.cfg.N)
 	}
 	var ans bool
 	err := w.readMonitor(MonitorConn, func(m Monitor) {
-		ans = m.(*connMonitor).c.IsConnected(u, v)
+		ans = m.(*forestMonitor).kc.IsConnected(u, v)
 	})
 	return ans, err
 }
 
 // NumComponents returns the number of connected components of the window
-// graph (conn monitor).
+// graph (conn monitor: n − |F_1|).
 func (w *WindowManager) NumComponents() (int, error) {
 	var ans int
 	err := w.readMonitor(MonitorConn, func(m Monitor) {
-		ans = m.(*connMonitor).c.NumComponents()
+		ans = m.(*forestMonitor).kc.NumComponents()
 	})
 	return ans, err
 }
@@ -783,49 +789,30 @@ func (w *WindowManager) MSFWeight() (float64, error) {
 	return ans, err
 }
 
-// CertificateSize returns the number of k-certificate edges.
-func (w *WindowManager) CertificateSize() (int, error) {
-	var ans int
-	err := w.readMonitor(MonitorKCert, func(m Monitor) {
-		ans = m.(*kcertMonitor).k.Size()
-	})
-	return ans, err
-}
-
-// EdgeConnectivityUpToK returns min(k, edge connectivity) of the window
-// graph (kcert monitor).
-func (w *WindowManager) EdgeConnectivityUpToK() (int, error) {
-	var ans int
-	err := w.readMonitor(MonitorKCert, func(m Monitor) {
-		ans = m.(*kcertMonitor).k.EdgeConnectivityUpToK()
-	})
-	return ans, err
-}
-
-// KCertInfo returns the certificate size and min(k, edge connectivity)
+// KCertInfo returns the k-certificate size and min(k, edge connectivity)
 // under ONE read-lock hold, so the pair describes a single window state —
 // two separate calls could straddle an apply.
 func (w *WindowManager) KCertInfo() (size, conn int, err error) {
 	err = w.readMonitor(MonitorKCert, func(m Monitor) {
-		k := m.(*kcertMonitor).k
-		size = k.Size()
-		conn = k.EdgeConnectivityUpToK()
+		f := m.(*forestMonitor)
+		size, conn = f.kc.SizeUpTo(f.k), f.kc.EdgeConnectivityUpTo(f.k)
 	})
 	return size, conn, err
 }
 
-// HasCycle reports whether the window graph contains a cycle.
+// HasCycle reports whether the window graph contains a cycle (cyclefree
+// monitor: |F_2| > 0).
 func (w *WindowManager) HasCycle() (bool, error) {
 	var ans bool
 	err := w.readMonitor(MonitorCycleFree, func(m Monitor) {
-		ans = m.(*cycleFreeMonitor).c.HasCycle()
+		ans = m.(*forestMonitor).kc.HasCycle()
 	})
 	return ans, err
 }
 
 // QuerySummary reads every configured monitor's O(1)-ish answers so that
 // they ALL correspond to one apply epoch — one prefix of staged ops.
-// Per-monitor locking makes independent queries fast but lets two reads
+// Per-slot locking makes independent queries fast but lets two reads
 // straddle an apply; this is the seqlock read for callers that need the
 // cross-monitor invariants to hold (e.g. cycle => components < n).
 //
@@ -856,41 +843,22 @@ func (w *WindowManager) QuerySummary() QuerySummary {
 	}
 }
 
-// querySummaryLocked reads every configured monitor under its read lock.
-// Consistency across monitors is the caller's job (epoch check or
-// writerMu); the per-monitor read locks only keep each individual answer
-// atomic against an in-flight apply.
+// querySummaryLocked reads every slot under its read lock: one hold per
+// slot, so components, cycle and kcert_size all come from one forest
+// read. Consistency across slots is the caller's job (epoch check or
+// writerMu); the per-slot read locks only keep each slot's answers atomic
+// against an in-flight apply.
 func (w *WindowManager) querySummaryLocked() QuerySummary {
 	var res QuerySummary
 	res.Epoch = w.epoch.Load()
-	// A quarantined monitor's field stays nil and its name lands in
+	// A quarantined slot's fields stay nil and its name lands in
 	// Quarantined — a partial summary with an explicit reason beats
-	// failing the four healthy answers.
-	read := func(name string, fn func(Monitor)) {
-		if q, ok := w.mux.withRead(name, fn); ok && q != nil {
-			res.Quarantined = append(res.Quarantined, name)
+	// failing the healthy answers.
+	for _, s := range w.mux.slots {
+		if s.read(func(m Monitor) { m.summarize(&res) }) != nil {
+			res.Quarantined = append(res.Quarantined, s.name)
 		}
 	}
-	read(MonitorConn, func(m Monitor) {
-		cc := m.(*connMonitor).c.NumComponents()
-		res.Components = &cc
-	})
-	read(MonitorBipartite, func(m Monitor) {
-		b := m.(*bipartiteMonitor).b.IsBipartite()
-		res.Bipartite = &b
-	})
-	read(MonitorMSFWeight, func(m Monitor) {
-		wt := m.(*msfWeightMonitor).a.Weight()
-		res.MSFWeight = &wt
-	})
-	read(MonitorCycleFree, func(m Monitor) {
-		hc := m.(*cycleFreeMonitor).c.HasCycle()
-		res.HasCycle = &hc
-	})
-	read(MonitorKCert, func(m Monitor) {
-		sz := m.(*kcertMonitor).k.Size()
-		res.CertificateSize = &sz
-	})
 	return res
 }
 
@@ -939,11 +907,7 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		}
 	}()
 	start := time.Now()
-	fresh, err := w.mux.rebuildMonitor(s)
-	if err != nil {
-		w.mux.failRebuild(s, err.Error())
-		return
-	}
+	fresh := w.mux.newMonitor(s)
 	// fresh holds arrivals [fExp, fEnd) in absolute arrival indices; both
 	// are 0 until the first round seeds it.
 	var fExp, fEnd int64
@@ -1004,7 +968,7 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 	// remaining delta is applied inside the coord hold (no copy) and the
 	// swap publishes a replacement that exactly matches its siblings.
 	w.writerMu.Lock()
-	err = w.LiveEdges(func(expired int64, live []Edge) error {
+	err := w.LiveEdges(func(expired int64, live []Edge) error {
 		exp2 := expired
 		from := fEnd
 		if exp2 > from {

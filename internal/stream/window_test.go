@@ -108,7 +108,7 @@ func TestWindowManagerMatchesOracle(t *testing.T) {
 			t.Fatalf("round %d: msf weight = %v, want %v", round, gotW, want)
 		}
 		if round%8 == 7 { // the min-cut oracle is the expensive check
-			gotEC, err := wm.EdgeConnectivityUpToK()
+			_, gotEC, err := wm.KCertInfo()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,6 @@ type KCert struct {
 	tau     int64
 	tw      int64
 	guard   writerGuard
-	tauBuf  []int64         // timestamp buffer, reused across batches
 	scratch []wgraph.Edge   // cascade buffer, reused across batches
 	idBuf   []wgraph.EdgeID // expiry delete buffer, reused across expiries
 }
@@ -54,13 +53,12 @@ func (c *KCert) BatchInsert(edges []StreamEdge) {
 	}
 	c.guard.enter()
 	defer c.guard.exit()
-	taus := c.tauBuf[:0]
-	for range edges {
+	o := c.scratch[:0]
+	for _, e := range edges {
 		c.tau++
-		taus = append(taus, c.tau)
+		o = append(o, windowEdge(e.U, e.V, c.tau))
 	}
-	c.tauBuf = taus
-	c.batchInsertAt(edges, taus)
+	c.cascade(o)
 }
 
 func (c *KCert) batchInsertAt(edges []StreamEdge, taus []int64) {
@@ -74,7 +72,14 @@ func (c *KCert) batchInsertAt(edges []StreamEdge, taus []int64) {
 		}
 		o = append(o, windowEdge(e.U, e.V, taus[i]))
 	}
-	for i := 0; i < c.k && len(o) > 0; i++ {
+	c.cascade(o)
+}
+
+// cascade offers the window edges o to F_1 and each level's evicted and
+// rejected edges — O_i of the paper — to the next. The last level's O_k
+// leaves the certificate, so it is never collected.
+func (c *KCert) cascade(o []wgraph.Edge) {
+	for i := 0; len(o) > 0; i++ {
 		added, removed, rejected := c.f[i].BatchInsert(o)
 		for _, e := range removed {
 			c.d[i].Delete(int64(e.ID))
@@ -82,11 +87,10 @@ func (c *KCert) batchInsertAt(edges []StreamEdge, taus []int64) {
 		for _, e := range added {
 			c.d[i].Insert(int64(e.ID), e)
 		}
-		// O_i of the paper: evicted forest edges plus rejected arrivals
-		// cascade to the next level.
-		o = o[:0]
-		o = append(o, removed...)
-		o = append(o, rejected...)
+		if i == c.k-1 {
+			break
+		}
+		o = append(append(o[:0], removed...), rejected...)
 	}
 	c.scratch = o[:0]
 }
@@ -124,9 +128,11 @@ func (c *KCert) expireTo(tw int64) {
 // Certificate returns the unexpired edges of all k forests — at most
 // k(n-1) edges preserving every cut of size <= k. Endpoints are original
 // vertices; each edge's ID is its arrival time τ.
-func (c *KCert) Certificate() []wgraph.Edge {
+func (c *KCert) Certificate() []wgraph.Edge { return c.certificateUpTo(c.k) }
+
+func (c *KCert) certificateUpTo(j int) []wgraph.Edge {
 	var out []wgraph.Edge
-	for i := 0; i < c.k; i++ {
+	for i := 0; i < j; i++ {
 		c.d[i].ForEach(func(_ int64, e wgraph.Edge) bool {
 			out = append(out, e)
 			return true
@@ -147,9 +153,14 @@ func (c *KCert) Contains(tau int64) bool {
 }
 
 // Size returns the number of certificate edges.
-func (c *KCert) Size() int {
+func (c *KCert) Size() int { return c.SizeUpTo(c.k) }
+
+// SizeUpTo returns the number of edges in F_1, ..., F_j (1 <= j <= k).
+// Each level depends only on the levels before it, so those forests are
+// exactly the order-j certificate NewKCert(n, j) would keep.
+func (c *KCert) SizeUpTo(j int) int {
 	s := 0
-	for i := 0; i < c.k; i++ {
+	for i := 0; i < j; i++ {
 		s += c.d[i].Len()
 	}
 	return s
@@ -162,37 +173,39 @@ func (c *KCert) LevelSize(i int) int { return c.d[i].Len() }
 // graph).
 func (c *KCert) IsConnected(u, v int32) bool { return c.f[0].Connected(u, v) }
 
+// NumComponents returns the number of connected components of the window
+// graph in O(1): F_1 is the eager connectivity forest of Theorem 5.2, so
+// the count is n minus its size.
+func (c *KCert) NumComponents() int { return c.n - c.d[0].Len() }
+
+// HasCycle reports in O(1) whether the window graph contains a cycle —
+// the cycle-freeness test of Theorem 5.6: the window graph is a forest
+// iff F_2 holds no unexpired edge. It panics when k < 2, where F_2 is not
+// kept and the answer would be silently wrong.
+func (c *KCert) HasCycle() bool {
+	if c.k < 2 {
+		panic("sw: HasCycle needs a certificate of order at least 2")
+	}
+	return c.d[1].Len() > 0
+}
+
 // EdgeConnectivityUpToK returns min(k, edge connectivity of the window
-// graph), the k-connectivity test of Section 5.4: by property P3 the
-// certificate preserves all cuts of size at most k, so a global min-cut
-// over its O(kn) edges (Stoer–Wagner, standing in for the parallel min-cut
-// of [27, 28]) answers exactly.
-func (c *KCert) EdgeConnectivityUpToK() int {
-	cut := mincut.EdgeConnectivity(c.n, c.Certificate())
-	if cut > int64(c.k) {
-		return c.k
+// graph), the k-connectivity test of Section 5.4.
+func (c *KCert) EdgeConnectivityUpToK() int { return c.EdgeConnectivityUpTo(c.k) }
+
+// EdgeConnectivityUpTo returns min(j, edge connectivity of the window
+// graph) for 1 <= j <= k: by property P3 the order-j certificate F_1, ...,
+// F_j preserves all cuts of size at most j, so a global min-cut over its
+// O(jn) edges (Stoer–Wagner, standing in for the parallel min-cut of
+// [27, 28]) answers exactly.
+func (c *KCert) EdgeConnectivityUpTo(j int) int {
+	cut := mincut.EdgeConnectivity(c.n, c.certificateUpTo(j))
+	if cut > int64(j) {
+		return j
 	}
 	return int(cut)
 }
 
-// CycleFree is the cycle-freeness monitor of Theorem 5.6: the window graph
-// is a forest iff F_2 of a 2-certificate holds no unexpired edge.
-type CycleFree struct {
-	kc *KCert
-}
-
-// NewCycleFree returns a cycle-freeness monitor over n vertices.
-func NewCycleFree(n int, seed uint64) *CycleFree {
-	return &CycleFree{kc: NewKCert(n, 2, seed)}
-}
-
-// BatchInsert appends edge arrivals to the window. Single-writer,
-// asserted by the underlying certificate's guard.
-func (c *CycleFree) BatchInsert(edges []StreamEdge) { c.kc.BatchInsert(edges) }
-
-// BatchExpire expires the oldest delta arrivals. Single-writer, asserted
-// by the underlying certificate's guard.
-func (c *CycleFree) BatchExpire(delta int) { c.kc.BatchExpire(delta) }
-
-// HasCycle reports in O(1) whether the window graph contains a cycle.
-func (c *CycleFree) HasCycle() bool { return c.kc.LevelSize(1) > 0 }
+// NewCycleFree returns the cycle-freeness monitor of Theorem 5.6 over n
+// vertices: a 2-certificate, whose HasCycle answers from F_2.
+func NewCycleFree(n int, seed uint64) *KCert { return NewKCert(n, 2, seed) }

@@ -162,6 +162,19 @@ func TestKCertLevelSizes(t *testing.T) {
 	}
 }
 
+// TestKCertHasCycleNeedsOrderTwo pins that an order-1 certificate, which
+// keeps no F_2, refuses to answer HasCycle instead of reporting "no cycle".
+func TestKCertHasCycleNeedsOrderTwo(t *testing.T) {
+	c := NewKCert(3, 1, 1)
+	c.BatchInsert([]StreamEdge{{0, 1}, {1, 2}, {2, 0}})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("HasCycle on an order-1 certificate did not panic")
+		}
+	}()
+	c.HasCycle()
+}
+
 func TestBipartiteSelfLoopStream(t *testing.T) {
 	// A self-loop is an odd cycle: the double cover maps (v,v) to two
 	// (v1,v2) edges, merging the covers — non-bipartite, as it must be.

@@ -95,7 +95,7 @@ func SpanName(kind uint8) string {
 }
 
 // MaxSpans is the per-trace span capacity. Five pipeline stages plus
-// wait+apply for each of the five monitors fit with room for ~17
+// wait+apply for each of the three fan-out slots fit with room for ~21
 // msfweight level spans; overflow increments Trace.Dropped instead of
 // allocating.
 const MaxSpans = 32

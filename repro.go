@@ -88,8 +88,9 @@ type SWKCert = sw.KCert
 // NewSWKCert returns a sliding-window k-certificate structure.
 func NewSWKCert(n, k int, seed uint64) *SWKCert { return sw.NewKCert(n, k, seed) }
 
-// SWCycleFree is sliding-window cycle detection (Theorem 5.6).
-type SWCycleFree = sw.CycleFree
+// SWCycleFree is sliding-window cycle detection (Theorem 5.6): a
+// 2-certificate answering HasCycle from its second forest.
+type SWCycleFree = sw.KCert
 
 // NewSWCycleFree returns a sliding-window cycle monitor.
 func NewSWCycleFree(n int, seed uint64) *SWCycleFree { return sw.NewCycleFree(n, seed) }
