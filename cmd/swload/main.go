@@ -11,9 +11,8 @@
 // edges where the unbatched one pays the full lg factor per edge.
 //
 // The -fanout-compare mode runs the same stream with all five monitors
-// (three fan-out slots) twice — parallel fan-out vs sequential — and
-// reports the mean batch apply time (write-lock hold) of each, isolating
-// the fork-join win.
+// (three slots) twice — parallel fan-out vs sequential — and reports the
+// mean batch apply time (write-lock hold) of each: the fork-join win.
 //
 // The -windows M mode runs M windows in one registry server with producers
 // and readers spread across them (multi-tenant). Adding -compare drives the

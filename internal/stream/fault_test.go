@@ -476,7 +476,15 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 // with live-edge retention, the background rebuild replays the window's
 // unexpired suffix into a fresh monitor and swaps it in — queries return
 // and answer exactly like an uninterrupted reference, no restart needed.
+// It panics msfweight, and then the forest slot, whose rebuild must come
+// back at the same order (K = 3 here) for cycle and kcert to match.
 func TestApplyPanicRebuildRestores(t *testing.T) {
+	for _, slot := range []string{MonitorMSFWeight, SlotForest} {
+		t.Run(slot, func(t *testing.T) { testApplyPanicRebuildRestores(t, slot) })
+	}
+}
+
+func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 	const n = 48
 	inj := fault.NewInjector(nil, 1)
 	clock := NewFakeClock(time.Unix(1_700_000_000, 0))
@@ -527,11 +535,11 @@ func TestApplyPanicRebuildRestores(t *testing.T) {
 		step()
 	}
 	if _, err := inj.Set(fault.Rule{
-		ID: "boom", Op: fault.OpApply, Path: "w/" + MonitorMSFWeight, Kind: fault.KindPanic, Count: 1,
+		ID: "boom", Op: fault.OpApply, Path: "w/" + slot, Kind: fault.KindPanic, Count: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// This batch panics msfweight's apply; the fan-out quarantines it and
+	// This batch panics the slot's apply; the fan-out quarantines it and
 	// keeps applying to the other two slots.
 	step()
 	if inj.Trips() == 0 {

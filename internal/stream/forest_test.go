@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mincut"
 	"repro/internal/unionfind"
@@ -20,7 +22,7 @@ import (
 // components, the edge count for cycles, Stoer–Wagner on the raw live
 // edges for min(K, λ), and a newest-first greedy decomposition for the
 // certificate's size. It also pins the fan-out layout: slot names in
-// order, the forest's order, and the engine instances per window.
+// order, and the forest's order — its count of core.BatchMSF instances.
 func TestForestViewsMatchOracles(t *testing.T) {
 	const (
 		n      = 10
@@ -33,18 +35,17 @@ func TestForestViewsMatchOracles(t *testing.T) {
 		k        int      // MonitorConfig.K
 		slots    []string // fan-out order
 		order    int      // the forest's certificate order
-		engines  int      // core.BatchMSF instances outside msfweight
 	}{
-		{[]string{MonitorConn}, 2, forestOnly, 1, 1},
-		{[]string{MonitorCycleFree}, 2, forestOnly, 2, 2},
-		{[]string{MonitorConn, MonitorCycleFree}, 2, forestOnly, 2, 2},
-		{[]string{MonitorKCert, MonitorCycleFree}, 1, forestOnly, 2, 2},
-		{[]string{MonitorKCert, MonitorConn}, 3, forestOnly, 3, 3},
-		{AllMonitors(), 2, []string{SlotForest, MonitorBipartite, MonitorMSFWeight}, 2, 4},
-		{[]string{MonitorConn, MonitorKCert, MonitorCycleFree}, 2, forestOnly, 2, 2},
-		{[]string{MonitorCycleFree, MonitorKCert}, 3, forestOnly, 3, 3},
+		{[]string{MonitorConn}, 2, forestOnly, 1},
+		{[]string{MonitorCycleFree}, 2, forestOnly, 2},
+		{[]string{MonitorConn, MonitorCycleFree}, 2, forestOnly, 2},
+		{[]string{MonitorKCert, MonitorCycleFree}, 1, forestOnly, 2},
+		{[]string{MonitorKCert, MonitorConn}, 3, forestOnly, 3},
+		{AllMonitors(), 2, []string{SlotForest, MonitorBipartite, MonitorMSFWeight}, 2},
+		{[]string{MonitorConn, MonitorKCert, MonitorCycleFree}, 2, forestOnly, 2},
+		{[]string{MonitorCycleFree, MonitorKCert}, 3, forestOnly, 3},
 		// The forest-queries benchmark workload.
-		{[]string{MonitorConn, MonitorBipartite, MonitorKCert, MonitorCycleFree}, 2, []string{SlotForest, MonitorBipartite}, 2, 4},
+		{[]string{MonitorConn, MonitorBipartite, MonitorKCert, MonitorCycleFree}, 2, []string{SlotForest, MonitorBipartite}, 2},
 	}
 	for ci, tc := range cases {
 		t.Run(fmt.Sprintf("%v/K=%d", tc.monitors, tc.k), func(t *testing.T) {
@@ -63,9 +64,6 @@ func TestForestViewsMatchOracles(t *testing.T) {
 			}
 			if got := forestOrder(wm); got != tc.order {
 				t.Fatalf("forest order %d, want %d", got, tc.order)
-			}
-			if got := engines(wm); got != tc.engines {
-				t.Fatalf("%d engine instances, want %d", got, tc.engines)
 			}
 			has := func(name string) bool { return slices.Contains(tc.monitors, name) }
 			r := rand.New(rand.NewSource(int64(100 + ci)))
@@ -233,14 +231,71 @@ func forestOrder(wm *WindowManager) int {
 	return 0
 }
 
-// engines counts the core.BatchMSF instances the forest and bipartite
-// slots keep: one per certificate level, and two for bipartite (the
-// window graph and its double cover). msfweight's count follows its
-// occupied weight levels, so it is left out.
-func engines(wm *WindowManager) int {
-	e := forestOrder(wm)
-	if slices.Contains(wm.mux.slotNames(), MonitorBipartite) {
-		e += 2
+// TestKCertMinCutLeavesForestUnlocked holds a kcert query inside its
+// min-cut and checks that the forest slot stays free meanwhile: an apply
+// lands (the summary's kcert_size shows it), and connected, components
+// and cycle answer. Once released, the held query returns the size and
+// min(K, λ) of the window it copied, from before that apply.
+func TestKCertMinCutLeavesForestUnlocked(t *testing.T) {
+	inCut, release := make(chan struct{}), make(chan struct{})
+	edgeConnectivity = func(n int, edges []wgraph.Edge) int64 {
+		close(inCut)
+		<-release
+		return mincut.EdgeConnectivity(n, edges)
 	}
-	return e
+	defer func() { edgeConnectivity = mincut.EdgeConnectivity }()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+
+	const n, k = 4, 2
+	wm, err := NewWindowManager(WindowConfig{
+		N: n, Seed: 3, Monitors: []string{MonitorConn, MonitorKCert, MonitorCycleFree},
+		Monitor: MonitorConfig{K: k},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}} // λ = 2
+	if err := wm.Apply(slices.Clone(ring)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var size, conn int
+	var kerr error
+	go func() {
+		defer close(done)
+		size, conn, kerr = wm.KCertInfo()
+	}()
+	<-inCut
+
+	chords := []Edge{{U: 0, V: 2}, {U: 1, V: 3}}
+	landed := make(chan error, 1)
+	go func() { landed <- wm.Apply(slices.Clone(chords)) }()
+	select {
+	case err := <-landed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forest apply waited for a kcert query's min-cut")
+	}
+	if ok, err := wm.IsConnected(0, 2); err != nil || !ok {
+		t.Fatalf("IsConnected(0, 2) = %v, %v during the min-cut; want true", ok, err)
+	}
+	if cc, err := wm.NumComponents(); err != nil || cc != 1 {
+		t.Fatalf("NumComponents = %d, %v during the min-cut; want 1", cc, err)
+	}
+	if hc, err := wm.HasCycle(); err != nil || !hc {
+		t.Fatalf("HasCycle = %v, %v during the min-cut; want true", hc, err)
+	}
+	k4 := append(slices.Clone(ring), chords...)
+	if sum := wm.QuerySummary(); sum.CertificateSize == nil || *sum.CertificateSize != greedyCertificateSize(n, k, k4) {
+		t.Fatalf("summary kcert_size %v during the min-cut, want %d after the apply", sum.CertificateSize, greedyCertificateSize(n, k, k4))
+	}
+
+	unblock()
+	<-done
+	if want := greedyCertificateSize(n, k, ring); kerr != nil || size != want || conn != 2 {
+		t.Fatalf("held KCertInfo = (%d, %d, %v), want the ring's (%d, 2)", size, conn, kerr, want)
+	}
 }

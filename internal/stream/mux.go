@@ -13,12 +13,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Multiplexer fans one ingested stream out to the structures behind a
-// window's monitors, one slot per structure: every slot receives every
-// batch and every expiry count, so all monitors observe the same window
-// at all times. conn, kcert and cyclefree are views of one k-certificate
-// and share the forest slot (slotOf); bipartite and msfweight have a slot
-// each, so a window fans out to at most three slots.
+// Multiplexer fans one ingested stream out to one slot per structure
+// (slotOf: conn, kcert and cyclefree share the forest slot), at most
+// three: every slot receives every batch and every expiry count, so all
+// monitors observe the same window at all times.
 //
 // Each slot sits behind its own RWMutex. The window's single writer (see
 // WindowManager) applies a staged op — batch insert plus expiry — to

@@ -20,13 +20,12 @@
 //     through one writer (Apply); queries are served concurrently under an
 //     RWMutex read lock. Timestamps advance uniformly: every monitor sees
 //     every arrival, so one expiry count applies to all of them.
-//   - Multiplexer: fans one ingested batch out to the structures behind
-//     the monitors chosen by config, one slot per structure: forest (one
-//     k-certificate answering connectivity, k-certificate and
-//     cycle-freeness), bipartite and msfweight (approximate MSF weight).
-//     The slots are independent, so the fan-out is a parallel region
-//     (internal/parallel fork-join): the write lock is held for the max of
-//     the slot apply costs, not the sum.
+//   - Multiplexer: fans one ingested batch out to one slot per structure
+//     the configured monitors need: forest (one k-certificate answering
+//     connectivity, k-certificate and cycle-freeness), bipartite and
+//     msfweight. The slots are independent, so the fan-out is a parallel
+//     region (internal/parallel fork-join): the write lock is held for the
+//     max of the slot apply costs, not the sum.
 //   - WindowRegistry: creates, lists and drops named windows at runtime.
 //     The name → window table is partitioned over independent lock shards,
 //     so tenants addressing different windows never contend on registry
@@ -99,15 +98,12 @@ func AllMonitors() []string {
 	return []string{MonitorConn, MonitorBipartite, MonitorMSFWeight, MonitorKCert, MonitorCycleFree}
 }
 
-// SlotForest names the fan-out slot behind conn, kcert and cyclefree: one
-// k-certificate whose views answer all three. bipartite and msfweight each
-// keep a slot of their own name.
+// SlotForest names the slot whose one k-certificate answers conn, kcert
+// and cyclefree; bipartite and msfweight have slots of their own name.
 const SlotForest = "forest"
 
-// AllSlots lists every fan-out slot name, in canonical order. Slot names
-// are what per-structure telemetry carries: /stats apply.per_monitor, the
-// monitor label of sw_monitor_{apply,wait}_seconds, pprof labels, flight
-// spans, quarantine records and fault-injection paths.
+// AllSlots lists every fan-out slot name, in canonical order: the names
+// per-structure telemetry, quarantine records and fault paths carry.
 func AllSlots() []string { return []string{SlotForest, MonitorBipartite, MonitorMSFWeight} }
 
 // SplitMonitors parses a comma-separated monitor list ("conn, kcert") into

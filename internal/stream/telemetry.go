@@ -28,8 +28,7 @@ var processStart = time.Now()
 // metric is labeled by window name — per-window numbers live in /stats,
 // and the Prometheus families aggregate across windows. The only labels in
 // the bundle are the monitor label, whose universe is the fixed AllSlots
-// set of fan-out slot names, and the HTTP route pattern, whose universe is
-// the route table.
+// set, and the HTTP route pattern, whose universe is the route table.
 type Metrics struct {
 	reg *telemetry.Registry
 

@@ -9,8 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/mincut"
 	"repro/internal/parallel"
 	"repro/internal/trace"
+	"repro/internal/wgraph"
 )
 
 // ErrNoMonitor is wrapped by query methods whose monitor is not configured.
@@ -113,9 +115,8 @@ type QuerySummary struct {
 	MSFWeight       *float64 `json:"msfweight,omitempty"`
 	HasCycle        *bool    `json:"cycle,omitempty"`
 	CertificateSize *int     `json:"kcert_size,omitempty"`
-	// Quarantined lists the slots whose answers are missing above because
-	// they are isolated after an apply panic (their fields stay nil): the
-	// forest slot stands for conn, cyclefree and kcert together.
+	// Quarantined lists the slots (forest = conn, cyclefree and kcert)
+	// isolated after an apply panic; their fields above stay nil.
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
@@ -789,15 +790,23 @@ func (w *WindowManager) MSFWeight() (float64, error) {
 	return ans, err
 }
 
-// KCertInfo returns the k-certificate size and min(k, edge connectivity)
-// under ONE read-lock hold, so the pair describes a single window state —
-// two separate calls could straddle an apply.
+// edgeConnectivity is KCertInfo's min-cut, a variable for tests to hold.
+var edgeConnectivity = mincut.EdgeConnectivity
+
+// KCertInfo returns the k-certificate size and min(K, edge connectivity),
+// both from one copy of F_1, ..., F_K taken under ONE read-lock hold. The
+// min-cut runs on the copy after the lock is released, so neither the
+// forest's apply nor the conn and cycle reads behind it wait it out.
 func (w *WindowManager) KCertInfo() (size, conn int, err error) {
+	k := w.mux.cfg.K
+	var cert []wgraph.Edge
 	err = w.readMonitor(MonitorKCert, func(m Monitor) {
-		f := m.(*forestMonitor)
-		size, conn = f.kc.SizeUpTo(f.k), f.kc.EdgeConnectivityUpTo(f.k)
+		cert = m.(*forestMonitor).kc.CertificateUpTo(k)
 	})
-	return size, conn, err
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(cert), int(min(int64(k), edgeConnectivity(w.cfg.N, cert))), nil
 }
 
 // HasCycle reports whether the window graph contains a cycle (cyclefree

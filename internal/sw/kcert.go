@@ -128,9 +128,11 @@ func (c *KCert) expireTo(tw int64) {
 // Certificate returns the unexpired edges of all k forests — at most
 // k(n-1) edges preserving every cut of size <= k. Endpoints are original
 // vertices; each edge's ID is its arrival time τ.
-func (c *KCert) Certificate() []wgraph.Edge { return c.certificateUpTo(c.k) }
+func (c *KCert) Certificate() []wgraph.Edge { return c.CertificateUpTo(c.k) }
 
-func (c *KCert) certificateUpTo(j int) []wgraph.Edge {
+// CertificateUpTo returns a fresh copy of the unexpired edges of F_1, ...,
+// F_j (1 <= j <= k): the order-j certificate, see SizeUpTo.
+func (c *KCert) CertificateUpTo(j int) []wgraph.Edge {
 	var out []wgraph.Edge
 	for i := 0; i < j; i++ {
 		c.d[i].ForEach(func(_ int64, e wgraph.Edge) bool {
@@ -186,22 +188,18 @@ func (c *KCert) HasCycle() bool {
 	if c.k < 2 {
 		panic("sw: HasCycle needs a certificate of order at least 2")
 	}
-	return c.d[1].Len() > 0
+	return c.LevelSize(1) > 0
 }
 
 // EdgeConnectivityUpToK returns min(k, edge connectivity of the window
-// graph), the k-connectivity test of Section 5.4.
-func (c *KCert) EdgeConnectivityUpToK() int { return c.EdgeConnectivityUpTo(c.k) }
-
-// EdgeConnectivityUpTo returns min(j, edge connectivity of the window
-// graph) for 1 <= j <= k: by property P3 the order-j certificate F_1, ...,
-// F_j preserves all cuts of size at most j, so a global min-cut over its
-// O(jn) edges (Stoer–Wagner, standing in for the parallel min-cut of
-// [27, 28]) answers exactly.
-func (c *KCert) EdgeConnectivityUpTo(j int) int {
-	cut := mincut.EdgeConnectivity(c.n, c.certificateUpTo(j))
-	if cut > int64(j) {
-		return j
+// graph), the k-connectivity test of Section 5.4: by property P3 the
+// certificate preserves all cuts of size at most k, so a global min-cut
+// over its O(kn) edges (Stoer–Wagner, standing in for the parallel min-cut
+// of [27, 28]) answers exactly.
+func (c *KCert) EdgeConnectivityUpToK() int {
+	cut := mincut.EdgeConnectivity(c.n, c.Certificate())
+	if cut > int64(c.k) {
+		return c.k
 	}
 	return int(cut)
 }
