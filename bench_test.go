@@ -299,6 +299,44 @@ func BenchmarkBaselineLinkCutMSF(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/edge")
 }
 
+// BenchmarkRecencyReplay scores the engine against the link-cut baseline
+// at the service's batch sizes, on the stream every sliding-window monitor
+// runs: TestWaveLocalityRecency's recency replay, with eager expiry on both
+// sides (link-cut cuts through Forest.Cut). Shapes: ℓ = 4, 32 and 128 at
+// n = 500, W = 2000, and ℓ = 512 at n = 10000, W = 20000. One iteration is
+// one step, a batch plus its expiry, timed after the window has filled
+// twice.
+func BenchmarkRecencyReplay(b *testing.B) {
+	shapes := []struct{ n, window, l int }{
+		{500, 2000, 4}, {500, 2000, 32}, {500, 2000, 128}, {10_000, 20_000, 512},
+	}
+	replay := func(b *testing.B, rp *recencyReplay, l int, step func()) {
+		for rp.tau < 2*int64(rp.window) {
+			step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			step()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l), "ns/edge")
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("n=%d/W=%d/l=%d", sh.n, sh.window, sh.l)
+		b.Run("batchmsf/"+name, func(b *testing.B) {
+			rp := newRecencyReplay(sh.n, sh.window, sh.l, benchSeed)
+			m := NewBatchMSF(sh.n, benchSeed)
+			replay(b, rp, sh.l, func() { rp.stepEngine(m) })
+		})
+		b.Run("linkcut/"+name, func(b *testing.B) {
+			rp := newRecencyReplay(sh.n, sh.window, sh.l, benchSeed)
+			m := linkcut.NewIncrementalMSF(sh.n)
+			replay(b, rp, sh.l, func() { rp.stepLinkCut(m) })
+		})
+	}
+}
+
 // --- S1: the l·lg(1+n/l) shape behind Theorems 3.2/4.2 ------------------------
 
 func BenchmarkBatchSizeSweep(b *testing.B) {

@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpt"
 	"repro/internal/msf"
@@ -38,12 +39,24 @@ type BatchMSF struct {
 	f      *ternary.Forest
 	n      int
 	weight int64
+
+	// Batch scratch, reused across batches: the compressed path tree
+	// builder, Kruskal's workspace, and the buffers of BatchInsert,
+	// including the three result slices.
+	cpt                      *cpt.Builder
+	kruskal                  msf.Workspace
+	work, small              []wgraph.Edge
+	marked                   []int32
+	inM                      []bool // inM[i]: small[i] is in the small graph's MSF
+	cutIDs                   []wgraph.EdgeID
+	added, removed, rejected []wgraph.Edge
 }
 
 // New returns an empty batch-incremental MSF over n vertices. seed drives
 // the randomized tree contraction.
 func New(n int, seed uint64) *BatchMSF {
-	return &BatchMSF{f: ternary.New(n, seed), n: n}
+	f := ternary.New(n, seed)
+	return &BatchMSF{f: f, n: n, cpt: cpt.NewBuilder(f.RC())}
 }
 
 // N returns the number of vertices.
@@ -100,14 +113,17 @@ func (m *BatchMSF) PathMaxEdge(u, v int32) (wgraph.Edge, bool) {
 //
 // removed ∪ rejected is exactly the replacement set O_i that the
 // k-certificate cascade of Section 5.4 feeds to the next forest.
+//
+// The three slices are buffers the structure reuses: they stay valid only
+// until its next BatchInsert or BatchDelete. Copy what must outlive that.
 func (m *BatchMSF) BatchInsert(edges []wgraph.Edge) (added, removed, rejected []wgraph.Edge) {
 	if len(edges) == 0 {
 		return nil, nil, nil
 	}
 	// Line 2: K <- endpoints of the batch; loops can never enter a forest.
-	work := make([]wgraph.Edge, 0, len(edges))
-	var marked []int32
-	seen := make(map[int32]struct{}, 2*len(edges))
+	// The marking stamps deduplicate K, so endpoints are listed as they come.
+	added, removed, rejected = m.added[:0], m.removed[:0], m.rejected[:0]
+	work, marked := m.work[:0], m.marked[:0]
 	for _, e := range edges {
 		if e.IsLoop() {
 			rejected = append(rejected, e)
@@ -117,50 +133,36 @@ func (m *BatchMSF) BatchInsert(edges []wgraph.Edge) (added, removed, rejected []
 			panic(fmt.Sprintf("core: weight %d out of range", e.W))
 		}
 		work = append(work, e)
-		for _, v := range [2]int32{e.U, e.V} {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				marked = append(marked, v)
-			}
-		}
+		marked = append(marked, e.U, e.V)
 	}
+	m.work, m.marked, m.rejected = work, marked, rejected
 	if len(work) == 0 {
 		return nil, nil, rejected
 	}
 	// Line 3: compressed path trees of the touched components.
-	c := cpt.Build(m.f.RC(), marked)
-	// Line 4: static MSF of C ∪ E+ on densely relabelled vertices.
-	relabel := make(map[int32]int32, len(c.Vertices)+len(marked))
-	label := func(v int32) int32 {
-		if id, ok := relabel[v]; ok {
-			return id
-		}
-		id := int32(len(relabel))
-		relabel[v] = id
-		return id
-	}
-	small := make([]wgraph.Edge, 0, len(c.Edges)+len(work))
-	for _, ce := range c.Edges {
+	cptEdges := m.cpt.Build(marked)
+	// Line 4: static MSF of C ∪ E+ on the builder's dense vertex labels.
+	small := m.small[:0]
+	for _, ce := range cptEdges {
 		small = append(small, wgraph.Edge{
-			ID: ce.Key.ID, U: label(ce.U), V: label(ce.V), W: ce.Key.W,
+			ID: ce.Key.ID, U: m.cpt.Label(ce.U), V: m.cpt.Label(ce.V), W: ce.Key.W,
 		})
 	}
 	numCPT := len(small)
 	for _, e := range work {
-		small = append(small, wgraph.Edge{ID: e.ID, U: label(e.U), V: label(e.V), W: e.W})
+		small = append(small, wgraph.Edge{ID: e.ID, U: m.cpt.Label(e.U), V: m.cpt.Label(e.V), W: e.W})
 	}
-	for _, v := range c.Vertices {
-		label(v)
+	m.small = small
+	inM := slices.Grow(m.inM[:0], len(small))[:len(small)]
+	clear(inM)
+	for _, i := range m.kruskal.Run(m.cpt.NumLabels(), small) {
+		inM[i] = true
 	}
-	forest := msf.Kruskal(len(relabel), small)
-	inM := make(map[wgraph.EdgeID]struct{}, len(forest))
-	for _, e := range forest {
-		inM[e.ID] = struct{}{}
-	}
+	m.inM = inM
 	// Lines 5-6: diff the small MSF against the forest.
-	var cutIDs []wgraph.EdgeID
-	for _, ce := range small[:numCPT] {
-		if _, ok := inM[ce.ID]; ok {
+	cutIDs := m.cutIDs[:0]
+	for i, ce := range small[:numCPT] {
+		if inM[i] {
 			continue
 		}
 		if ce.W == ternary.VirtualWeight {
@@ -174,14 +176,15 @@ func (m *BatchMSF) BatchInsert(edges []wgraph.Edge) (added, removed, rejected []
 		cutIDs = append(cutIDs, ce.ID)
 		m.weight -= old.W
 	}
-	for _, e := range work {
-		if _, ok := inM[e.ID]; ok {
+	for i, e := range work {
+		if inM[numCPT+i] {
 			added = append(added, e)
 			m.weight += e.W
 		} else {
 			rejected = append(rejected, e)
 		}
 	}
+	m.added, m.removed, m.rejected, m.cutIDs = added, removed, rejected, cutIDs
 	m.f.BatchUpdate(added, cutIDs)
 	return added, removed, rejected
 }

@@ -9,28 +9,49 @@
 package msf
 
 import (
-	"repro/internal/parallel"
+	"slices"
+
 	"repro/internal/unionfind"
 	"repro/internal/wgraph"
 )
 
-// Kruskal returns the MSF of the given edges over vertices [0, n).
-// Self-loops are ignored. Output is in increasing (W, ID) order.
-func Kruskal(n int, edges []wgraph.Edge) []wgraph.Edge {
-	sorted := make([]wgraph.Edge, 0, len(edges))
-	for _, e := range edges {
+// Workspace is Kruskal's scratch: the sorted edge index and the
+// union-find. Reusing one across calls makes a run allocation-free once
+// the workspace has grown to the largest input.
+type Workspace struct {
+	idx []int32
+	uf  unionfind.UF
+}
+
+// Run computes the MSF of edges over vertices [0, n), ignoring self-loops,
+// and returns the indices into edges of its edges in increasing (W, ID)
+// order. The result is the workspace's own buffer: it stays valid only
+// until the next Run.
+func (ws *Workspace) Run(n int, edges []wgraph.Edge) []int32 {
+	idx := ws.idx[:0]
+	for i, e := range edges {
 		if !e.IsLoop() {
-			sorted = append(sorted, e)
+			idx = append(idx, int32(i))
 		}
 	}
-	parallel.Sort(sorted, func(a, b wgraph.Edge) bool {
-		return wgraph.KeyOf(a).Less(wgraph.KeyOf(b))
+	ws.idx = idx
+	slices.SortFunc(idx, func(a, b int32) int {
+		ka, kb := wgraph.KeyOf(edges[a]), wgraph.KeyOf(edges[b])
+		switch {
+		case ka.Less(kb):
+			return -1
+		case kb.Less(ka):
+			return 1
+		}
+		return 0
 	})
-	uf := unionfind.New(n)
-	out := make([]wgraph.Edge, 0, min(len(sorted), n-zeroIfNeg(n-1)))
-	for _, e := range sorted {
-		if uf.Union(e.U, e.V) {
-			out = append(out, e)
+	ws.uf.Reset(n)
+	// The forest is a subsequence of the sorted index, so it is compacted
+	// into the index's own prefix.
+	out := idx[:0]
+	for _, i := range idx {
+		if ws.uf.Union(edges[i].U, edges[i].V) {
+			out = append(out, i)
 			if len(out) == n-1 {
 				break
 			}
@@ -39,11 +60,16 @@ func Kruskal(n int, edges []wgraph.Edge) []wgraph.Edge {
 	return out
 }
 
-func zeroIfNeg(x int) int {
-	if x < 0 {
-		return 0
+// Kruskal returns the MSF of the given edges over vertices [0, n).
+// Self-loops are ignored. Output is in increasing (W, ID) order.
+func Kruskal(n int, edges []wgraph.Edge) []wgraph.Edge {
+	var ws Workspace
+	idx := ws.Run(n, edges)
+	out := make([]wgraph.Edge, len(idx))
+	for k, i := range idx {
+		out[k] = edges[i]
 	}
-	return x
+	return out
 }
 
 // Prim computes the MSF with a binary-heap Prim from every unvisited vertex.
@@ -206,11 +232,4 @@ func Boruvka(n int, edges []wgraph.Edge) []wgraph.Edge {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

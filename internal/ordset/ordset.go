@@ -35,6 +35,8 @@ func (n *node) update() { n.size = 1 + sz(n.left) + sz(n.right) }
 type Set struct {
 	root *node
 	salt uint64
+	free *node         // removed nodes, linked through right, for reuse
+	out  []wgraph.Edge // SplitLeq's result, reused
 }
 
 // New returns an empty set. salt perturbs the treap priorities.
@@ -87,7 +89,8 @@ func (s *Set) Insert(key int64, val wgraph.Edge) {
 	l, r := split(s.root, key)
 	eq, rest := split(r, key+1) // eq holds the single node with this key, if any
 	if eq == nil {
-		eq = &node{key: key, val: val, prio: s.prio(key), size: 1}
+		eq = s.alloc()
+		*eq = node{key: key, val: val, prio: s.prio(key), size: 1}
 	} else {
 		eq.val = val
 		eq.left, eq.right = nil, nil
@@ -101,7 +104,27 @@ func (s *Set) Delete(key int64) bool {
 	l, r := split(s.root, key)
 	eq, rest := split(r, key+1)
 	s.root = join(l, rest)
-	return eq != nil
+	if eq == nil {
+		return false
+	}
+	s.release(eq)
+	return true
+}
+
+// alloc returns a node from the free list, or a new one.
+func (s *Set) alloc() *node {
+	t := s.free
+	if t == nil {
+		return new(node)
+	}
+	s.free = t.right
+	return t
+}
+
+// release puts the single node t on the free list.
+func (s *Set) release(t *node) {
+	*t = node{right: s.free}
+	s.free = t
 }
 
 // Get returns the value stored at key.
@@ -127,25 +150,29 @@ func (s *Set) Has(key int64) bool {
 }
 
 // SplitLeq removes and returns (in ascending key order) every entry with
-// key <= watermark.
+// key <= watermark. The result is a buffer the set reuses: it stays valid
+// only until the set's next mutation.
 func (s *Set) SplitLeq(watermark int64) []wgraph.Edge {
 	l, r := split(s.root, watermark+1)
 	s.root = r
 	if l == nil {
 		return nil
 	}
-	out := make([]wgraph.Edge, 0, sz(l))
-	var walk func(t *node)
-	walk = func(t *node) {
-		if t == nil {
-			return
-		}
-		walk(t.left)
-		out = append(out, t.val)
-		walk(t.right)
+	s.out = s.out[:0]
+	s.drain(l)
+	return s.out
+}
+
+// drain appends t's entries to s.out in key order and frees its nodes.
+func (s *Set) drain(t *node) {
+	if t == nil {
+		return
 	}
-	walk(l)
-	return out
+	s.drain(t.left)
+	s.out = append(s.out, t.val)
+	right := t.right
+	s.release(t)
+	s.drain(right)
 }
 
 // Min returns the smallest key.

@@ -91,15 +91,23 @@ func Default() *Limiter {
 // costs load-balance across however many workers were granted; schedule the
 // expensive iterations at low indices so they start first. Iterations must
 // be independent. The call returns only after every iteration completed and
-// all borrowed workers were released.
+// all borrowed workers were released. When no worker is granted, the loop
+// runs inline and allocates nothing.
 func ForEachLimited(n int, l *Limiter, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if n == 1 {
-		body(0)
+	if n == 1 || !l.TryAcquire() {
+		for i := range n {
+			body(i)
+		}
 		return
 	}
+	forEachForked(n, l, body)
+}
+
+// forEachForked is ForEachLimited once the caller holds one of l's workers.
+func forEachForked(n int, l *Limiter, body func(i int)) {
 	var next atomic.Int64
 	work := func() {
 		for {
@@ -112,7 +120,7 @@ func ForEachLimited(n int, l *Limiter, body func(i int)) {
 	}
 	var box panicBox
 	var wg sync.WaitGroup
-	for spawned := 0; spawned < n-1 && l.TryAcquire(); spawned++ {
+	for spawned := 0; spawned < n-1 && (spawned == 0 || l.TryAcquire()); spawned++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

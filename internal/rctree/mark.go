@@ -3,8 +3,8 @@ package rctree
 // Marking is the result of the bottom-up marking phase of the compressed
 // path tree algorithm (Section 3): every RC-tree cluster containing a marked
 // vertex is stamped, and the root clusters of marked components are
-// collected. A Marking is valid until the next NewMarking or BatchUpdate on
-// the same tree.
+// collected. A tree keeps one Marking and reuses it, so a Marking is valid
+// until the next NewMarking or BatchUpdate on the same tree.
 type Marking struct {
 	t     *Tree
 	epoch uint64
@@ -15,7 +15,8 @@ type Marking struct {
 // tree. Cost O(l·lg(1+n/l)) expected for l marked vertices (Lemma 3.3).
 func (t *Tree) NewMarking(marked []int32) *Marking {
 	t.markEpoch++
-	m := &Marking{t: t, epoch: t.markEpoch}
+	m := &t.marking
+	m.t, m.epoch, m.roots = t, t.markEpoch, m.roots[:0]
 	for _, u := range marked {
 		if t.vertMark[u] == m.epoch {
 			continue

@@ -204,9 +204,15 @@ type Tree struct {
 	pendingFree []int32
 	roots       int // number of finalize vertices = number of components
 
-	// Wave scratch (see update.go). Epoch-stamped to avoid clearing.
+	// Wave scratch (see update.go), kept across batches. Epoch-stamped to
+	// avoid clearing.
 	epoch     uint64
-	waveA     [][]int32 // per-round pending affected vertices
+	waveA     [][]int32 // per-round pending affected vertices; rounds keep their backing arrays
+	waveN     int32     // rounds of waveA in use by the current wave
+	procBuf   []int32   // B set of the current round
+	dSet      []int32   // vertices with effect changes this round
+	dirtyK    []int32   // compress edges whose key changed in place
+	handles   []Handle  // BatchUpdate's result
 	inA       []uint64  // stamp: vertex queued in waveA for (epoch, round)
 	inARound  []int32
 	histCh    []uint64 // stamp: hist[v][round] committed as changed
@@ -218,6 +224,7 @@ type Tree struct {
 	waveWork  int64 // Phase-1 decisions computed, over all waves (WaveWork)
 
 	// Marking scratch (see cpt marking in mark.go).
+	marking    Marking
 	markEpoch  uint64
 	clustMark  []uint64
 	vertMark   []uint64

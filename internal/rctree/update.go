@@ -7,7 +7,8 @@ import (
 
 // BatchUpdate deletes the base edges named by cuts, inserts ins, and
 // re-contracts the affected region by change propagation. It returns the
-// handles of the inserted edges, in order.
+// handles of the inserted edges, in order, in a slice the tree reuses: it
+// stays valid only until the next BatchUpdate.
 //
 // Preconditions (panic on violation): the resulting edge set must remain a
 // forest of maximum degree 3, cut handles must be live base edges, and
@@ -16,9 +17,7 @@ import (
 // acyclicity (a minimum spanning forest is a forest).
 func (t *Tree) BatchUpdate(ins []Edge, cuts []Handle) []Handle {
 	t.epoch++
-	if len(t.waveA) > 0 {
-		t.waveA = t.waveA[:0]
-	}
+	t.waveN = 0
 
 	// Round-0 surgery: cuts first, then inserts (keeps transient degree low
 	// for the common replace pattern).
@@ -38,8 +37,8 @@ func (t *Tree) BatchUpdate(ins []Edge, cuts []Handle) []Handle {
 		t.markHistChanged(er.u, 0)
 		t.markHistChanged(er.v, 0)
 	}
-	handles := make([]Handle, len(ins))
-	for i, e := range ins {
+	handles := t.handles[:0]
+	for _, e := range ins {
 		if e.U == e.V {
 			panic(fmt.Sprintf("rctree: self-loop insert (%d,%d)", e.U, e.V))
 		}
@@ -48,12 +47,13 @@ func (t *Tree) BatchUpdate(ins []Edge, cuts []Handle) []Handle {
 		t.verts[e.U].hist[0].add(s, e.V)
 		t.verts[e.V].hist[0].add(s, e.U)
 		t.numBase++
-		handles[i] = Handle(s)
+		handles = append(handles, Handle(s))
 		t.queueA(0, e.U)
 		t.queueA(0, e.V)
 		t.markHistChanged(e.U, 0)
 		t.markHistChanged(e.V, 0)
 	}
+	t.handles = handles
 	if len(cuts)+len(ins) == 0 {
 		return handles
 	}
@@ -63,7 +63,7 @@ func (t *Tree) BatchUpdate(ins []Edge, cuts []Handle) []Handle {
 	// edges' other endpoints, which are queued already.) The bound must be
 	// snapshotted: iterating the growing queue would flood the entire
 	// component with a transitive closure.
-	if len(t.waveA) > 0 {
+	if t.waveN > 0 {
 		seeds := len(t.waveA[0])
 		for i := 0; i < seeds; i++ {
 			v := t.waveA[0][i]
@@ -86,8 +86,11 @@ func (t *Tree) queueA(r int32, v int32) {
 	}
 	t.inA[v] = t.epoch
 	t.inARound[v] = r
-	for int32(len(t.waveA)) <= r {
-		t.waveA = append(t.waveA, nil)
+	for ; t.waveN <= r; t.waveN++ {
+		if int(t.waveN) == len(t.waveA) {
+			t.waveA = append(t.waveA, nil)
+		}
+		t.waveA[t.waveN] = t.waveA[t.waveN][:0]
 	}
 	t.waveA[r] = append(t.waveA[r], v)
 }
@@ -155,12 +158,9 @@ func (t *Tree) decisionAt(u, r int32) (Decision, int32) {
 // affected set until the contraction stabilizes.
 func (t *Tree) propagate() {
 	maxRounds := int32(t.maxRoundsC * (bits.Len(uint(len(t.verts))) + 2))
-	var (
-		procBuf []int32 // B set of the current round
-		dirtyK  []int32 // compress edges whose key changed in place
-		dSet    []int32 // vertices with effect changes this round
-	)
-	for r := int32(0); r < int32(len(t.waveA)); r++ {
+	procBuf, dSet := t.procBuf, t.dSet
+	t.dirtyK = t.dirtyK[:0]
+	for r := int32(0); r < t.waveN; r++ {
 		if r > maxRounds {
 			panic("rctree: contraction did not converge (cycle inserted or degree invariant broken)")
 		}
@@ -189,7 +189,7 @@ func (t *Tree) propagate() {
 		// decisions before neighbours compute their next adjacency.
 		for _, v := range dSet {
 			if t.decVal[v] == Compress {
-				t.refreshCompressEdge(v, r, &dirtyK)
+				t.refreshCompressEdge(v, r)
 			}
 		}
 		// Phase 2+3: B = A ∪ N(dSet); diff and commit hist[v][r+1].
@@ -215,9 +215,10 @@ func (t *Tree) propagate() {
 			t.applyEffects(v, r)
 		}
 	}
+	t.procBuf, t.dSet = procBuf, dSet
 	// Key-fix pass: recompute aggregated keys up the consumer chain for
 	// compress edges whose key changed without structural change upstream.
-	for _, s := range dirtyK {
+	for _, s := range t.dirtyK {
 		t.fixKeysUpward(s)
 	}
 }
@@ -235,7 +236,7 @@ func (t *Tree) targetIfRake(v, r int32) int32 {
 // refreshCompressEdge (re)creates v's compress edge from its round-r
 // adjacency. If the key changed while the edge stayed structurally in
 // place, the slot is recorded for the post-wave key-fix pass.
-func (t *Tree) refreshCompressEdge(v, r int32, dirtyK *[]int32) {
+func (t *Tree) refreshCompressEdge(v, r int32) {
 	vr := &t.verts[v]
 	h := &vr.hist[r]
 	e0, e1 := &t.edges[h.e[0]], &t.edges[h.e[1]]
@@ -262,7 +263,7 @@ func (t *Tree) refreshCompressEdge(v, r int32, dirtyK *[]int32) {
 	// value — including kill/revive cycles where the consumer may not be
 	// reprocessed. fixKeysUpward is idempotent, so over-flagging is safe.
 	if !prevLive || prevKey != key {
-		*dirtyK = append(*dirtyK, s)
+		t.dirtyK = append(t.dirtyK, s)
 	}
 }
 

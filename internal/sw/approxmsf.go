@@ -76,8 +76,13 @@ type ApproxMSF struct {
 	// needed. Preallocated: timing a batch costs two clock reads per
 	// non-empty level and zero allocations.
 	timeLevels   bool
+	forkT0       time.Time
 	levelStartNS []int64 // offset of each level's start from the fork point
 	levelDurNS   []int64 // 0 = level did not run in the last timed insert
+
+	// The fork-join bodies, built once so that forking them allocates
+	// nothing: index k applies the batch (or the expiry) to level kept[k].
+	insertK, expireK func(k int)
 }
 
 // NewApproxMSF returns an approximate-MSF-weight structure for edge weights
@@ -101,6 +106,8 @@ func NewApproxMSF(n int, eps float64, maxWeight int64, seed uint64) *ApproxMSF {
 	a.inst = make([]*ConnEager, r)
 	a.live = make([]int32, r)
 	a.cum = make([]int, r)
+	a.insertK = func(k int) { a.insertLevel(a.kept[k]) }
+	a.expireK = func(k int) { a.expireLevel(a.kept[k]) }
 	return a
 }
 
@@ -151,12 +158,11 @@ func (a *ApproxMSF) pool() *parallel.Limiter {
 	return parallel.Default()
 }
 
-// forEachLevel runs body over every materialised level, highest level
-// first (the top levels see the most edges, so they must start before the
-// cheap ones for the fork-join's dynamic load balance to matter).
-func (a *ApproxMSF) forEachLevel(body func(level int)) {
-	kept := a.kept
-	parallel.ForEachLimited(len(kept), a.pool(), func(i int) { body(kept[i]) })
+// forEachLevel runs body(k) for every materialised level kept[k], highest
+// level first (the top levels see the most edges, so they must start before
+// the cheap ones for the fork-join's dynamic load balance to matter).
+func (a *ApproxMSF) forEachLevel(body func(k int)) {
+	parallel.ForEachLimited(len(a.kept), a.pool(), body)
 }
 
 // levelOf returns the first (smallest) level whose threshold admits w.
@@ -261,31 +267,34 @@ func (a *ApproxMSF) BatchInsert(edges []WeightedStreamEdge) {
 	// Fork-join the levels: level i inserts the prefix of buckets 0..i,
 	// under its own writer guard (the levels share no state, so parallelism
 	// across them is safe by construction — and asserted by the guards).
-	var forkT0 time.Time
 	if a.timeLevels {
 		for i := range a.levelDurNS {
 			a.levelDurNS[i] = 0
 		}
-		forkT0 = time.Now()
+		a.forkT0 = time.Now()
 	}
-	a.forEachLevel(func(i int) {
-		cnt := a.cum[i]
-		if cnt == 0 {
-			return
-		}
-		var t0 time.Time
-		if a.timeLevels {
-			t0 = time.Now()
-		}
-		inst := a.inst[i]
-		inst.guard.enter()
-		inst.batchInsertAt(sorted[:cnt], sortedTaus[:cnt])
-		inst.guard.exit()
-		if a.timeLevels {
-			a.levelStartNS[i] = t0.Sub(forkT0).Nanoseconds()
-			a.levelDurNS[i] = time.Since(t0).Nanoseconds()
-		}
-	})
+	a.forEachLevel(a.insertK)
+}
+
+// insertLevel applies the routed batch to level i: the prefix of sorted
+// holding buckets 0..i.
+func (a *ApproxMSF) insertLevel(i int) {
+	cnt := a.cum[i]
+	if cnt == 0 {
+		return
+	}
+	var t0 time.Time
+	if a.timeLevels {
+		t0 = time.Now()
+	}
+	inst := a.inst[i]
+	inst.guard.enter()
+	inst.batchInsertAt(a.sorted[:cnt], a.sortedTaus[:cnt])
+	inst.guard.exit()
+	if a.timeLevels {
+		a.levelStartNS[i] = t0.Sub(a.forkT0).Nanoseconds()
+		a.levelDurNS[i] = time.Since(t0).Nanoseconds()
+	}
 }
 
 // BatchExpire expires the oldest delta arrivals. Levels whose bucket this
@@ -309,12 +318,15 @@ func (a *ApproxMSF) BatchExpire(delta int) {
 		}
 	}
 	a.relist()
-	a.forEachLevel(func(i int) {
-		inst := a.inst[i]
-		inst.guard.enter()
-		inst.expireTo(a.tw)
-		inst.guard.exit()
-	})
+	a.forEachLevel(a.expireK)
+}
+
+// expireLevel expires level i to the shared watermark.
+func (a *ApproxMSF) expireLevel(i int) {
+	inst := a.inst[i]
+	inst.guard.enter()
+	inst.expireTo(a.tw)
+	inst.guard.exit()
 }
 
 // Weight returns the (1+ε)-approximate MSF weight of the window graph,

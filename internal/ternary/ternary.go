@@ -87,6 +87,12 @@ type Forest struct {
 	pendEdges []*edgeInfo
 	rcIns     []rctree.Edge
 	rcCuts    []rctree.Handle
+
+	// Edge records cut by the current batch, and the records free for
+	// reuse. A cut record joins the free list only after emission, so a
+	// cancelled pending entry is never reused within its batch.
+	cutInfos  []*edgeInfo
+	freeInfos []*edgeInfo
 }
 
 // New creates a forest over n real vertices (rctree vertices 0..n-1).
@@ -274,12 +280,19 @@ func (f *Forest) BatchUpdate(ins []wgraph.Edge, cuts []wgraph.EdgeID) {
 		ei.queued = false
 		f.detach(ei, ei.e.U)
 		f.detach(ei, ei.e.V)
+		f.cutInfos = append(f.cutInfos, ei)
 	}
 	for _, e := range ins {
 		if _, dup := f.edges[e.ID]; dup || e.IsLoop() || e.W <= VirtualWeight {
 			panic(fmt.Sprintf("ternary: insert %v is a self-loop, a duplicate id or not above VirtualWeight", e))
 		}
-		ei := &edgeInfo{e: e, handle: noHandle}
+		var ei *edgeInfo
+		if k := len(f.freeInfos); k > 0 {
+			ei, f.freeInfos = f.freeInfos[k-1], f.freeInfos[:k-1]
+		} else {
+			ei = new(edgeInfo)
+		}
+		*ei = edgeInfo{e: e, handle: noHandle}
 		f.edges[e.ID] = ei
 		f.queueEdge(ei)
 		f.attach(ei, e.U)
@@ -313,8 +326,9 @@ func (f *Forest) BatchUpdate(ins []wgraph.Edge, cuts []wgraph.EdgeID) {
 	for i, ei := range reals {
 		ei.handle = handles[len(links)+i]
 	}
-	clear(f.pendEdges) // drop references to removed edges
 	f.rcIns, f.pendNodes, f.pendEdges = rcIns, links[:0], reals[:0]
+	f.freeInfos = append(f.freeInfos, f.cutInfos...)
+	f.cutInfos = f.cutInfos[:0]
 }
 
 // Validate checks the gadget layout and the underlying rctree's invariants:

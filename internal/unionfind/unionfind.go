@@ -21,11 +21,23 @@ type UF struct {
 
 // New returns a union-find with n singleton components.
 func New(n int) *UF {
-	u := &UF{parent: make([]int32, n), rank: make([]uint8, n), comps: n}
+	u := &UF{}
+	u.Reset(n)
+	return u
+}
+
+// Reset reinitialises u to n singleton components, reusing its arrays when
+// they are large enough.
+func (u *UF) Reset(n int) {
+	if cap(u.parent) < n {
+		u.parent, u.rank = make([]int32, n), make([]uint8, n)
+	}
+	u.parent, u.rank = u.parent[:n], u.rank[:n]
 	for i := range u.parent {
 		u.parent[i] = int32(i)
 	}
-	return u
+	clear(u.rank)
+	u.comps = n
 }
 
 // N returns the number of elements.

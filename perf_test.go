@@ -1,10 +1,10 @@
 package repro
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/graphgen"
+	"repro/internal/linkcut"
 	"repro/internal/parallel"
 	"repro/internal/wgraph"
 )
@@ -33,12 +33,111 @@ func TestWaveLocality(t *testing.T) {
 	}
 }
 
+// recencyReplay is the stream every sliding-window monitor runs its engine
+// on: arrival τ is an edge with ID τ and weight −τ (as in sw.ConnEager),
+// its endpoints distinct and uniform among n vertices, in batches of ℓ,
+// under a count window of W arrivals. It follows the engine's forest so
+// that expiry can be eager: after each batch, the forest edges that left
+// the window are cut. Its bookkeeping costs O(ℓ) per step and its buffers
+// are reused, so a step's time and allocations are the structure's own.
+type recencyReplay struct {
+	n, window int
+	r         *parallel.RNG
+	tau       int64
+	batch     []wgraph.Edge
+	plain     []StreamEdge
+	// forest[head:] holds, in ascending τ, every edge that entered the
+	// forest and has not yet left the window; gone marks those that were
+	// evicted since. Evicted edges are skipped when they reach the front.
+	forest, expired []wgraph.EdgeID
+	head            int
+	gone            map[wgraph.EdgeID]bool
+	added, removed  []wgraph.Edge // link-cut's forest changes in one batch
+}
+
+func newRecencyReplay(n, window, l int, seed uint64) *recencyReplay {
+	return &recencyReplay{
+		n: n, window: window, r: parallel.NewRNG(seed),
+		batch: make([]wgraph.Edge, l), plain: make([]StreamEdge, l),
+		gone: map[wgraph.EdgeID]bool{},
+	}
+}
+
+// next returns the next ℓ arrivals, in a buffer the next call reuses.
+func (rp *recencyReplay) next() []wgraph.Edge {
+	for i := range rp.batch {
+		rp.tau++
+		u, v := int32(rp.r.Intn(rp.n)), int32(rp.r.Intn(rp.n-1))
+		if v >= u {
+			v++
+		}
+		rp.batch[i] = wgraph.Edge{ID: wgraph.EdgeID(rp.tau), U: u, V: v, W: -rp.tau}
+	}
+	return rp.batch
+}
+
+// nextStream returns the next ℓ arrivals as sliding-window edges, for the
+// monitors, which number arrivals themselves.
+func (rp *recencyReplay) nextStream() []StreamEdge {
+	for i, e := range rp.next() {
+		rp.plain[i] = StreamEdge{U: e.U, V: e.V}
+	}
+	return rp.plain
+}
+
+// settle records one batch's forest changes and returns the forest edges
+// that have left the window, oldest first, in a buffer the next call
+// reuses. An edge both added and removed within the batch never expires.
+func (rp *recencyReplay) settle(added, removed []wgraph.Edge) []wgraph.EdgeID {
+	for _, e := range removed {
+		rp.gone[e.ID] = true
+	}
+	for _, e := range added {
+		rp.forest = append(rp.forest, e.ID)
+	}
+	rp.expired = rp.expired[:0]
+	for ; rp.head < len(rp.forest) && int64(rp.forest[rp.head]) <= rp.tau-int64(rp.window); rp.head++ {
+		if id := rp.forest[rp.head]; rp.gone[id] {
+			delete(rp.gone, id)
+		} else {
+			rp.expired = append(rp.expired, id)
+		}
+	}
+	if rp.head > len(rp.forest)/2 {
+		rp.forest = rp.forest[:copy(rp.forest, rp.forest[rp.head:])]
+		rp.head = 0
+	}
+	return rp.expired
+}
+
+// stepEngine runs one step on the engine: a batch, then eager expiry.
+func (rp *recencyReplay) stepEngine(m *BatchMSF) {
+	added, removed, _ := m.BatchInsert(rp.next())
+	m.BatchDelete(rp.settle(added, removed))
+}
+
+// stepLinkCut runs one step on the sequential link-cut baseline: the batch
+// edge by edge, then eager expiry through Forest.Cut.
+func (rp *recencyReplay) stepLinkCut(m *linkcut.IncrementalMSF) {
+	rp.added, rp.removed = rp.added[:0], rp.removed[:0]
+	for _, e := range rp.next() {
+		in, evicted, ok := m.Insert(e)
+		if in {
+			rp.added = append(rp.added, e)
+		}
+		if ok {
+			rp.removed = append(rp.removed, evicted)
+		}
+	}
+	for _, id := range rp.settle(rp.added, rp.removed) {
+		m.F.Cut(id)
+	}
+}
+
 // TestWaveLocalityRecency guards the engine at the shape every sliding-window
-// monitor runs: one core.BatchMSF under recency weights (edge τ weighs −τ,
-// as in sw.ConnEager), n = 500, a count window of 2000 arrivals, batches of
-// ℓ = 32 and eager expiry of the forest edges that leave the window. It
-// pins the rake-compress tree's size and its wave work per step (insert
-// plus expiry) once the window is full. Fixed seeds make both exact:
+// monitor runs: the recency replay at n = 500, W = 2000, ℓ = 32. It pins
+// the rake-compress tree's size and its wave work per step (insert plus
+// expiry) once the window is full. Fixed seeds make both exact:
 //
 //	                      chain node per edge end   compact gadgets   bound
 //	rctree vertices                1498                   614          1000
@@ -49,49 +148,87 @@ func TestWaveLocality(t *testing.T) {
 // forest edges itself (package ternary). Either bound fails at the former.
 func TestWaveLocalityRecency(t *testing.T) {
 	const n, window, l, steps = 500, 2000, 32, 400
-	r := parallel.NewRNG(0x5EED)
+	rp := newRecencyReplay(n, window, l, 0x5EED)
 	m := NewBatchMSF(n, 0x5EED)
-	var forest []wgraph.EdgeID // forest edges, ascending τ
-	tau := int64(0)
-	step := func() {
-		batch := make([]wgraph.Edge, l)
-		for i := range batch {
-			tau++
-			u, v := int32(r.Intn(n)), int32(r.Intn(n-1))
-			if v >= u {
-				v++
-			}
-			batch[i] = wgraph.Edge{ID: wgraph.EdgeID(tau), U: u, V: v, W: -tau}
-		}
-		added, removed, _ := m.BatchInsert(batch)
-		gone := make(map[wgraph.EdgeID]bool, len(removed))
-		for _, e := range removed {
-			gone[e.ID] = true
-		}
-		forest = slices.DeleteFunc(forest, func(id wgraph.EdgeID) bool { return gone[id] })
-		for _, e := range added {
-			forest = append(forest, e.ID)
-		}
-		k := 0
-		for k < len(forest) && int64(forest[k]) <= tau-window {
-			k++
-		}
-		m.BatchDelete(forest[:k])
-		forest = forest[k:]
-	}
-	for tau < window {
-		step()
+	for rp.tau < window {
+		rp.stepEngine(m)
 	}
 	before := m.WaveWork()
 	for range steps {
-		step()
+		rp.stepEngine(m)
 	}
 	perStep := (m.WaveWork() - before) / steps
 	t.Logf("rctree vertices %d, wave work per step %d", m.TreeVertices(), perStep)
 	if got := m.TreeVertices(); got > 1000 {
-		t.Errorf("rake-compress tree holds %d vertices for n = %d and %d forest edges", got, n, len(forest))
+		t.Errorf("rake-compress tree holds %d vertices for n = %d and %d forest edges", got, n, m.Size())
 	}
 	if perStep > 2900 {
 		t.Errorf("wave work per recency step %d", perStep)
 	}
+}
+
+// TestEngineStepAllocs pins a steady-state engine step at zero allocations.
+// Once the recency replay (n = 500, W = 2000, ℓ = 32) has run through some
+// windows and every reused buffer has grown, one step — a batch plus eager
+// expiry — allocates nothing in core.BatchMSF or in the monitors built on
+// it. What still allocates is growth to a new high (a vertex contracted
+// deeper, or more live forest edges, than ever before), which becomes rarer
+// as the stream goes on: after 1000 warm-up steps it is under a third of
+// an allocation per step for each structure. msfweight's weights, 1 and 2,
+// keep its two occupied buckets occupied, so the measured steps neither
+// materialise nor retire a level (materialising builds a new engine, which
+// allocates); its levels run sequentially.
+func TestEngineStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, window, l, warm, runs = 500, 2000, 32, 1000, 100
+	measure := func(name string, step func()) {
+		t.Helper()
+		for range warm {
+			step()
+		}
+		if got := testing.AllocsPerRun(runs, step); got != 0 {
+			t.Errorf("%s: %v allocs per step, want 0", name, got)
+		}
+	}
+	rp := newRecencyReplay(n, window, l, 0x5EED)
+	m := NewBatchMSF(n, 0x5EED)
+	measure("core.BatchMSF", func() { rp.stepEngine(m) })
+
+	slide := func(name string, insert func([]StreamEdge), expire func(int)) {
+		t.Helper()
+		rp := newRecencyReplay(n, window, l, 0x5EED)
+		measure(name, func() {
+			insert(rp.nextStream())
+			if rp.tau > window {
+				expire(l)
+			}
+		})
+	}
+	conn := NewSWConnEager(n, 1)
+	slide("sw.ConnEager", conn.BatchInsert, conn.BatchExpire)
+	cert := NewSWKCert(n, 2, 1)
+	slide("sw.KCert", cert.BatchInsert, cert.BatchExpire)
+	bip := NewSWBipartite(n, 1)
+	slide("sw.Bipartite", bip.BatchInsert, bip.BatchExpire)
+
+	amsf := NewSWApproxMSF(n, 0.25, 1<<10, 1)
+	amsf.SetWorkers(parallel.NewLimiter(0))
+	wr := parallel.NewRNG(7)
+	weighted := make([]WeightedStreamEdge, l)
+	levels := -1
+	slide("sw.ApproxMSF", func(batch []StreamEdge) {
+		for i, e := range batch {
+			weighted[i] = WeightedStreamEdge{U: e.U, V: e.V, W: 1 + int64(wr.Intn(2))}
+		}
+		amsf.BatchInsert(weighted)
+	}, func(delta int) {
+		amsf.BatchExpire(delta)
+		if levels < 0 {
+			levels = amsf.LiveLevels()
+		} else if amsf.LiveLevels() != levels {
+			t.Fatalf("msfweight kept levels moved %d -> %d: a bucket drained or filled", levels, amsf.LiveLevels())
+		}
+	})
 }

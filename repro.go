@@ -42,6 +42,9 @@ type Edge = wgraph.Edge
 type EdgeID = wgraph.EdgeID
 
 // BatchMSF is the batch-incremental minimum spanning forest (Theorem 1.1).
+// It reuses its scratch across batches, so the added, removed and rejected
+// slices BatchInsert returns stay valid only until the next BatchInsert or
+// BatchDelete on the same instance.
 type BatchMSF = core.BatchMSF
 
 // NewBatchMSF returns an empty batch-incremental MSF over n vertices.
