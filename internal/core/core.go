@@ -90,6 +90,11 @@ func (m *BatchMSF) WaveWork() int64 { return m.f.RC().WaveWork() }
 // ternary) adds for vertices of forest degree above 3.
 func (m *BatchMSF) TreeVertices() int { return m.f.Vertices() }
 
+// HistoryRounds returns the rake-compress tree's contraction history in
+// rounds: live, the rounds its vertices are alive in, and held, the rounds
+// its history blocks can store, in use or recycled. O(tree vertices).
+func (m *BatchMSF) HistoryRounds() (live, held int) { return m.f.RC().HistoryRounds() }
+
 // PathMaxEdge returns the heaviest forest edge on the path between u and v,
 // or false when they are disconnected or equal. O(lg n) expected.
 func (m *BatchMSF) PathMaxEdge(u, v int32) (wgraph.Edge, bool) {

@@ -35,6 +35,7 @@ type Forest struct {
 	edges map[wgraph.EdgeID]int32 // edge id -> edge node
 	einfo map[int32]wgraph.Edge   // edge node -> edge
 	free  []int32                 // recycled edge nodes
+	path  []int32                 // splay's push-down stack, reused
 	n     int
 }
 
@@ -144,7 +145,7 @@ func (f *Forest) rotate(x int32) {
 
 func (f *Forest) splay(x int32) {
 	// Push lazy flips from the splay root down to x first.
-	stack := []int32{x}
+	stack := append(f.path[:0], x)
 	for y := x; !f.isRoot(y); {
 		y = f.nodes[y].p
 		stack = append(stack, y)
@@ -152,6 +153,7 @@ func (f *Forest) splay(x int32) {
 	for i := len(stack) - 1; i >= 0; i-- {
 		f.push(stack[i])
 	}
+	f.path = stack
 	for !f.isRoot(x) {
 		p := f.nodes[x].p
 		if !f.isRoot(p) {

@@ -1,6 +1,7 @@
 package rctree
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +35,37 @@ func TestCaterpillarContraction(t *testing.T) {
 	k, ok := tr.PathMax(spine, 2*spine-1)
 	if !ok || k != key(id-1) {
 		t.Fatalf("pathmax=%v want %v", k, key(id-1))
+	}
+}
+
+// TestHistoryBlocksFollowRounds checks that contraction histories follow
+// the rounds their vertices live. A path contracts over many rounds; once
+// every edge is cut, each vertex lives one round again, so Validate finds
+// its block shrunk to the smallest class. Relinking the same path needs the
+// same blocks again, and they all come back from the recycled ones: the
+// rounds held do not grow.
+func TestHistoryBlocksFollowRounds(t *testing.T) {
+	const n = 256
+	tr := New(n, 5)
+	ins := make([]Edge, n-1)
+	for i := range ins {
+		ins[i] = Edge{U: int32(i), V: int32(i + 1), Key: key(i + 1)}
+	}
+	cuts := slices.Clone(tr.BatchUpdate(ins, nil))
+	mustValidate(t, tr)
+	live, held := tr.HistoryRounds()
+	if live < 2*n || held > 4*live {
+		t.Fatalf("path: %d history rounds held for %d live", held, live)
+	}
+	tr.BatchUpdate(nil, cuts)
+	mustValidate(t, tr)
+	if l, h := tr.HistoryRounds(); l != n || h != held {
+		t.Fatalf("all cut: %d history rounds held for %d live, want %d held for %d", h, l, held, n)
+	}
+	tr.BatchUpdate(ins, nil)
+	mustValidate(t, tr)
+	if l, h := tr.HistoryRounds(); l != live || h != held {
+		t.Fatalf("relinked: %d history rounds held for %d live, want %d held for %d", h, l, held, live)
 	}
 }
 

@@ -42,6 +42,7 @@ package rctree
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/wgraph"
@@ -162,7 +163,7 @@ func (h vround) equalSet(o vround) bool {
 }
 
 type vertexRec struct {
-	hist     []vround // hist[r] = adjacency at round r; len = death+1
+	hist     []vround // hist[r] = adjacency at round r; len = death+1; a block (see histClass)
 	death    int32    // round the vertex died; -1 transiently during a wave
 	decision Decision
 	target   int32    // rake target (nilVert otherwise)
@@ -223,6 +224,10 @@ type Tree struct {
 	decTgt    []int32
 	waveWork  int64 // Phase-1 decisions computed, over all waves (WaveWork)
 
+	// histFree[c] holds the recycled history blocks of class c (see
+	// histBlock), which no vertex uses.
+	histFree [][][]vround
+
 	// Marking scratch (see cpt marking in mark.go).
 	marking    Marking
 	markEpoch  uint64
@@ -243,7 +248,7 @@ func (t *Tree) grow(k int) int32 {
 	first := int32(len(t.verts))
 	for i := 0; i < k; i++ {
 		t.verts = append(t.verts, vertexRec{
-			hist:     []vround{{deg: 0, e: [3]int32{nilEdge, nilEdge, nilEdge}, nb: [3]int32{nilVert, nilVert, nilVert}}},
+			hist:     append(t.histBlock(0), vround{deg: 0, e: [3]int32{nilEdge, nilEdge, nilEdge}, nb: [3]int32{nilVert, nilVert, nilVert}}),
 			death:    0,
 			decision: Finalize,
 			target:   nilVert,
@@ -264,6 +269,67 @@ func (t *Tree) grow(k int) int32 {
 	t.clustMark = append(t.clustMark, make([]uint64, k)...)
 	t.vertMark = append(t.vertMark, make([]uint64, k)...)
 	return first
+}
+
+// A vertex's contraction history lives in a block of histMinRounds<<c
+// rounds for some class c ≥ 0, more than a quarter full unless c = 0. Each
+// round of contraction removes a constant fraction of the live vertices,
+// so a vertex lives O(1) rounds in expectation (about 3.5 on the recency
+// replay) and the smallest class covers most vertices. A wave that extends
+// a vertex past its block moves it up a class; one that truncates it to a
+// quarter of its block or less moves it down to the smallest class that
+// holds it (commitNext). Vacated blocks are recycled per class, so the
+// blocks held, in use or free, stay within a constant factor of the live
+// rounds, and only a new peak of blocks in use in one class allocates.
+const (
+	histMinLog    = 2
+	histMinRounds = 1 << histMinLog
+)
+
+// histClass returns the class of the smallest block that holds n rounds.
+func histClass(n int) int {
+	if n <= histMinRounds {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - histMinLog
+}
+
+// histBlock returns an empty block of class c, recycled when one is free.
+func (t *Tree) histBlock(c int) []vround {
+	if c < len(t.histFree) {
+		if k := len(t.histFree[c]); k > 0 {
+			b := t.histFree[c][k-1]
+			t.histFree[c] = t.histFree[c][:k-1]
+			return b
+		}
+	}
+	return make([]vround, 0, histMinRounds<<c)
+}
+
+// moveHist copies vr's history into a block of class c and recycles the
+// block it leaves.
+func (t *Tree) moveHist(vr *vertexRec, c int) {
+	old := vr.hist
+	vr.hist = append(t.histBlock(c), old...)
+	oc := histClass(cap(old))
+	for len(t.histFree) <= oc {
+		t.histFree = append(t.histFree, nil)
+	}
+	t.histFree[oc] = append(t.histFree[oc], old[:0])
+}
+
+// HistoryRounds returns the rounds of contraction history the tree keeps:
+// live, the rounds its vertices are alive in (Σ death+1), and held, the
+// capacity of the blocks that store them plus the recycled blocks. O(n).
+func (t *Tree) HistoryRounds() (live, held int) {
+	for i := range t.verts {
+		live += len(t.verts[i].hist)
+		held += cap(t.verts[i].hist)
+	}
+	for c, free := range t.histFree {
+		held += len(free) * (histMinRounds << c)
+	}
+	return live, held
 }
 
 // AddVertices appends k isolated vertices and returns the id of the first.

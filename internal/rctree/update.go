@@ -326,6 +326,9 @@ func (t *Tree) commitNext(v, r int32) {
 		if int32(len(vr.hist)) != r+1 {
 			panic("rctree: non-contiguous hist extension")
 		}
+		if len(vr.hist) == cap(vr.hist) {
+			t.moveHist(vr, histClass(len(vr.hist)+1))
+		}
 		vr.hist = append(vr.hist, next)
 	default:
 		// Newly dead at r+1: queue the stale rounds' neighbours so they
@@ -338,6 +341,9 @@ func (t *Tree) commitNext(v, r int32) {
 			t.queueA(rr, v)
 		}
 		vr.hist = vr.hist[:r+1]
+		if n := int(r + 1); cap(vr.hist) > histMinRounds && 4*n <= cap(vr.hist) {
+			t.moveHist(vr, histClass(n))
+		}
 	}
 }
 

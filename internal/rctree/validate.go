@@ -32,6 +32,40 @@ func (t *Tree) Validate() error {
 	if baseCount != t.numBase {
 		return fmt.Errorf("numBase=%d but %d live base edges", t.numBase, baseCount)
 	}
+	// History store: blocks are allocated whole at a class size and only
+	// resliced from their start, so distinct first rounds mean disjoint
+	// storage.
+	owner := map[*vround]int32{} // a block's first round -> its vertex, nilVert if recycled
+	claim := func(b []vround, v int32) error {
+		p := &b[:1][0]
+		if prev, ok := owner[p]; ok {
+			return fmt.Errorf("history block shared by vertex %d and vertex %d (-1: recycled)", prev, v)
+		}
+		owner[p] = v
+		return nil
+	}
+	for c, free := range t.histFree {
+		for _, b := range free {
+			if len(b) != 0 || cap(b) != histMinRounds<<c {
+				return fmt.Errorf("recycled history block len %d cap %d in class %d", len(b), cap(b), c)
+			}
+			if err := claim(b, nilVert); err != nil {
+				return err
+			}
+		}
+	}
+	for v := int32(0); v < n; v++ {
+		h := t.verts[v].hist
+		// A whole block, more than a quarter full unless it is of the
+		// smallest class: waves grow it when full and shrink it at a
+		// quarter, so it holds at most 4× the vertex's live rounds.
+		if c := histClass(cap(h)); cap(h) != histMinRounds<<c || (c > 0 && 4*len(h) <= cap(h)) {
+			return fmt.Errorf("vertex %d: %d history rounds in a block of %d", v, len(h), cap(h))
+		}
+		if err := claim(h, v); err != nil {
+			return err
+		}
+	}
 	for v := int32(0); v < n; v++ {
 		vr := &t.verts[v]
 		if vr.death < 0 {

@@ -167,17 +167,43 @@ func TestWaveLocalityRecency(t *testing.T) {
 	}
 }
 
+// TestEngineHistoryFootprint pins the rake-compress tree's contraction
+// histories to the rounds its vertices live, which keeps them within the
+// O(n) space bound of batch-dynamic RC-trees. On the recency replay, the
+// history rounds held (blocks in use plus recycled ones) must stay within
+// 4× the live rounds, Σ(death+1). Keeping each vertex at the capacity of
+// the deepest round it ever reached held 8.7× the live rounds at n = 500
+// and 7.3× at n = 10000.
+func TestEngineHistoryFootprint(t *testing.T) {
+	for _, sh := range []struct{ n, window, l, steps int }{
+		{500, 2000, 32, 1000}, {10_000, 20_000, 512, 200},
+	} {
+		rp := newRecencyReplay(sh.n, sh.window, sh.l, 0x5EED)
+		m := NewBatchMSF(sh.n, 0x5EED)
+		for range sh.steps {
+			rp.stepEngine(m)
+		}
+		live, held := m.HistoryRounds()
+		t.Logf("n = %d, ℓ = %d: %d history rounds held for %d live (%.2f×)",
+			sh.n, sh.l, held, live, float64(held)/float64(live))
+		if held > 4*live {
+			t.Errorf("n = %d, ℓ = %d: %d history rounds held for %d live", sh.n, sh.l, held, live)
+		}
+	}
+}
+
 // TestEngineStepAllocs pins a steady-state engine step at zero allocations.
 // Once the recency replay (n = 500, W = 2000, ℓ = 32) has run through some
 // windows and every reused buffer has grown, one step — a batch plus eager
 // expiry — allocates nothing in core.BatchMSF or in the monitors built on
-// it. What still allocates is growth to a new high (a vertex contracted
-// deeper, or more live forest edges, than ever before), which becomes rarer
-// as the stream goes on: after 1000 warm-up steps it is under a third of
-// an allocation per step for each structure. msfweight's weights, 1 and 2,
-// keep its two occupied buckets occupied, so the measured steps neither
-// materialise nor retire a level (materialising builds a new engine, which
-// allocates); its levels run sequentially.
+// it. What still allocates is a new peak: more live forest edges than ever
+// before, or more rctree history blocks of one size class in use at once
+// (a vertex contracted deeper than before takes a recycled block). Peaks
+// get rarer as the stream goes on: after 1000 warm-up steps they cost
+// under a sixth of an allocation per step for each structure. msfweight's
+// weights, 1 and 2, keep its two occupied buckets occupied, so the
+// measured steps neither materialise nor retire a level (materialising
+// builds a new engine, which allocates); its levels run sequentially.
 func TestEngineStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
