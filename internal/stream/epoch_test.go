@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"encoding/json"
+	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +23,7 @@ type epochRefState struct {
 	kcertSize  int
 	kcertConn  int
 	stats      WindowStats // timing and epoch zeroed
+	epoch      uint64      // the window's epoch after the prefix
 }
 
 func captureRefState(t *testing.T, wm *WindowManager, pairs [][2]int32) epochRefState {
@@ -49,6 +54,7 @@ func captureRefState(t *testing.T, wm *WindowManager, pairs [][2]int32) epochRef
 	st.stats = wm.Stats()
 	st.stats.ApplyNS = 0
 	st.stats.Epoch = 0
+	st.epoch = wm.Stats().Epoch
 	return st
 }
 
@@ -63,7 +69,8 @@ func captureRefState(t *testing.T, wm *WindowManager, pairs [][2]int32) epochRef
 // monitor, but no query may ever observe a half-applied batch (an op's
 // insert without its expiry, or a partial batch), and the multi-read
 // surfaces (KCertInfo, QuerySummary) must be internally consistent — all
-// their fields from ONE prefix. CI runs this under -race, which
+// their fields from ONE prefix. A QuerySummary must match the reference
+// at exactly the op its epoch names. CI runs this under -race, which
 // additionally checks the fan-out region and the sw writer guards.
 func TestEpochConsistencyDifferential(t *testing.T) {
 	const (
@@ -246,16 +253,18 @@ func TestEpochConsistencyDifferential(t *testing.T) {
 		got.Epoch = 0
 		return func(st *epochRefState) bool { return st.stats == got }
 	})
-	// QuerySummary: EVERY monitor's answer from one epoch — the whole
-	// point of the seqlock read. All fields must match a single prefix
-	// jointly.
+	// QuerySummary: EVERY monitor's answer from one published record.
+	// All fields must match jointly the prefix whose epoch the summary
+	// carries: the reference runs the same schedule, so it reaches the
+	// same epochs after the same ops.
 	spawn("summary", func() func(*epochRefState) bool {
 		qs := live.QuerySummary()
 		if qs.Epoch&1 == 1 {
 			t.Error("QuerySummary returned an odd epoch")
 		}
 		return func(st *epochRefState) bool {
-			return st.components == *qs.Components &&
+			return st.epoch == qs.Epoch &&
+				st.components == *qs.Components &&
 				st.bipartite == *qs.Bipartite &&
 				st.msfweight == *qs.MSFWeight &&
 				st.cycle == *qs.HasCycle &&
@@ -277,10 +286,9 @@ func TestEpochConsistencyDifferential(t *testing.T) {
 	}
 }
 
-// TestQuerySummaryConsistentUnderWriter pins the seqlock fallback: with a
-// writer saturating the window (back-to-back applies), QuerySummary must
-// still return (via the writerMu fallback if needed) and must never
-// return an odd epoch.
+// TestQuerySummaryConsistentUnderWriter: with a writer saturating the
+// window (back-to-back applies), QuerySummary must keep returning whole
+// summaries of the configured monitors and never an odd epoch.
 func TestQuerySummaryConsistentUnderWriter(t *testing.T) {
 	wm, err := NewWindowManager(WindowConfig{N: 60, Seed: 3, MaxArrivals: 200})
 	if err != nil {
@@ -312,4 +320,97 @@ func TestQuerySummaryConsistentUnderWriter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestScalarReadsDoNotWaitForApply holds an apply inside the fan-out — on
+// the msfweight slot in one subtest, on the forest slot in the other,
+// with the slot's write lock held — and checks that components, cycle,
+// bipartite, msfweight and the summary answer meanwhile, all from the
+// epoch before the held apply. Once it is released they all move to the
+// next one.
+func TestScalarReadsDoNotWaitForApply(t *testing.T) {
+	for _, slot := range []string{MonitorMSFWeight, SlotForest} {
+		t.Run(slot, func(t *testing.T) { testScalarReadsDoNotWaitForApply(t, slot) })
+	}
+}
+
+func testScalarReadsDoNotWaitForApply(t *testing.T, slot string) {
+	wm, err := NewWindowManager(WindowConfig{N: 8, Seed: 5, Monitor: MonitorConfig{MaxWeight: 1 << 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The path 0-1-2-3: a forest, so bipartite and cycle-free.
+	if err := wm.Apply([]Edge{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 5}, {U: 2, V: 3, W: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	before := wm.QuerySummary()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	wm.setApplyCheck(func(s string) {
+		if s == slot {
+			close(held)
+			<-release
+		}
+	})
+	// The chord 0-2 closes a triangle and 4-5 joins two more vertices, so
+	// every scalar answer changes.
+	applied := make(chan error, 1)
+	go func() { applied <- wm.Apply([]Edge{{U: 0, V: 2, W: 11}, {U: 4, V: 5, W: 13}}) }()
+	<-held
+	if s := wm.mux.slots[slices.Index(wm.mux.slotNames(), slot)]; s.mu.TryRLock() {
+		s.mu.RUnlock()
+		t.Fatalf("the %s slot's lock is free during its apply", slot)
+	}
+
+	type reads struct {
+		sum        QuerySummary
+		components int
+		cycle      bool
+		bipartite  bool
+		weight     float64
+		err        error
+	}
+	read := func() reads {
+		r := reads{sum: wm.QuerySummary()}
+		var errs [4]error
+		r.components, errs[0] = wm.NumComponents()
+		r.cycle, errs[1] = wm.HasCycle()
+		r.bipartite, errs[2] = wm.IsBipartite()
+		r.weight, errs[3] = wm.MSFWeight()
+		r.err = errors.Join(errs[:]...)
+		return r
+	}
+	got := make(chan reads, 1)
+	go func() { got <- read() }()
+	var r reads
+	select {
+	case r = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("scalar reads waited for the apply held on the %s slot", slot)
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !reflect.DeepEqual(r.sum, before) || r.components != *before.Components || r.cycle != *before.HasCycle ||
+		r.bipartite != *before.Bipartite || r.weight != *before.MSFWeight {
+		got, _ := json.Marshal(r.sum)
+		want, _ := json.Marshal(before)
+		t.Fatalf("reads during the held apply: components %d, cycle %v, bipartite %v, msfweight %v, summary %s; want the answers before it: %s",
+			r.components, r.cycle, r.bipartite, r.weight, got, want)
+	}
+
+	unblock()
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	r = read()
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.sum.Epoch != before.Epoch+2 || r.components != 4 || !r.cycle || r.bipartite || r.weight <= *before.MSFWeight {
+		t.Fatalf("reads after the apply: epoch %d, components %d, cycle %v, bipartite %v, msfweight %v; want epoch %d, 4 components, a cycle, not bipartite, more weight than %v",
+			r.sum.Epoch, r.components, r.cycle, r.bipartite, r.weight, before.Epoch+2, *before.MSFWeight)
+	}
 }

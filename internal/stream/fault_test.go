@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -390,9 +391,9 @@ func TestKillWhileDegradedIsLoud(t *testing.T) {
 // no rebuild escape hatch: an unbounded window retains no live edges, so a
 // panicking slot is quarantined permanently — the queries of every monitor
 // it answers fail with ErrMonitorQuarantined (conn and cyclefree read the
-// one forest), the sibling slots of the same window and every other window
-// keep answering, and the quarantine is machine-readable in the query
-// summary.
+// one forest, and bipartite reads c(G) from it), the msfweight slot of the
+// same window and every other window keep answering, and the quarantine is
+// machine-readable in the query summary.
 func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	inj := fault.NewInjector(nil, 1)
 	reg := NewRegistry(RegistryConfig{
@@ -451,17 +452,24 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	if _, err := w1.Window().HasCycle(); !errors.Is(err, ErrMonitorQuarantined) {
 		t.Fatalf("HasCycle on quarantined monitor: err=%v, want ErrMonitorQuarantined", err)
 	}
-	// Sibling slots of the same window keep answering.
-	if b, err := w1.Window().IsBipartite(); err != nil || !b {
-		t.Fatalf("bipartite on w1 = %v, %v; the batch is a forest, want true", b, err)
+	// Bipartite compares the cover's count with the forest's, so the
+	// forest's quarantine takes it too, and the error names the forest.
+	if _, err := w1.Window().IsBipartite(); !errors.Is(err, ErrMonitorQuarantined) ||
+		!strings.Contains(err.Error(), "slot "+SlotForest) {
+		t.Fatalf("IsBipartite with the forest quarantined: err=%v, want ErrMonitorQuarantined naming slot %s", err, SlotForest)
 	}
-	if _, err := w1.Window().MSFWeight(); err != nil {
-		t.Fatalf("msfweight on w1: %v", err)
+	// The msfweight slot of the same window keeps answering.
+	if wt, err := w1.Window().MSFWeight(); err != nil || wt <= 0 {
+		t.Fatalf("msfweight on w1 = %v, %v; want the batch's positive weight", wt, err)
 	}
 	// The consistent summary serves what it can and names the hole.
 	sum := w1.Window().QuerySummary()
 	if len(sum.Quarantined) != 1 || sum.Quarantined[0] != SlotForest {
 		t.Fatalf("summary quarantined list: %+v", sum.Quarantined)
+	}
+	if sum.Bipartite != nil || sum.Components != nil || sum.MSFWeight == nil {
+		t.Fatalf("summary with the forest quarantined: bipartite %v, components %v, msfweight %v; want only msfweight",
+			sum.Bipartite, sum.Components, sum.MSFWeight)
 	}
 	// The other window is a separate fault domain: fully healthy.
 	if len(w2.Window().Quarantined()) != 0 {
@@ -477,7 +485,9 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 // unexpired suffix into a fresh monitor and swaps it in — queries return
 // and answer exactly like an uninterrupted reference, no restart needed.
 // It panics msfweight, and then the forest slot, whose rebuild must come
-// back at the same order (K = 3 here) for cycle and kcert to match.
+// back at the same order (K = 3 here) for cycle and kcert to match. The
+// forest case streams a bipartite graph: bipartite reads c(G) from the
+// forest, so it must come back true with the rebuilt forest's count.
 func TestApplyPanicRebuildRestores(t *testing.T) {
 	for _, slot := range []string{MonitorMSFWeight, SlotForest} {
 		t.Run(slot, func(t *testing.T) { testApplyPanicRebuildRestores(t, slot) })
@@ -513,13 +523,14 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
+	bipartite := slot == SlotForest
 	step := func() {
 		k := 1 + rng.Intn(24)
 		batch := make([]Edge, k)
 		for i := range batch {
 			u := int32(rng.Intn(n))
 			v := int32(rng.Intn(n))
-			for v == u {
+			for v == u || bipartite && (u-v)%2 == 0 {
 				v = int32(rng.Intn(n))
 			}
 			batch[i] = Edge{U: u, V: v, W: 1 + rng.Int63n(1<<10), T: clock.Now()}
@@ -564,7 +575,11 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 	for i := range pairs {
 		pairs[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
 	}
-	diffAnswers(t, "post-rebuild", answersOf(t, ref, pairs), answersOf(t, svc.Window(), pairs))
+	got := answersOf(t, svc.Window(), pairs)
+	diffAnswers(t, "post-rebuild", answersOf(t, ref, pairs), got)
+	if bipartite && !got.bipartite {
+		t.Fatal("post-rebuild: a window of even-odd edges reads non-bipartite")
+	}
 
 	// And the window stays live: more stream, still reference-equal.
 	for i := 0; i < 10; i++ {

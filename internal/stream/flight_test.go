@@ -66,6 +66,44 @@ func TestFlightRecorderAllocs(t *testing.T) {
 	if qallocs != 0 {
 		t.Errorf("traced IsConnected = %.1f allocs/op, want 0", qallocs)
 	}
+	rallocs := testing.AllocsPerRun(500, func() {
+		if _, err := w.IsBipartite(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rallocs != 0 {
+		t.Errorf("traced IsBipartite = %.1f allocs/op, want 0", rallocs)
+	}
+}
+
+// TestRecordReadTraces pins the query traces of the two read paths: a
+// scalar read from the published answers commits one exec span on the
+// slot that answers it and no lock-wait span; a connected read still
+// waits for the forest slot's read lock and times it.
+func TestRecordReadTraces(t *testing.T) {
+	reg, svc := newFlightService(t, RegistryConfig{})
+	w := svc.Window()
+	latest := func() trace.View {
+		t.Helper()
+		qs := reg.Flight().Traces(trace.Filter{Kind: "query"})
+		if len(qs) == 0 {
+			t.Fatal("no query trace committed")
+		}
+		return qs[0]
+	}
+	if _, err := w.IsBipartite(); err != nil {
+		t.Fatal(err)
+	}
+	if v := latest(); len(v.Spans) != 1 || v.Spans[0].Name != "exec" || v.Spans[0].Monitor != MonitorBipartite {
+		t.Fatalf("IsBipartite trace spans %+v, want one exec span on the bipartite slot", v.Spans)
+	}
+	if _, err := w.IsConnected(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	v := latest()
+	if last := v.Spans[len(v.Spans)-1]; last.Name != "exec" || last.Monitor != SlotForest {
+		t.Fatalf("IsConnected trace spans %+v, want the exec span on the forest slot", v.Spans)
+	}
 }
 
 // TestFlightRecorderConcurrent hammers the recorder from every direction at

@@ -15,14 +15,17 @@ import (
 )
 
 // TestForestViewsMatchOracles checks the forest slot's views — conn,
-// cyclefree and kcert read one k-certificate — against brute force over
-// the live window after every op of a seeded schedule with parallel edges
-// and count expiry, for monitor sets that give the forest orders 1, 2 and
-// 3. The oracles never run the engine: union-find for connectivity and
-// components, the edge count for cycles, Stoer–Wagner on the raw live
-// edges for min(K, λ), and a newest-first greedy decomposition for the
-// certificate's size. It also pins the fan-out layout: slot names in
-// order, and the forest's order — its count of core.BatchMSF instances.
+// cyclefree and kcert read one k-certificate, and bipartite compares its
+// double cover with the forest's count — against brute force over the
+// live window after every op of a seeded schedule with parallel edges and
+// count expiry, for monitor sets that give the forest orders 1, 2 and 3.
+// The oracles never run the engine: union-find for connectivity and
+// components, the edge count for cycles, BFS 2-colouring for
+// bipartiteness, Stoer–Wagner on the raw live edges for min(K, λ), and a
+// newest-first greedy decomposition for the certificate's size. It also
+// pins the fan-out layout: slot names in order, the forest's order, and
+// the core.BatchMSF instances outside msfweight's levels (one per forest
+// level, one for the double cover).
 func TestForestViewsMatchOracles(t *testing.T) {
 	const (
 		n      = 10
@@ -35,17 +38,21 @@ func TestForestViewsMatchOracles(t *testing.T) {
 		k        int      // MonitorConfig.K
 		slots    []string // fan-out order
 		order    int      // the forest's certificate order
+		engines  int      // core.BatchMSF instances outside msfweight
 	}{
-		{[]string{MonitorConn}, 2, forestOnly, 1},
-		{[]string{MonitorCycleFree}, 2, forestOnly, 2},
-		{[]string{MonitorConn, MonitorCycleFree}, 2, forestOnly, 2},
-		{[]string{MonitorKCert, MonitorCycleFree}, 1, forestOnly, 2},
-		{[]string{MonitorKCert, MonitorConn}, 3, forestOnly, 3},
-		{AllMonitors(), 2, []string{SlotForest, MonitorBipartite, MonitorMSFWeight}, 2},
-		{[]string{MonitorConn, MonitorKCert, MonitorCycleFree}, 2, forestOnly, 2},
-		{[]string{MonitorCycleFree, MonitorKCert}, 3, forestOnly, 3},
+		{[]string{MonitorConn}, 2, forestOnly, 1, 1},
+		{[]string{MonitorCycleFree}, 2, forestOnly, 2, 2},
+		{[]string{MonitorConn, MonitorCycleFree}, 2, forestOnly, 2, 2},
+		{[]string{MonitorKCert, MonitorCycleFree}, 1, forestOnly, 2, 2},
+		{[]string{MonitorKCert, MonitorConn}, 3, forestOnly, 3, 3},
+		{AllMonitors(), 2, []string{SlotForest, MonitorBipartite, MonitorMSFWeight}, 2, 3},
+		{[]string{MonitorConn, MonitorKCert, MonitorCycleFree}, 2, forestOnly, 2, 2},
+		{[]string{MonitorCycleFree, MonitorKCert}, 3, forestOnly, 3, 3},
 		// The forest-queries benchmark workload.
-		{[]string{MonitorConn, MonitorBipartite, MonitorKCert, MonitorCycleFree}, 2, []string{SlotForest, MonitorBipartite}, 2},
+		{[]string{MonitorConn, MonitorBipartite, MonitorKCert, MonitorCycleFree}, 2, []string{SlotForest, MonitorBipartite}, 2, 3},
+		// Bipartite alone still gets the forest that holds c(G).
+		{[]string{MonitorBipartite}, 2, []string{SlotForest, MonitorBipartite}, 1, 2},
+		{[]string{MonitorMSFWeight, MonitorBipartite}, 2, []string{MonitorMSFWeight, SlotForest, MonitorBipartite}, 1, 2},
 	}
 	for ci, tc := range cases {
 		t.Run(fmt.Sprintf("%v/K=%d", tc.monitors, tc.k), func(t *testing.T) {
@@ -64,6 +71,9 @@ func TestForestViewsMatchOracles(t *testing.T) {
 			}
 			if got := forestOrder(wm); got != tc.order {
 				t.Fatalf("forest order %d, want %d", got, tc.order)
+			}
+			if got := engines(wm); got != tc.engines {
+				t.Fatalf("%d core.BatchMSF instances outside msfweight, want %d", got, tc.engines)
 			}
 			has := func(name string) bool { return slices.Contains(tc.monitors, name) }
 			r := rand.New(rand.NewSource(int64(100 + ci)))
@@ -167,6 +177,23 @@ func checkForestViews(t *testing.T, tag string, wm *WindowManager, has func(stri
 		}
 	}
 
+	if has(MonitorBipartite) {
+		want := twoColourable(n, live)
+		got, err := wm.IsBipartite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || sum.Bipartite == nil || *sum.Bipartite != want {
+			t.Fatalf("%s: bipartite %v (summary %v), want %v", tag, got, sum.Bipartite, want)
+		}
+	} else {
+		_, err := wm.IsBipartite()
+		noMonitor("bipartite", err)
+		if sum.Bipartite != nil {
+			t.Fatalf("%s: summary carries bipartite without bipartite", tag)
+		}
+	}
+
 	if has(MonitorKCert) {
 		size, conn, err := wm.KCertInfo()
 		if err != nil {
@@ -218,6 +245,48 @@ func greedyCertificateSize(n, k int, live []Edge) int {
 		rest = next
 	}
 	return size
+}
+
+// twoColourable reports whether the graph admits a proper 2-colouring,
+// by BFS from every uncoloured vertex.
+func twoColourable(n int, edges []Edge) bool {
+	adj := make([][]int32, n)
+	for _, e := range edges {
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
+	}
+	colour := make([]int8, n) // 0 uncoloured, else ±1
+	for s := range colour {
+		if colour[s] != 0 {
+			continue
+		}
+		colour[s] = 1
+		queue := []int32{int32(s)}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range adj[u] {
+				switch colour[v] {
+				case 0:
+					colour[v] = -colour[u]
+					queue = append(queue, v)
+				case colour[u]:
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// engines counts the window's core.BatchMSF instances outside msfweight's
+// levels: one per forest level and one for the double cover.
+func engines(wm *WindowManager) int {
+	total := forestOrder(wm)
+	if _, ok := wm.mux.byName[MonitorBipartite]; ok {
+		total++
+	}
+	return total
 }
 
 // forestOrder returns the order of the forest slot's certificate, 0 when

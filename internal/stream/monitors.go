@@ -31,9 +31,10 @@ func (c *MonitorConfig) withDefaults() MonitorConfig {
 	return out
 }
 
-// slotOf maps each monitor name to the fan-out slot that answers it: conn,
-// kcert and cyclefree are views of one maximal spanning forest
-// decomposition, so they share the forest slot.
+// slotOf maps each monitor name to its fan-out slot: conn, kcert and
+// cyclefree are views of one maximal spanning forest decomposition, so they
+// share the forest slot. The bipartite slot keeps the double cover, whose
+// answer also reads the forest slot's count (NewMultiplexer adds it).
 var slotOf = map[string]string{
 	MonitorConn:      SlotForest,
 	MonitorKCert:     SlotForest,
@@ -58,7 +59,7 @@ func (m *Multiplexer) newMonitor(s *monitorSlot) Monitor {
 	case SlotForest:
 		return newForestMonitor(m.names, m.n, m.cfg.K, s.seed)
 	case MonitorBipartite:
-		return &bipartiteMonitor{b: sw.NewBipartite(m.n, s.seed)}
+		return &coverMonitor{d: sw.NewDoubleCover(m.n, s.seed^0x5bd1e995)}
 	default:
 		a := sw.NewApproxMSF(m.n, m.cfg.Eps, m.cfg.MaxWeight, s.seed)
 		// The level fork-join borrows from the window's (or registry's)
@@ -78,15 +79,15 @@ func appendStreamEdges(buf []sw.StreamEdge, edges []Edge) []sw.StreamEdge {
 }
 
 // forestMonitor is the forest slot: one sliding-window k-certificate
-// (Theorem 5.5) whose views answer three monitors. conn reads F_1, the
+// (Theorem 5.5) whose views answer four monitors. conn reads F_1, the
 // eager connectivity forest of Theorem 5.2; cyclefree reads |F_2| > 0
-// (Theorem 5.6); kcert reads F_1, ..., F_K. The certificate's order is the
-// largest any configured view needs: 1 for conn, 2 for cyclefree, K for
-// kcert — so a conn-only window keeps exactly one forest.
+// (Theorem 5.6); kcert reads F_1, ..., F_K; bipartite reads
+// c(G) = n − |F_1| (Theorem 5.3, beside the bipartite slot's cover). The
+// certificate's order is the largest any configured view needs: 1 for
+// conn and bipartite, 2 for cyclefree, K for kcert — so a conn-only
+// window keeps exactly one forest.
 type forestMonitor struct {
-	kc    *sw.KCert
-	conn  bool // conn is configured
-	cycle bool // cyclefree is configured
+	kc *sw.KCert
 	// k is the kcert view's order K, 0 when kcert is not configured. The
 	// view reads F_1, ..., F_K only: cyclefree may keep F_2 beyond K = 1.
 	k       int
@@ -98,10 +99,10 @@ func newForestMonitor(names []string, n, k int, seed uint64) *forestMonitor {
 	order := 0
 	for _, name := range names {
 		switch name {
-		case MonitorConn:
-			m.conn, order = true, max(order, 1)
+		case MonitorConn, MonitorBipartite:
+			order = max(order, 1)
 		case MonitorCycleFree:
-			m.cycle, order = true, max(order, 2)
+			order = max(order, 2)
 		case MonitorKCert:
 			m.k, order = k, max(order, k)
 		}
@@ -116,37 +117,31 @@ func (m *forestMonitor) BatchInsert(edges []Edge) {
 }
 func (m *forestMonitor) BatchExpire(delta int) { m.kc.BatchExpire(delta) }
 
-func (m *forestMonitor) summarize(res *QuerySummary) {
-	if m.conn {
-		cc := m.kc.NumComponents()
-		res.Components = &cc
-	}
-	if m.cycle {
-		hc := m.kc.HasCycle()
-		res.HasCycle = &hc
+func (m *forestMonitor) summarize(a *answers) {
+	a.components = m.kc.NumComponents()
+	if m.kc.K() > 1 {
+		a.cycle = m.kc.HasCycle()
 	}
 	if m.k > 0 {
-		sz := m.kc.SizeUpTo(m.k)
-		res.CertificateSize = &sz
+		a.kcertSize = m.kc.SizeUpTo(m.k)
 	}
 }
 
-// bipartiteMonitor wraps sliding-window bipartiteness (Theorem 5.3).
-type bipartiteMonitor struct {
-	b       *sw.Bipartite
+// coverMonitor is the bipartite slot: the window graph's double cover. The
+// bipartite answer compares its count with the forest slot's (Theorem 5.3),
+// so the forest keeps the other half of the test.
+type coverMonitor struct {
+	d       *sw.DoubleCover
 	scratch []sw.StreamEdge
 }
 
-func (m *bipartiteMonitor) BatchInsert(edges []Edge) {
+func (m *coverMonitor) BatchInsert(edges []Edge) {
 	m.scratch = appendStreamEdges(m.scratch[:0], edges)
-	m.b.BatchInsert(m.scratch)
+	m.d.BatchInsert(m.scratch)
 }
-func (m *bipartiteMonitor) BatchExpire(delta int) { m.b.BatchExpire(delta) }
+func (m *coverMonitor) BatchExpire(delta int) { m.d.BatchExpire(delta) }
 
-func (m *bipartiteMonitor) summarize(res *QuerySummary) {
-	b := m.b.IsBipartite()
-	res.Bipartite = &b
-}
+func (m *coverMonitor) summarize(a *answers) { a.coverComponents = m.d.NumComponents() }
 
 // msfWeightMonitor wraps the (1+ε)-approximate MSF weight structure
 // (Theorem 5.4). Weights are clamped into [1, MaxWeight] so arbitrary
@@ -179,7 +174,4 @@ func (m *msfWeightMonitor) BatchExpire(delta int) {
 	m.levels.Store(int64(m.a.LiveLevels()))
 }
 
-func (m *msfWeightMonitor) summarize(res *QuerySummary) {
-	wt := m.a.Weight()
-	res.MSFWeight = &wt
-}
+func (m *msfWeightMonitor) summarize(a *answers) { a.weight = m.a.Weight() }

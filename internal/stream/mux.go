@@ -21,11 +21,12 @@ import (
 // Each slot sits behind its own RWMutex. The window's single writer (see
 // WindowManager) applies a staged op — batch insert plus expiry — to
 // every slot under that slot's write lock, in parallel across slots by
-// default (parallel.Do); a query takes only the read lock of the slot
-// that answers it, so a connectivity probe blocks for at most the forest
-// slot's own apply, never the slowest slot's. Insert and expiry land under
-// one lock hold, so a reader always observes a whole number of staged ops
-// on its slot — never half a batch.
+// default (parallel.Do). The reads that need a structure rather than a
+// count — connected and kcert's certificate copy, both on the forest
+// slot — take that slot's read lock, so they block for at most the
+// forest's own apply, never the slowest slot's. Insert and expiry land
+// under one lock hold, so a reader always observes a whole number of
+// staged ops on its slot — never half a batch.
 //
 // The fan-out is also where apply time becomes observable: each slot
 // keeps a log₂ histogram of the time the writer spent holding (apply) and
@@ -42,7 +43,16 @@ type Multiplexer struct {
 	slots      []*monitorSlot
 	byName     map[string]*monitorSlot // configured monitor name → its slot
 	names      []string                // configured monitor names, deduplicated
+	forest     *monitorSlot            // the forest slot, nil when no monitor needs it
 	sequential bool
+
+	// The op being applied, read by every slot's apply: set by Apply
+	// before the fan-out starts and cleared after it joins. fanout holds
+	// each slot's apply, built once.
+	edges   []Edge
+	delta   int
+	traceID uint64
+	fanout  []func()
 
 	// Construction parameters, retained so a quarantined slot can be
 	// rebuilt bit-identically (same defaulted config and monitor names, so
@@ -87,12 +97,14 @@ type QuarantineInfo struct {
 
 // monitorSlot is one structure plus its lock and apply accounting.
 type monitorSlot struct {
-	mon    Monitor
-	name   string // slot name: SlotForest, MonitorBipartite or MonitorMSFWeight
-	idx    int    // fan-out position; the span Arg monitor-scoped spans carry
-	seed   uint64
-	mu     sync.RWMutex
-	labels pprof.LabelSet
+	mon  Monitor
+	name string // slot name: SlotForest, MonitorBipartite or MonitorMSFWeight
+	idx  int    // fan-out position; the span Arg monitor-scoped spans carry
+	seed uint64
+	mu   sync.RWMutex
+	// labels carries the pprof label monitor=<slot name>, set on the
+	// goroutine running this slot's apply.
+	labels context.Context
 
 	// quar is non-nil while the monitor is quarantined: an apply panicked
 	// mid-mutation, so the structure may be arbitrarily corrupt. Applies
@@ -132,8 +144,8 @@ type MonitorApplyStats struct {
 	Name string `json:"name"` // the slot name
 	// Ops counts applied staged ops (batch inserts and/or expiries).
 	Ops int64 `json:"ops"`
-	// ApplyNS is the cumulative time the writer held this monitor's write
-	// lock — the window a query on this monitor can block for.
+	// ApplyNS is the cumulative time the writer held this slot's write
+	// lock — the window a lock-path query on this slot can block for.
 	ApplyNS int64 `json:"apply_ns"`
 	// WaitNS is the cumulative time the writer waited to acquire the
 	// write lock (in-flight readers of this monitor hold it out).
@@ -165,6 +177,16 @@ func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, seque
 		workers:    workers,
 	}
 	bySlot := make(map[string]*monitorSlot, len(slotOf))
+	slotFor := func(slot string, i int) *monitorSlot {
+		s := bySlot[slot]
+		if s == nil {
+			s = &monitorSlot{name: slot, idx: len(m.slots), seed: seed + uint64(i)*0x9e3779b97f4a7c15 + 1,
+				labels: pprof.WithLabels(context.Background(), pprof.Labels("monitor", slot))}
+			m.slots = append(m.slots, s)
+			bySlot[slot] = s
+		}
+		return s
+	}
 	for i, name := range names {
 		if _, dup := m.byName[name]; dup {
 			continue
@@ -174,18 +196,19 @@ func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, seque
 			return nil, fmt.Errorf("stream: unknown monitor %q", name)
 		}
 		m.names = append(m.names, name)
-		s := bySlot[slot]
-		if s == nil {
-			s = &monitorSlot{name: slot, idx: len(m.slots), seed: seed + uint64(i)*0x9e3779b97f4a7c15 + 1, labels: pprof.Labels("monitor", slot)}
-			m.slots = append(m.slots, s)
-			bySlot[slot] = s
+		if name == MonitorBipartite {
+			// Theorem 5.3 compares the cover's count with c(G), which the
+			// forest keeps.
+			slotFor(SlotForest, i)
 		}
-		m.byName[name] = s
+		m.byName[name] = slotFor(slot, i)
 	}
+	m.forest = bySlot[SlotForest]
 	// Built once every name is known: the forest's order depends on all
 	// of its views.
 	for _, s := range m.slots {
 		s.mon = m.newMonitor(s)
+		m.fanout = append(m.fanout, func() { m.applySlot(s) })
 	}
 	return m, nil
 }
@@ -233,90 +256,78 @@ func (m *Multiplexer) Apply(edges []Edge, delta int, traceID uint64) {
 	if len(edges) == 0 && delta <= 0 {
 		return
 	}
-	one := func(s *monitorSlot) {
-		if s.quar.Load() != nil {
-			// Quarantined: the structure is corrupt; feeding it more ops
-			// would only deepen the damage. The rebuild catches this slot
-			// up from the live ring afterwards.
-			s.lastWaitNS, s.lastApplyNS = 0, 0
-			return
-		}
-		pprof.Do(context.Background(), s.labels, func(context.Context) {
-			t0 := time.Now()
-			s.mu.Lock()
-			t1 := time.Now()
-			// The mutation runs inside its own frame so a panic anywhere in
-			// the monitor (internal/sw and internal/rctree panic liberally
-			// on invariant violations) is converted into a quarantine while
-			// the write lock is STILL HELD — the quarantine marker is
-			// published before any reader can acquire the lock and observe
-			// the half-mutated structure.
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						reason, stack := describePanic(r)
-						q := &QuarantineInfo{Monitor: s.name, Reason: reason, Stack: stack, At: time.Now()}
-						s.quar.Store(q)
-						m.quarTotal.Add(1)
-						if m.onQuarantine != nil {
-							m.onQuarantine(q)
-						}
-					}
-				}()
-				if m.applyCheck != nil {
-					m.applyCheck(s.name)
-				}
-				if len(edges) > 0 {
-					s.mon.BatchInsert(edges)
-				}
-				if delta > 0 {
-					s.mon.BatchExpire(delta)
-				}
-			}()
-			t2 := time.Now()
-			s.mu.Unlock()
-			s.lastWaitNS = t1.Sub(t0).Nanoseconds()
-			s.lastApplyNS = t2.Sub(t1).Nanoseconds()
-			s.waitH.ObserveVal(s.lastWaitNS)
-			s.applyH.ObserveVal(s.lastApplyNS)
-			s.waitShared.ObserveValTraced(s.lastWaitNS, traceID)
-			s.applyShared.ObserveValTraced(s.lastApplyNS, traceID)
-		})
-	}
+	m.edges, m.delta, m.traceID = edges, delta, traceID
 	if m.sequential || len(m.slots) <= 1 {
 		for _, s := range m.slots {
-			one(s)
+			m.applySlot(s)
 		}
 	} else {
-		fns := make([]func(), len(m.slots))
-		for i, s := range m.slots {
-			fns[i] = func() { one(s) }
-		}
-		parallel.Do(fns...)
+		parallel.Do(m.fanout...)
 	}
+	m.edges = nil
+}
+
+// applySlot applies the current op to one slot under its write lock.
+func (m *Multiplexer) applySlot(s *monitorSlot) {
+	if s.quar.Load() != nil {
+		// Quarantined: the structure is corrupt; feeding it more ops
+		// would only deepen the damage. The rebuild catches this slot
+		// up from the live ring afterwards.
+		s.lastWaitNS, s.lastApplyNS = 0, 0
+		return
+	}
+	pprof.SetGoroutineLabels(s.labels)
+	defer pprof.SetGoroutineLabels(context.Background())
+	t0 := time.Now()
+	s.mu.Lock()
+	t1 := time.Now()
+	// The mutation runs inside its own frame so a panic anywhere in the
+	// monitor (internal/sw and internal/rctree panic liberally on
+	// invariant violations) is converted into a quarantine while the
+	// write lock is STILL HELD — the quarantine marker is published
+	// before any reader can acquire the lock and observe the half-mutated
+	// structure.
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				reason, stack := describePanic(r)
+				q := &QuarantineInfo{Monitor: s.name, Reason: reason, Stack: stack, At: time.Now()}
+				s.quar.Store(q)
+				m.quarTotal.Add(1)
+				if m.onQuarantine != nil {
+					m.onQuarantine(q)
+				}
+			}
+		}()
+		if m.applyCheck != nil {
+			m.applyCheck(s.name)
+		}
+		if len(m.edges) > 0 {
+			s.mon.BatchInsert(m.edges)
+		}
+		if m.delta > 0 {
+			s.mon.BatchExpire(m.delta)
+		}
+	}()
+	t2 := time.Now()
+	s.mu.Unlock()
+	s.lastWaitNS = t1.Sub(t0).Nanoseconds()
+	s.lastApplyNS = t2.Sub(t1).Nanoseconds()
+	s.waitH.ObserveVal(s.lastWaitNS)
+	s.applyH.ObserveVal(s.lastApplyNS)
+	s.waitShared.ObserveValTraced(s.lastWaitNS, m.traceID)
+	s.applyShared.ObserveValTraced(s.lastApplyNS, m.traceID)
 }
 
 // read runs fn on the slot's monitor under the read lock unless the slot
 // is quarantined, returning the quarantine record if it is (fn did NOT
-// run). The check happens under the read lock: a quarantine is published
-// while the apply still holds the write lock, so a reader that sees no
-// record holds a monitor no panic has touched. fn runs concurrently with
-// other readers and with applies to OTHER slots; it waits out only an
-// in-flight apply to this one.
-func (s *monitorSlot) read(fn func(Monitor)) *QuarantineInfo {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if q := s.quar.Load(); q != nil {
-		return q
-	}
-	fn(s.mon)
-	return nil
-}
-
-// readTimed is read plus query-span timing: how long fn waited for the
-// read lock (the time an in-flight apply held it out) and how long fn
-// ran. Three extra clock reads; the untraced query path keeps using read.
-func (s *monitorSlot) readTimed(fn func(Monitor)) (waitNS, execNS int64, q *QuarantineInfo) {
+// run), with how long fn waited for the lock (the time an in-flight apply
+// held it out) and how long it ran. The check happens under the read
+// lock: a quarantine is published while the apply still holds the write
+// lock, so a reader that sees no record holds a monitor no panic has
+// touched. fn runs concurrently with other readers and with applies to
+// OTHER slots; it waits out only an in-flight apply to this one.
+func (s *monitorSlot) read(fn func(Monitor)) (waitNS, execNS int64, q *QuarantineInfo) {
 	t0 := time.Now()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -368,11 +379,14 @@ func (m *Multiplexer) claimRebuilds() []*monitorSlot {
 }
 
 // swapMonitor installs the rebuilt monitor and lifts the quarantine. The
-// swap happens under the slot's write lock, so readers move atomically from
-// "503 quarantined" to the healthy replacement.
-func (m *Multiplexer) swapMonitor(s *monitorSlot, mon Monitor) {
+// swap happens under the slot's write lock, so lock-path readers move
+// atomically from "503 quarantined" to the healthy replacement. publish
+// runs after the install and before the lift, so the answers a read sees
+// once the quarantine is gone already come from the replacement.
+func (m *Multiplexer) swapMonitor(s *monitorSlot, mon Monitor, publish func()) {
 	s.mu.Lock()
 	s.mon = mon
+	publish()
 	s.quar.Store(nil)
 	s.mu.Unlock()
 	m.quarTotal.Add(-1)

@@ -840,10 +840,9 @@ func (s *Server) handleKCert(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSummary is the consistent multi-monitor read: every answer in the
-// response corresponds to the same apply epoch (the same prefix of
-// applied batches), via the window's seqlock retry — with per-monitor
-// locking, issuing the individual queries separately could interleave
-// with an in-flight fan-out.
+// response comes from one published record, so all correspond to the same
+// apply epoch (the same prefix of applied batches); separate queries could
+// straddle an apply.
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	svc := s.service(w, r)
 	if svc == nil {

@@ -79,9 +79,8 @@ type Monitor interface {
 	BatchInsert(edges []Edge)
 	// BatchExpire expires the oldest delta arrivals.
 	BatchExpire(delta int)
-	// summarize fills the QuerySummary fields of the configured monitors
-	// this slot answers.
-	summarize(res *QuerySummary)
+	// summarize fills this slot's fields of an epoch's published answers.
+	summarize(a *answers)
 }
 
 // Monitor names accepted in Config.Monitors.

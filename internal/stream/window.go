@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,6 +103,28 @@ type WindowStats struct {
 	Epoch uint64 `json:"epoch"`
 }
 
+// answers is one epoch's scalar answers, built by the writer from every
+// healthy slot once the fan-out has joined and never modified after it is
+// published, so every field describes the same prefix of staged ops.
+type answers struct {
+	epoch uint64
+	// Forest slot: components is c(G) = n − |F_1|, kept without conn too,
+	// since bipartite reads it.
+	components      int
+	cycle           bool
+	kcertSize       int
+	coverComponents int // bipartite slot: c(D(G))
+	weight          float64
+	bipartite       bool // c(D(G)) == 2·c(G), Theorem 5.3
+	// quar is each slot's quarantine record by fan-out index (one entry per
+	// AllSlots name), nil while healthy. A quarantined slot's answers are
+	// absent, and bipartite's when either of its two slots is.
+	quar [3]*QuarantineInfo
+}
+
+// noAnswers is what a failed read returns beside its error.
+var noAnswers = &answers{}
+
 // QuerySummary is one consistent multi-monitor read: every field reflects
 // the same apply epoch, i.e. the same prefix of staged ops (see
 // WindowManager.QuerySummary). Fields for monitors the window does not
@@ -116,7 +137,8 @@ type QuerySummary struct {
 	HasCycle        *bool    `json:"cycle,omitempty"`
 	CertificateSize *int     `json:"kcert_size,omitempty"`
 	// Quarantined lists the slots (forest = conn, cyclefree and kcert)
-	// isolated after an apply panic; their fields above stay nil.
+	// isolated after an apply panic; their fields above stay nil, and a
+	// forest quarantine also takes bipartite, which reads c(G) from it.
 	Quarantined []string `json:"quarantined,omitempty"`
 }
 
@@ -135,13 +157,15 @@ type QuerySummary struct {
 //     staging, never a monitor apply.
 //   - each fan-out slot has its own RWMutex inside the Multiplexer. The
 //     staged op is applied to every slot under that slot's lock (parallel
-//     fork-join by default), so a query — which takes only the read lock
-//     of the slot that answers it — blocks for at most that slot's own
-//     apply, not the slowest slot's.
-//   - epoch is a seqlock word published around the fan-out: odd while an
-//     op is being applied, even when every monitor reflects every staged
-//     op. Multi-monitor readers (QuerySummary) retry on it to get answers
-//     that all correspond to one op prefix.
+//     fork-join by default). Only the reads that need the forest itself —
+//     IsConnected and KCertInfo's certificate copy — take a lock, the
+//     forest slot's read lock, so they block for at most its own apply.
+//   - epoch is odd while an op is being applied, even once every monitor
+//     reflects every staged op. After the fan-out joins, the writer
+//     publishes one answers record stamped with the next even epoch. The
+//     scalar reads (NumComponents, HasCycle, IsBipartite, MSFWeight,
+//     QuerySummary) are one atomic load of it: they never wait for an
+//     apply, and all their answers correspond to one op prefix.
 //
 // Because the Multiplexer feeds every monitor every staged op, one
 // (tau, tw) pair describes the window of all monitors — uniform timestamp
@@ -195,9 +219,10 @@ type WindowManager struct {
 
 	stats WindowStats
 
-	// epoch is the seqlock word (see the type comment). Only the writer
-	// (under writerMu) advances it.
+	// epoch and ans: see the type comment. Only the writer (under
+	// writerMu) advances epoch and publishes ans.
 	epoch atomic.Uint64
+	ans   atomic.Pointer[answers]
 
 	// metrics is the telemetry bundle (noMetrics when disabled — never
 	// nil, so observation sites are branch-only when off). Installed by
@@ -262,6 +287,7 @@ func NewWindowManager(cfg WindowConfig) (*WindowManager, error) {
 				"window", cfg.Name, "monitor", q.Monitor, "reason", q.Reason)
 		}
 	})
+	w.publish(0, nil)
 	return w, nil
 }
 
@@ -470,6 +496,7 @@ func (w *WindowManager) Apply(batch []Edge) error {
 	w.mux.Apply(valid, delta, traceID)
 	applyNS := time.Since(applyStart).Nanoseconds()
 	m.applyInflight.Add(-1)
+	w.publish(w.epoch.Load()+1, nil)
 	w.epoch.Add(1)
 	if len(valid) > 0 {
 		w.coord.Lock()
@@ -624,6 +651,7 @@ func (w *WindowManager) ExpireByAge(now time.Time) int {
 	m.applyInflight.Add(1)
 	w.mux.Apply(nil, delta, 0)
 	m.applyInflight.Add(-1)
+	w.publish(w.epoch.Load()+1, nil)
 	w.epoch.Add(1)
 	w.kickRebuilds()
 	return delta
@@ -672,11 +700,6 @@ func (w *WindowManager) WindowLen() int64 {
 	return w.windowLenLocked()
 }
 
-// Epoch returns the current apply epoch: even = every staged op is fully
-// applied to every monitor, odd = a fan-out is in flight. Epoch/2 counts
-// completed ops.
-func (w *WindowManager) Epoch() uint64 { return w.epoch.Load() }
-
 // Stats snapshots the window counters. The counters are staging state
 // (mutually consistent under coord — they always describe a whole number
 // of staged ops); Epoch records whether the monitors had fully caught up
@@ -703,54 +726,108 @@ func (w *WindowManager) ApplyParallelism() int { return w.workers.Aux() + 1 }
 // behind, and how much readers pushed back on the writer.
 func (w *WindowManager) MonitorStats() []MonitorApplyStats { return w.mux.Stats() }
 
+// publish builds the scalar answers of every healthy slot, stamped with
+// epoch, and stores them for readers. Writer-only (under writerMu, or
+// before the window is shared), after the fan-out has joined, so the
+// monitors are read without their locks. lifting, when non-nil, is a
+// rebuilt slot about to leave quarantine: its replacement is read.
+func (w *WindowManager) publish(epoch uint64, lifting *monitorSlot) {
+	a := &answers{epoch: epoch}
+	for _, s := range w.mux.slots {
+		if q := s.quar.Load(); q != nil && s != lifting {
+			a.quar[s.idx] = q
+			continue
+		}
+		s.mon.summarize(a)
+	}
+	a.bipartite = a.coverComponents == 2*a.components
+	w.ans.Store(a)
+}
+
+// absent returns the quarantine record that keeps the named configured
+// monitor's answer out of a, nil when the answer is in.
+func (w *WindowManager) absent(a *answers, name string) *QuarantineInfo {
+	if name == MonitorBipartite {
+		if q := a.quar[w.mux.forest.idx]; q != nil {
+			return q
+		}
+	}
+	return a.quar[w.mux.byName[name].idx]
+}
+
+// published returns the latest published answers for a read of the named
+// monitor: one atomic load, so the read never waits for an apply. It
+// translates "not configured" into ErrNoMonitor and "a slot the answer
+// reads is quarantined" into ErrMonitorQuarantined (nudging the rebuild),
+// returning noAnswers beside the error. With the flight recorder wired,
+// the read commits a query trace with one exec span.
+func (w *WindowManager) published(name string) (*answers, error) {
+	s := w.mux.byName[name]
+	if s == nil {
+		return noAnswers, fmt.Errorf("%w: %s", ErrNoMonitor, name)
+	}
+	start := time.Now()
+	a := w.ans.Load()
+	if q := w.absent(a, name); q != nil {
+		return noAnswers, w.quarantineErr(name, q)
+	}
+	if qf := w.qflight; qf != nil {
+		traceQuery(qf, s.idx, start, 0, time.Since(start).Nanoseconds())
+	}
+	return a, nil
+}
+
 // readMonitor runs fn on the slot that answers the named monitor, under
 // that slot's read lock, translating "not configured" into ErrNoMonitor
 // and "quarantined after an apply panic" into ErrMonitorQuarantined (and
 // nudging the background rebuild, in case no apply has run since the
 // panic). When the flight recorder is wired, each query commits a
-// two-span trace (lock wait + execute) to the window's query ring — the
-// trace lives on the stack, so concurrent queries never contend on
-// anything but the ring slot.
+// two-span trace (lock wait + execute) to the window's query ring.
 func (w *WindowManager) readMonitor(name string, fn func(Monitor)) error {
 	s := w.mux.byName[name]
 	if s == nil {
 		return fmt.Errorf("%w: %s", ErrNoMonitor, name)
 	}
-	qf := w.qflight
-	if qf == nil {
-		return w.quarantineErr(name, s.read(fn))
-	}
 	start := time.Now()
-	waitNS, execNS, q := s.readTimed(fn)
+	waitNS, execNS, q := s.read(fn)
 	if q != nil {
 		return w.quarantineErr(name, q)
 	}
+	if qf := w.qflight; qf != nil {
+		traceQuery(qf, s.idx, start, waitNS, execNS)
+	}
+	return nil
+}
+
+// traceQuery commits a query's trace: a lock-wait span when it waited,
+// then its exec span, both on slot idx. The trace lives on the stack, so
+// concurrent queries never contend on anything but the ring slot.
+func traceQuery(qf *trace.Ring, idx int, start time.Time, waitNS, execNS int64) {
 	var t trace.Trace
 	t.Reset(trace.KindQuery)
 	t.Seq = qf.SeqNext()
 	t.StartNS = start.UnixNano()
 	if waitNS > 0 {
-		t.Add(trace.SpanLockWait, int32(s.idx), 0, waitNS)
+		t.Add(trace.SpanLockWait, int32(idx), 0, waitNS)
 	}
-	t.Add(trace.SpanExec, int32(s.idx), waitNS, execNS)
+	t.Add(trace.SpanExec, int32(idx), waitNS, execNS)
 	t.TotalNS = waitNS + execNS
 	qf.Commit(&t)
-	return nil
 }
 
 // quarantineErr wraps a quarantine record met by a read of the named
-// monitor into ErrMonitorQuarantined, nudging the background rebuild; nil
-// for no record.
+// monitor into ErrMonitorQuarantined, naming the quarantined slot, and
+// nudges the background rebuild; nil for no record.
 func (w *WindowManager) quarantineErr(name string, q *QuarantineInfo) error {
 	if q == nil {
 		return nil
 	}
 	w.kickRebuilds()
-	return fmt.Errorf("%w: %s: %s", ErrMonitorQuarantined, name, q.Reason)
+	return fmt.Errorf("%w: %s: slot %s: %s", ErrMonitorQuarantined, name, q.Monitor, q.Reason)
 }
 
 // IsConnected reports window connectivity of u and v (conn monitor: the
-// forest's F_1).
+// forest's F_1), under the forest slot's read lock.
 func (w *WindowManager) IsConnected(u, v int32) (bool, error) {
 	if u < 0 || int(u) >= w.cfg.N || v < 0 || int(v) >= w.cfg.N {
 		return false, fmt.Errorf("stream: vertex out of range [0, %d)", w.cfg.N)
@@ -763,31 +840,25 @@ func (w *WindowManager) IsConnected(u, v int32) (bool, error) {
 }
 
 // NumComponents returns the number of connected components of the window
-// graph (conn monitor: n − |F_1|).
+// graph (conn monitor: n − |F_1|), from the published answers.
 func (w *WindowManager) NumComponents() (int, error) {
-	var ans int
-	err := w.readMonitor(MonitorConn, func(m Monitor) {
-		ans = m.(*forestMonitor).kc.NumComponents()
-	})
-	return ans, err
+	a, err := w.published(MonitorConn)
+	return a.components, err
 }
 
-// IsBipartite reports whether the window graph is bipartite.
+// IsBipartite reports whether the window graph is bipartite (Theorem 5.3:
+// the double cover has twice the forest's component count), from the
+// published answers.
 func (w *WindowManager) IsBipartite() (bool, error) {
-	var ans bool
-	err := w.readMonitor(MonitorBipartite, func(m Monitor) {
-		ans = m.(*bipartiteMonitor).b.IsBipartite()
-	})
-	return ans, err
+	a, err := w.published(MonitorBipartite)
+	return a.bipartite, err
 }
 
-// MSFWeight returns the (1+ε)-approximate MSF weight of the window graph.
+// MSFWeight returns the (1+ε)-approximate MSF weight of the window graph,
+// from the published answers.
 func (w *WindowManager) MSFWeight() (float64, error) {
-	var ans float64
-	err := w.readMonitor(MonitorMSFWeight, func(m Monitor) {
-		ans = m.(*msfWeightMonitor).a.Weight()
-	})
-	return ans, err
+	a, err := w.published(MonitorMSFWeight)
+	return a.weight, err
 }
 
 // edgeConnectivity is KCertInfo's min-cut, a variable for tests to hold.
@@ -796,7 +867,7 @@ var edgeConnectivity = mincut.EdgeConnectivity
 // KCertInfo returns the k-certificate size and min(K, edge connectivity),
 // both from one copy of F_1, ..., F_K taken under ONE read-lock hold. The
 // min-cut runs on the copy after the lock is released, so neither the
-// forest's apply nor the conn and cycle reads behind it wait it out.
+// forest's apply nor the conn reads behind it wait it out.
 func (w *WindowManager) KCertInfo() (size, conn int, err error) {
 	k := w.mux.cfg.K
 	var cert []wgraph.Edge
@@ -810,66 +881,48 @@ func (w *WindowManager) KCertInfo() (size, conn int, err error) {
 }
 
 // HasCycle reports whether the window graph contains a cycle (cyclefree
-// monitor: |F_2| > 0).
+// monitor: |F_2| > 0), from the published answers.
 func (w *WindowManager) HasCycle() (bool, error) {
-	var ans bool
-	err := w.readMonitor(MonitorCycleFree, func(m Monitor) {
-		ans = m.(*forestMonitor).kc.HasCycle()
-	})
-	return ans, err
+	a, err := w.published(MonitorCycleFree)
+	return a.cycle, err
 }
 
-// QuerySummary reads every configured monitor's O(1)-ish answers so that
-// they ALL correspond to one apply epoch — one prefix of staged ops.
-// Per-slot locking makes independent queries fast but lets two reads
-// straddle an apply; this is the seqlock read for callers that need the
-// cross-monitor invariants to hold (e.g. cycle => components < n).
-//
-// The retry loop is bounded: if the window between fan-outs is too narrow
-// to read through (a saturated writer), it takes writerMu — excluding
-// writers entirely — and reads at a guaranteed-even epoch.
+// QuerySummary returns every configured monitor's scalar answer from one
+// published record, so they ALL correspond to one apply epoch — one prefix
+// of staged ops — and the cross-monitor invariants hold (e.g. cycle =>
+// components < n). One atomic load: it never waits for an apply. A
+// quarantined slot's answers are left out and its name is listed instead —
+// a partial summary with an explicit reason beats failing the healthy
+// answers.
 func (w *WindowManager) QuerySummary() QuerySummary {
-	const spinAttempts = 64
-	for attempt := 0; ; attempt++ {
-		if attempt >= spinAttempts {
-			w.writerMu.Lock()
-			// No writer can be mid-fan-out: writerMu holders publish an
-			// even epoch before releasing.
-			res := w.querySummaryLocked()
-			w.writerMu.Unlock()
-			return res
-		}
-		e1 := w.epoch.Load()
-		if e1&1 == 1 {
-			runtime.Gosched() // fan-out in flight: let it finish
-			continue
-		}
-		res := w.querySummaryLocked()
-		if w.epoch.Load() == e1 {
-			res.Epoch = e1
-			return res
+	a := w.ans.Load()
+	res := QuerySummary{Epoch: a.epoch}
+	for _, s := range w.mux.slots {
+		if a.quar[s.idx] != nil {
+			res.Quarantined = append(res.Quarantined, s.name)
 		}
 	}
-}
-
-// querySummaryLocked reads every slot under its read lock: one hold per
-// slot, so components, cycle and kcert_size all come from one forest
-// read. Consistency across slots is the caller's job (epoch check or
-// writerMu); the per-slot read locks only keep each slot's answers atomic
-// against an in-flight apply.
-func (w *WindowManager) querySummaryLocked() QuerySummary {
-	var res QuerySummary
-	res.Epoch = w.epoch.Load()
-	// A quarantined slot's fields stay nil and its name lands in
-	// Quarantined — a partial summary with an explicit reason beats
-	// failing the healthy answers.
-	for _, s := range w.mux.slots {
-		if s.read(func(m Monitor) { m.summarize(&res) }) != nil {
-			res.Quarantined = append(res.Quarantined, s.name)
+	for _, name := range w.mux.names {
+		if w.absent(a, name) != nil {
+			continue
+		}
+		switch name {
+		case MonitorConn:
+			res.Components = ptr(a.components)
+		case MonitorCycleFree:
+			res.HasCycle = ptr(a.cycle)
+		case MonitorKCert:
+			res.CertificateSize = ptr(a.kcertSize)
+		case MonitorBipartite:
+			res.Bipartite = ptr(a.bipartite)
+		case MonitorMSFWeight:
+			res.MSFWeight = ptr(a.weight)
 		}
 	}
 	return res
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // Quarantined snapshots the quarantined monitors' records (nil when
 // healthy). /stats serves it so operators see the reason and stack without
@@ -996,7 +1049,7 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		w.mux.failRebuild(s, err.Error())
 		return
 	}
-	w.mux.swapMonitor(s, fresh)
+	w.mux.swapMonitor(s, fresh, func() { w.publish(w.epoch.Load(), s) })
 	w.writerMu.Unlock()
 	w.metrics.monRebuilds.Inc()
 	if w.logger != nil {

@@ -332,3 +332,40 @@ func TestServiceConcurrentIngestAndQuery(t *testing.T) {
 		t.Fatalf("window len %d exceeds cap 2000", st.WindowLen)
 	}
 }
+
+// TestWindowApplyAllocs pins a steady-state Apply on a conn-only window
+// (n = 500, W = 2000, ℓ = 32) at one allocation: the answers record it
+// publishes. The forest's engine steps allocate nothing once warm (see
+// TestEngineStepAllocs at the repository root), and the fan-out reuses
+// each slot's pprof label context and apply closure; rebuilding those per
+// batch cost three allocations.
+func TestWindowApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n, window, l, warm = 500, 2000, 32, 2000
+	wm, err := NewWindowManager(WindowConfig{N: n, Seed: 1, Monitors: []string{MonitorConn}, MaxArrivals: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	batch := make([]Edge, l)
+	step := func() {
+		for i := range batch {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n-1))
+			if v >= u {
+				v++
+			}
+			batch[i] = Edge{U: u, V: v}
+		}
+		if err := wm.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range warm {
+		step()
+	}
+	if got := testing.AllocsPerRun(100, step); got > 1 {
+		t.Errorf("Apply on a conn-only window: %v allocs per batch, want at most 1", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/graphgen"
 	"repro/internal/linkcut"
 	"repro/internal/parallel"
+	"repro/internal/sw"
 	"repro/internal/wgraph"
 )
 
@@ -238,6 +239,8 @@ func TestEngineStepAllocs(t *testing.T) {
 	slide("sw.KCert", cert.BatchInsert, cert.BatchExpire)
 	bip := NewSWBipartite(n, 1)
 	slide("sw.Bipartite", bip.BatchInsert, bip.BatchExpire)
+	cover := sw.NewDoubleCover(n, 1)
+	slide("sw.DoubleCover", cover.BatchInsert, cover.BatchExpire)
 
 	amsf := NewSWApproxMSF(n, 0.25, 1<<10, 1)
 	amsf.SetWorkers(parallel.NewLimiter(0))

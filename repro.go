@@ -180,8 +180,7 @@ type StreamPersistenceStats = stream.PersistenceStats
 type StreamMonitorApplyStats = stream.MonitorApplyStats
 
 // StreamQuerySummary is one consistent multi-monitor read: every answer
-// corresponds to the same apply epoch (seqlock read across the
-// per-monitor locks).
+// comes from the answers record published at one apply epoch.
 type StreamQuerySummary = stream.QuerySummary
 
 // OpenStreamRegistry builds a registry from its durable state: each
