@@ -17,15 +17,17 @@
 //     single edges (ℓ=1) forfeits the entire lg-factor saving.
 //   - WindowManager: owns a Multiplexer of monitors behind a single-writer /
 //     many-reader discipline. Batch inserts and expirations are serialized
-//     through one writer (Apply); queries are served concurrently under an
-//     RWMutex read lock. Timestamps advance uniformly: every monitor sees
-//     every arrival, so one expiry count applies to all of them.
+//     through one writer (Apply); scalar queries read the answers record
+//     it publishes after each apply, and connected and kcert read the
+//     forest under its read lock. Timestamps advance uniformly: every
+//     monitor sees every arrival, so one expiry count applies to all.
 //   - Multiplexer: fans one ingested batch out to one slot per structure
 //     the configured monitors need: forest (one k-certificate answering
-//     connectivity, k-certificate and cycle-freeness), bipartite and
-//     msfweight. The slots are independent, so the fan-out is a parallel
-//     region (internal/parallel fork-join): the write lock is held for the
-//     max of the slot apply costs, not the sum.
+//     connectivity, k-certificate and cycle-freeness), bipartite (the
+//     double cover, compared with the forest's count) and msfweight. The
+//     slots are independent, so the fan-out is a parallel region
+//     (internal/parallel fork-join): the write lock is held for the max of
+//     the slot apply costs, not the sum.
 //   - WindowRegistry: creates, lists and drops named windows at runtime.
 //     The name → window table is partitioned over independent lock shards,
 //     so tenants addressing different windows never contend on registry
@@ -98,7 +100,8 @@ func AllMonitors() []string {
 }
 
 // SlotForest names the slot whose one k-certificate answers conn, kcert
-// and cyclefree; bipartite and msfweight have slots of their own name.
+// and cyclefree, and holds bipartite's c(G); bipartite (its double cover)
+// and msfweight have slots of their own name.
 const SlotForest = "forest"
 
 // AllSlots lists every fan-out slot name, in canonical order: the names
