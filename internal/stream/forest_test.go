@@ -282,9 +282,14 @@ func twoColourable(n int, edges []Edge) bool {
 // engines counts the window's core.BatchMSF instances outside msfweight's
 // levels: one per forest level and one for the double cover.
 func engines(wm *WindowManager) int {
-	total := forestOrder(wm)
-	if _, ok := wm.mux.byName[MonitorBipartite]; ok {
-		total++
+	total := 0
+	for _, s := range wm.mux.slots {
+		switch m := s.mon.(type) {
+		case *forestMonitor:
+			total += m.kc.K()
+		case *coverMonitor:
+			total++
+		}
 	}
 	return total
 }
