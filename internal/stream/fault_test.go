@@ -545,31 +545,40 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 	for i := 0; i < 15; i++ {
 		step()
 	}
-	if _, err := inj.Set(fault.Rule{
-		ID: "boom", Op: fault.OpApply, Path: "w/" + slot, Kind: fault.KindPanic, Count: 1,
-	}); err != nil {
-		t.Fatal(err)
+	// panicNext makes the next batch panic the slot's apply; the fan-out
+	// quarantines it and keeps applying to the other slots.
+	panicNext := func(id string) {
+		t.Helper()
+		trips := inj.Trips()
+		if _, err := inj.Set(fault.Rule{
+			ID: id, Op: fault.OpApply, Path: "w/" + slot, Kind: fault.KindPanic, Count: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if inj.Trips() == trips {
+			t.Fatal("apply panic rule never fired")
+		}
 	}
-	// This batch panics the slot's apply; the fan-out quarantines it and
-	// keeps applying to the other two slots.
-	step()
-	if inj.Trips() == 0 {
-		t.Fatal("apply panic rule never fired")
+	awaitRebuild := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			if len(svc.Window().Quarantined()) == 0 {
+				return
+			}
+			svc.Window().kickRebuilds()
+			if time.Now().After(deadline) {
+				t.Fatalf("monitor still quarantined after 10s: %+v", svc.Window().Quarantined())
+			}
+		}
 	}
+	panicNext("boom")
 	// Stream on while the rebuild races the writer: the rebuild's catch-up
 	// rounds must converge regardless.
 	for i := 0; i < 15; i++ {
 		step()
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-		if len(svc.Window().Quarantined()) == 0 {
-			break
-		}
-		svc.Window().kickRebuilds()
-		if time.Now().After(deadline) {
-			t.Fatalf("monitor still quarantined after 10s: %+v", svc.Window().Quarantined())
-		}
-	}
+	awaitRebuild()
 
 	pairs := make([][2]int32, 200)
 	for i := range pairs {
@@ -586,4 +595,11 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 		step()
 	}
 	diffAnswers(t, "post-rebuild stream", answersOf(t, ref, pairs), answersOf(t, svc.Window(), pairs))
+
+	// With no batch after it, the swap itself must republish the answers:
+	// the scalar reads serve the rebuilt slot as soon as the quarantine
+	// lifts.
+	panicNext("boom-last")
+	awaitRebuild()
+	diffAnswers(t, "rebuilt after the last batch", answersOf(t, ref, pairs), answersOf(t, svc.Window(), pairs))
 }
