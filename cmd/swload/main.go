@@ -1,42 +1,32 @@
-// Command swload drives an swserver end-to-end and reports sustained
-// ingest throughput (edges/sec) and client-observed query latency (p50 and
-// p99). By default it spins up an in-process server on a loopback port, so
-// the whole HTTP → ingester → window pipeline is exercised; point -url at a
-// running swserver to load-test remotely.
+// Command swload drives an swserver end to end over HTTP. It has three
+// modes.
 //
-// The -compare mode runs the same stream twice against a fresh in-process
-// server — once with the configured ingester batch threshold and once with
-// MaxBatch=1 (one edge per BatchInsert) — demonstrating the batch economics
-// of Theorem 1.1: the batched pipeline amortizes O(ℓ·lg(1+n/ℓ)) work over ℓ
-// edges where the unbatched one pays the full lg factor per edge.
-//
-// The -fanout-compare mode runs the same stream with all five monitors
-// (three slots) twice — parallel fan-out vs sequential — and reports the
-// mean batch apply time (write-lock hold) of each: the fork-join win.
-//
-// The -windows M mode runs M windows in one registry server with producers
-// and readers spread across them (multi-tenant). Adding -compare drives the
-// same per-window streams one window at a time instead, measuring what
-// sharded concurrency buys over M sequential single-window runs.
-//
-// The -wal mode runs the same stream twice — once in-memory and once with
-// the durability layer (write-ahead batch log, fsync policy from -fsync)
-// — reporting what durable ingest costs, then re-opens the data directory
-// and reports crash-recovery wall time twice: once seeded from the
-// checkpoint's live-edge snapshot (replaying only the post-snapshot
-// suffix) and once with snapshots ignored (full-suffix replay, the
-// pre-snapshot behavior), so the report isolates what snapshot compaction
-// buys at restart. -snapshot-threshold tunes when the checkpoint
-// snapshots; -1 disables and reverts to the single full-replay number.
+// The default mode is the HTTP driver: -producers concurrent POST loops
+// send -edges edges in -chunk-edge requests while -readers query loops
+// poll the endpoints the -monitors answer, and the report carries
+// sustained ingest throughput (edges/sec) and client-observed POST and
+// query p50/p99. It targets the swserver at -url or, without -url, one it
+// starts in-process on a loopback port, so the whole HTTP → ingester →
+// window pipeline is exercised either way. -ndjson posts the compact
+// NDJSON wire format, -sync-ack requests durable acks (?sync=1), and
+// -burst retries a 429 at once instead of honoring Retry-After.
 //
 // The -mixed mode is the query-latency harness: -readers concurrent
 // queriers draw endpoints from the weighted -query-mix distribution
-// (default conn-heavy) against one window maintaining all five monitors,
-// while -producers sustain ingest for -duration; the report carries
-// per-endpoint query p50/p99/max plus ingest throughput, and the headline
-// query percentiles are the worst endpoint's. This is the harness behind
-// EXPERIMENTS S7: a cheap connectivity probe must not wait out the
-// slowest monitor's apply.
+// (default conn-heavy) against one in-process window maintaining all five
+// monitors, while -producers sustain ingest for -duration; the report
+// carries per-endpoint query p50/p99/max plus ingest throughput, and the
+// headline query percentiles are the worst endpoint's. This is the harness
+// behind EXPERIMENTS S7: a cheap connectivity probe must not wait out the
+// slowest monitor's apply. The -mixed report also carries the ingest-queue
+// backlog in both units (queue_batches and queue_edges, scraped from
+// /stats before the drain), a per-slot apply p50/p99 table scraped from
+// /metrics — the server-side view the client percentiles can only
+// approximate — and a slowest-stage attribution table scraped from the
+// batch flight recorder (/debug/flight): per batch, which pipeline stage
+// dominated its wall time, so fsync-bound, apply-bound, and queue-bound
+// runs are told apart at a glance. -chaos-outage gives the server a
+// temporary WAL and breaks it through /admin/fault every -chaos-interval.
 //
 // The -check-metrics mode scrapes GET /metrics — from -url, or from an
 // in-process server after a short ingest so every family has samples —
@@ -48,34 +38,14 @@
 // in the recorder. CI's smoke step runs this against a freshly booted
 // swserver.
 //
-// The -telemetry-compare mode runs the same stream twice — telemetry
-// registry wired vs no-op recorders — and reports the ingest overhead
-// the instrumentation costs. It is advisory (client-side throughput is
-// noisy); the controlled guard is the fixed-iteration benchmark
-// (go test ./internal/stream -bench IngestTelemetry -benchtime 20000x).
-//
-// The -mixed report also carries the ingest-queue backlog in both units
-// (queue_batches and queue_edges, scraped from /stats before the drain),
-// a per-slot apply p50/p99 table scraped from /metrics — the
-// server-side view the client percentiles can only approximate — and a
-// slowest-stage attribution table scraped from the batch flight recorder
-// (/debug/flight): per batch, which pipeline stage dominated its wall
-// time, so fsync-bound, apply-bound, and queue-bound runs are told apart
-// at a glance.
-//
 // -cpuprofile/-memprofile write pprof profiles of any mode; the fan-out
 // labels every slot apply with its slot name, so a CPU profile attributes
 // apply time per slot (go tool pprof -tags).
 //
 //	swload -n 50000 -edges 200000 -producers 8 -chunk 256
+//	swload -url http://localhost:8080 -burst -ndjson -sync-ack
 //	swload -mixed -readers 8 -duration 5s -window 200000 -json mixed.json
-//	swload -compare -json results.json
-//	swload -fanout-compare -json fanout.json
-//	swload -windows 4 -compare
-//	swload -wal -fsync interval -json wal.json
-//	swload -wal -edges 1000000 -json snap.json   # snapshot vs full-replay recovery
 //	swload -check-metrics -url http://localhost:8080
-//	swload -telemetry-compare -edges 500000
 package main
 
 import (
@@ -89,7 +59,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -104,7 +73,6 @@ import (
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/wal"
 )
 
 type options struct {
@@ -119,21 +87,11 @@ type options struct {
 	delay         time.Duration
 	monitors      string
 	seed          int64
-	seqLevels     bool
-	compare       bool
-	fanoutCompare bool
-	wal           bool
 	fsync         string
-	dataDir       string
-	snapThreshold int
-	windows       int
-	shards        int
 	mixed         bool
 	duration      time.Duration
 	queryMix      string
 	checkMetrics  bool
-	telemCompare  bool
-	telemetry     bool
 	ndjson        bool
 	syncAck       bool
 	burst         bool
@@ -180,10 +138,8 @@ type FlightSummary struct {
 
 // LoadResult is the machine-readable outcome of one load run.
 type LoadResult struct {
-	Mode          string  `json:"mode"` // "batched", "unbatched", "parallel-fanout", ...
-	Fsync         string  `json:"fsync,omitempty"`
+	Mode          string  `json:"mode"` // "batched" (the HTTP driver) or "mixed"
 	N             int     `json:"n"`
-	Windows       int     `json:"windows"`
 	Edges         int64   `json:"edges"`
 	Producers     int     `json:"producers"`
 	Chunk         int     `json:"chunk"`
@@ -194,9 +150,9 @@ type LoadResult struct {
 	MeanBatchSize float64 `json:"mean_batch_size"`
 	MeanApplyMs   float64 `json:"mean_apply_ms,omitempty"`
 	// MSFWeightApplyMs is the msfweight monitor's mean write-lock hold per
-	// applied op — the number the intra-monitor level fork-join moves
-	// (aggregated across windows). ApplyParallelism is the effective level
-	// fork-join width the run used (1 = -seq-levels).
+	// applied op — the number the intra-monitor level fork-join moves.
+	// ApplyParallelism is the effective level fork-join width the run used
+	// (1 = sequential levels).
 	MSFWeightApplyMs float64 `json:"msfweight_mean_apply_ms,omitempty"`
 	ApplyParallelism int     `json:"apply_parallelism,omitempty"`
 	Posts            int64   `json:"posts"`
@@ -235,38 +191,9 @@ type LoadResult struct {
 	RetryWaitSec  float64 `json:"retry_wait_sec,omitempty"`
 }
 
-// Report is the full swload output, one entry per mode.
+// Report is the full swload output.
 type Report struct {
 	Results []LoadResult `json:"results"`
-	// Speedup is edges_per_sec(first) / edges_per_sec(second); set by the
-	// two-run modes (-compare, -fanout-compare, -windows -compare).
-	Speedup float64 `json:"speedup,omitempty"`
-	// ApplySpeedup is mean_apply_ms(sequential) / mean_apply_ms(parallel);
-	// only set by -fanout-compare.
-	ApplySpeedup float64 `json:"apply_speedup,omitempty"`
-	// WALOverhead is edges_per_sec(memory) / edges_per_sec(durable); only
-	// set by -wal. 1.0 means free durability, 2.0 means half throughput.
-	WALOverhead float64 `json:"wal_overhead,omitempty"`
-	// Recovery fields (-wal only): crash-recovery rebuild of the durable
-	// run's data directory into fresh monitors. When snapshots are enabled
-	// these describe the snapshot-seeded path (RecoveredEdges counts only
-	// the post-snapshot log suffix; RecoveredSnapshotEdges the seed).
-	RecoverySec       float64 `json:"recovery_sec,omitempty"`
-	RecoveredWindows  int     `json:"recovered_windows,omitempty"`
-	RecoveredBatches  int64   `json:"recovered_batches,omitempty"`
-	RecoveredEdges    int64   `json:"recovered_edges,omitempty"`
-	ReplayEdgesPerSec float64 `json:"replay_edges_per_sec,omitempty"`
-	// Snapshot-vs-full comparison (-wal with snapshots enabled):
-	// RecoveryFullSec re-runs the same recovery with snapshots ignored
-	// (full WAL suffix replay, the pre-snapshot behavior) and
-	// RecoverySpeedup is full/snapshot wall time.
-	RecoveredSnapshots     int     `json:"recovered_snapshots,omitempty"`
-	RecoveredSnapshotEdges int64   `json:"recovered_snapshot_edges,omitempty"`
-	RecoveryFullSec        float64 `json:"recovery_full_sec,omitempty"`
-	RecoverySpeedup        float64 `json:"recovery_speedup,omitempty"`
-	// TelemetryOverhead is edges_per_sec(off) / edges_per_sec(on); only
-	// set by -telemetry-compare. 1.0 means free instrumentation.
-	TelemetryOverhead float64 `json:"telemetry_overhead,omitempty"`
 }
 
 func main() {
@@ -282,17 +209,7 @@ func main() {
 	flag.DurationVar(&o.delay, "delay", 5*time.Millisecond, "ingester flush deadline (in-process server)")
 	flag.StringVar(&o.monitors, "monitors", "conn", "monitors for the in-process server")
 	flag.Int64Var(&o.seed, "seed", 0xC0FFEE, "workload seed")
-	flag.BoolVar(&o.seqLevels, "seq-levels", false,
-		"force sequential msfweight level application (ApplyParallelism=1) instead of the default fork-join over connectivity levels — the intra-monitor parallelism measurement toggle (in-process only)")
-	flag.BoolVar(&o.compare, "compare", false, "run batched vs one-edge-per-batch on the same stream (in-process only)")
-	flag.BoolVar(&o.fanoutCompare, "fanout-compare", false, "run parallel vs sequential monitor fan-out with all monitors (in-process only)")
-	flag.BoolVar(&o.wal, "wal", false, "run durable (write-ahead logged) vs in-memory ingest, then measure crash-recovery replay (in-process only)")
-	flag.StringVar(&o.fsync, "fsync", "interval", "WAL fsync policy for -wal: batch|interval|off")
-	flag.StringVar(&o.dataDir, "data-dir", "", "WAL data directory for -wal (default: a fresh temp dir, removed afterwards)")
-	flag.IntVar(&o.snapThreshold, "snapshot-threshold", 100_000,
-		"for -wal: checkpoint writes a live-edge snapshot when the replayable suffix exceeds this many arrivals; -1 disables (full-replay recovery only)")
-	flag.IntVar(&o.windows, "windows", 1, "number of windows to spread the load over (in-process only)")
-	flag.IntVar(&o.shards, "shards", 16, "registry lock shards (in-process server)")
+	flag.StringVar(&o.fsync, "fsync", "interval", "WAL fsync policy of the -chaos-outage server: batch|interval|off")
 	flag.BoolVar(&o.mixed, "mixed", false,
 		"mixed-workload mode: -readers concurrent queriers (endpoint mix from -query-mix) against -duration of sustained ingest, reporting per-endpoint query p50/p99/max (in-process only)")
 	flag.DurationVar(&o.duration, "duration", 5*time.Second, "sustained-ingest run length for -mixed")
@@ -300,8 +217,6 @@ func main() {
 		"weighted endpoint mix the -mixed queriers draw from (name:weight, comma-separated); kcert is available but excluded by default — its min-cut dominates the mix with query compute rather than lock wait")
 	flag.BoolVar(&o.checkMetrics, "check-metrics", false,
 		"scrape GET /metrics (from -url, or an in-process server after a short ingest) and strictly validate the Prometheus exposition and sw_ naming rules")
-	flag.BoolVar(&o.telemCompare, "telemetry-compare", false,
-		"run the same stream with the telemetry registry wired vs no-op recorders and report the ingest overhead (in-process only)")
 	flag.BoolVar(&o.ndjson, "ndjson", false,
 		"POST edges in the compact NDJSON wire format (?format=ndjson, one [u,v,w] array per line) instead of the JSON envelope")
 	flag.BoolVar(&o.syncAck, "sync-ack", false,
@@ -317,22 +232,16 @@ func main() {
 	flag.StringVar(&o.jsonPath, "json", "", "write the report as JSON to this path (\"-\" = stdout)")
 	flag.Parse()
 
-	if o.producers < 1 || o.chunk < 1 || o.readers < 0 || o.n < 2 || o.edges < 0 || o.batch < 1 || o.windows < 1 {
-		fmt.Fprintln(os.Stderr, "swload: need -producers >= 1, -chunk >= 1, -readers >= 0, -n >= 2, -edges >= 0, -batch >= 1, -windows >= 1")
+	if o.producers < 1 || o.chunk < 1 || o.readers < 0 || o.n < 2 || o.edges < 0 || o.batch < 1 {
+		fmt.Fprintln(os.Stderr, "swload: need -producers >= 1, -chunk >= 1, -readers >= 0, -n >= 2, -edges >= 0, -batch >= 1")
 		os.Exit(2)
 	}
-	if o.snapThreshold == 0 {
-		// The library maps 0 to its own default (1M), which would silently
-		// contradict whatever a user passing 0 meant.
-		fmt.Fprintln(os.Stderr, "swload: -snapshot-threshold must be a positive arrival count, or -1 to disable")
+	if o.mixed && o.url != "" {
+		fmt.Fprintln(os.Stderr, "swload: -mixed needs the in-process server; drop -url")
 		os.Exit(2)
 	}
-	if (o.compare || o.fanoutCompare || o.wal || o.mixed || o.telemCompare || o.seqLevels || o.windows > 1) && o.url != "" {
-		fmt.Fprintln(os.Stderr, "-compare/-fanout-compare/-wal/-mixed/-telemetry-compare/-seq-levels/-windows need the in-process server; drop -url")
-		os.Exit(2)
-	}
-	if b2i(o.compare)+b2i(o.fanoutCompare)+b2i(o.wal)+b2i(o.mixed)+b2i(o.checkMetrics)+b2i(o.telemCompare) > 1 {
-		fmt.Fprintln(os.Stderr, "pick one of -compare, -fanout-compare, -wal, -mixed, -check-metrics and -telemetry-compare")
+	if o.mixed && o.checkMetrics {
+		fmt.Fprintln(os.Stderr, "swload: pick one of -mixed and -check-metrics")
 		os.Exit(2)
 	}
 	if o.mixed && o.readers < 1 {
@@ -347,20 +256,6 @@ func main() {
 		if o.chaosOutage >= o.chaosInterval {
 			fmt.Fprintln(os.Stderr, "swload: need -chaos-outage < -chaos-interval (the window must get time to heal between outages)")
 			os.Exit(2)
-		}
-	}
-	// Producers and readers are spread over windows round-robin; with
-	// fewer than one per window some windows would get no load at all
-	// (and a -compare baseline would measure a different workload), so
-	// scale them up to cover every window.
-	if o.windows > 1 {
-		if o.producers < o.windows {
-			fmt.Fprintf(os.Stderr, "swload: raising -producers %d -> %d (one per window)\n", o.producers, o.windows)
-			o.producers = o.windows
-		}
-		if o.readers > 0 && o.readers < o.windows {
-			fmt.Fprintf(os.Stderr, "swload: raising -readers %d -> %d (one per window)\n", o.readers, o.windows)
-			o.readers = o.windows
 		}
 	}
 
@@ -406,58 +301,12 @@ func main() {
 	case o.checkMetrics:
 		runCheckMetrics(o)
 		return
-	case o.telemCompare:
-		runTelemetryCompare(o, &rep)
 	case o.mixed:
 		res := runMixed(o)
 		rep.Results = []LoadResult{res}
 		printMixed(res)
-	case o.wal:
-		runWALCompare(o, &rep)
-	case o.fanoutCompare:
-		// The fan-out win only exists when there is fan-out: force the full
-		// monitor set so each batch has three independent slot applies.
-		o.monitors = ""
-		par := runInProc(o, "parallel-fanout", o.batch, false, false, nil)
-		seq := runInProc(o, "sequential-fanout", o.batch, true, false, nil)
-		rep.Results = []LoadResult{par, seq}
-		if seq.EdgesPerSec > 0 {
-			rep.Speedup = par.EdgesPerSec / seq.EdgesPerSec
-		}
-		if par.MeanApplyMs > 0 {
-			rep.ApplySpeedup = seq.MeanApplyMs / par.MeanApplyMs
-		}
-		printResult(par)
-		printResult(seq)
-		fmt.Printf("\nparallel/sequential fan-out: ingest speedup x%.2f, mean-apply speedup x%.2f (GOMAXPROCS=%d)\n",
-			rep.Speedup, rep.ApplySpeedup, maxprocs())
-	case o.windows > 1 && o.compare:
-		multi := runInProc(o, "multi-window", o.batch, false, false, nil)
-		seq := runInProc(o, "sequential-windows", o.batch, false, true, nil)
-		rep.Results = []LoadResult{multi, seq}
-		if seq.EdgesPerSec > 0 {
-			rep.Speedup = multi.EdgesPerSec / seq.EdgesPerSec
-		}
-		printResult(multi)
-		printResult(seq)
-		fmt.Printf("\n%d concurrent windows vs %d sequential runs: aggregate ingest speedup x%.2f\n",
-			o.windows, o.windows, rep.Speedup)
-	case o.compare:
-		batched := runInProc(o, "batched", o.batch, false, false, nil)
-		unbatched := runInProc(o, "unbatched", 1, false, false, nil)
-		rep.Results = []LoadResult{batched, unbatched}
-		if unbatched.EdgesPerSec > 0 {
-			rep.Speedup = batched.EdgesPerSec / unbatched.EdgesPerSec
-		}
-		printResult(batched)
-		printResult(unbatched)
-		fmt.Printf("\nbatched/unbatched ingest speedup: x%.2f\n", rep.Speedup)
-	case o.url != "":
-		res := runLoad(o, "batched", o.url, []string{""}, nil)
-		rep.Results = []LoadResult{res}
-		printResult(res)
 	default:
-		res := runInProc(o, "batched", o.batch, false, false, nil)
+		res := runLoad(o)
 		rep.Results = []LoadResult{res}
 		printResult(res)
 	}
@@ -471,13 +320,82 @@ func main() {
 	}
 }
 
-func maxprocs() int { return runtime.GOMAXPROCS(0) }
-
-func b2i(b bool) int {
-	if b {
-		return 1
+// serveInProc opens a registry with cfg, creates the default window from
+// its template and serves the registry on a loopback port. The flags set
+// the template's vertex count, seed, count bound and batching, and the
+// registry always gets a telemetry registry, as swserver's does by
+// default; cfg supplies the rest. stop closes the server, then the
+// registry.
+func serveInProc(o options, cfg stream.RegistryConfig) (svc *stream.Service, base string, stop func()) {
+	win, in := &cfg.Template.Window, &cfg.Template.Ingest
+	win.N, win.Seed, win.MaxArrivals = o.n, uint64(o.seed), o.window
+	in.MaxBatch, in.MaxDelay = o.batch, o.delay
+	cfg.Telemetry = telemetry.NewRegistry()
+	reg, _, err := stream.OpenRegistry(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	return 0
+	svc, err = reg.Create(stream.DefaultWindow, reg.Template())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	srv := &http.Server{Handler: stream.NewRegistryServer(reg, stream.ServerConfig{}).Handler()}
+	go srv.Serve(ln)
+	return svc, "http://" + ln.Addr().String(), func() {
+		srv.Close()
+		reg.Close()
+	}
+}
+
+// newClient returns an HTTP client for conns concurrent loops. The default
+// transport keeps only 2 idle conns per host, which makes every concurrent
+// loop beyond that pay a fresh TCP handshake per request; raising it
+// measures the pipeline, not the client.
+func newClient(conns int) *http.Client {
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.MaxIdleConns = 4 * conns
+	transport.MaxIdleConnsPerHost = 4 * conns
+	return &http.Client{Timeout: 30 * time.Second, Transport: transport}
+}
+
+// randomEdges draws k edges with distinct endpoints in [0, n) and weights
+// in [1, 2¹⁰].
+func randomEdges(r *rand.Rand, n, k int) []wireEdge {
+	edges := make([]wireEdge, k)
+	for i := range edges {
+		u := int32(r.Intn(n))
+		v := int32(r.Intn(n))
+		for v == u {
+			v = int32(r.Intn(n))
+		}
+		edges[i] = wireEdge{U: u, V: v, W: 1 + r.Int63n(1<<10)}
+	}
+	return edges
+}
+
+// fillServerStats copies an in-process window's batch shape, mean apply
+// time and level fork-join into res. Call it after the window's queue has
+// drained.
+func fillServerStats(res *LoadResult, svc *stream.Service) {
+	st := svc.Window().Stats()
+	res.ServerBatches = st.Batches
+	if st.Batches > 0 {
+		res.MeanBatchSize = float64(st.Arrivals) / float64(st.Batches)
+		res.MeanApplyMs = float64(st.ApplyNS) / float64(st.Batches) / 1e6
+	}
+	res.ApplyParallelism = svc.Window().ApplyParallelism()
+	for _, ms := range svc.Window().MonitorStats() {
+		if ms.Name == stream.MonitorMSFWeight && ms.Ops > 0 {
+			res.MSFWeightApplyMs = float64(ms.ApplyNS) / float64(ms.Ops) / 1e6
+		}
+	}
 }
 
 // mixEntry is one weighted endpoint of the -mixed querier mix.
@@ -620,66 +538,30 @@ func runMixed(o options) LoadResult {
 			CheckpointInterval: time.Second,
 		}
 	}
-	reg, _, err := stream.OpenRegistry(stream.RegistryConfig{
-		Shards:        o.shards,
-		Persistence:   persist,
-		FaultInjector: injector,
-		// The mixed harness is also the observability harness: wire the
-		// telemetry registry so the report can carry the server-side
-		// per-monitor apply table alongside the client percentiles.
-		Telemetry: telemetry.NewRegistry(),
-		Template: stream.ServiceConfig{
-			Window: stream.WindowConfig{
-				N:                o.n,
-				Seed:             uint64(o.seed),
-				MaxArrivals:      o.window,
-				ApplyParallelism: applyParallelism(o),
-				// Monitors deliberately left unset = ALL monitors: the
-				// harness exists to show queries contending with the full
-				// fan-out, so -monitors is ignored in this mode.
-			},
-			// A shallow queue (QueueLen counts queued submissions, not
-			// edges) keeps the producers in lockstep with the window's
-			// sustainable apply rate: with the default 8×MaxBatch slots a
-			// 5s burst can park millions of edges in the queue, the
-			// reported "ingest throughput" measures only how fast the
-			// client can enqueue, and the post-run drain takes minutes.
-			// Backpressure lands in POST latency instead, which is the
-			// honest place for it.
-			Ingest: stream.IngesterConfig{MaxBatch: o.batch, MaxDelay: o.delay, QueueLen: o.producers},
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer reg.Close()
-	svc, err := reg.Create(stream.DefaultWindow, reg.Template())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	// Monitors deliberately left unset = ALL monitors: the harness exists
+	// to show queries contending with the full fan-out, so -monitors is
+	// ignored in this mode. The telemetry registry serveInProc wires lets
+	// the report carry the server-side per-slot apply table alongside the
+	// client percentiles.
+	cfg := stream.RegistryConfig{Persistence: persist, FaultInjector: injector}
+	// A shallow queue (QueueLen counts queued submissions, not edges)
+	// keeps the producers in lockstep with the window's sustainable apply
+	// rate: with the default 8×MaxBatch slots a 5s burst can park millions
+	// of edges in the queue, the reported "ingest throughput" measures
+	// only how fast the client can enqueue, and the post-run drain takes
+	// minutes. Backpressure lands in POST latency instead, which is the
+	// honest place for it.
+	cfg.Template.Ingest.QueueLen = o.producers
+	svc, base, stopServer := serveInProc(o, cfg)
+	defer stopServer()
 	fmt.Fprintf(os.Stderr, "swload -mixed: monitors built in %v; running %v of mixed load\n",
 		time.Since(setupStart).Round(time.Millisecond), o.duration)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	srv := &http.Server{Handler: stream.NewRegistryServer(reg, stream.ServerConfig{}).Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConns = 4 * (o.producers + o.readers)
-	transport.MaxIdleConnsPerHost = 4 * (o.producers + o.readers)
-	client := &http.Client{Timeout: 30 * time.Second, Transport: transport}
+	client := newClient(o.producers + o.readers)
 
 	var postRec stream.LatencyRecorder
 	queryRecs := stream.NewEndpointStats()
-	var posted, posts atomic.Int64
+	var posted atomic.Int64
 	stop := make(chan struct{})
 	po := &poster{client: client, base: base, ndjson: o.ndjson, syncAck: o.syncAck, burst: o.burst}
 
@@ -708,20 +590,11 @@ func runMixed(o options) LoadResult {
 					return
 				default:
 				}
-				edges := make([]wireEdge, o.chunk)
-				for i := range edges {
-					u := int32(r.Intn(o.n))
-					v := int32(r.Intn(o.n))
-					for v == u {
-						v = int32(r.Intn(o.n))
-					}
-					edges[i] = wireEdge{U: u, V: v, W: 1 + r.Int63n(1<<10)}
-				}
-				if !po.post("", edges, &postRec, stop) {
+				edges := randomEdges(r, o.n, o.chunk)
+				if !po.post(edges, &postRec, stop) {
 					return
 				}
 				posted.Add(int64(len(edges)))
-				posts.Add(1)
 			}
 		}(p)
 	}
@@ -880,12 +753,10 @@ func runMixed(o options) LoadResult {
 		worstMax = max(worstMax, float64(snap.Max)/1e6)
 	}
 
-	st := svc.Window().Stats()
 	ps := postRec.Snapshot()
 	res := LoadResult{
 		Mode:        "mixed",
 		N:           o.n,
-		Windows:     1,
 		Edges:       posted.Load(),
 		Producers:   o.producers,
 		Chunk:       o.chunk,
@@ -900,29 +771,19 @@ func runMixed(o options) LoadResult {
 		// merged histogram's: the merged view would let a flood of cheap
 		// conn probes mask a stalled endpoint, which is exactly the failure
 		// mode the mixed harness exists to expose.
-		QueryP50Ms:    worstP50,
-		QueryP99Ms:    worstP99,
-		QueryMaxMs:    worstMax,
-		Gomaxprocs:    maxprocs(),
-		Readers:       o.readers,
-		Endpoints:     endpoints,
-		QueueBatches:  backlog.Ingest.QueueBatches,
-		QueueEdges:    backlog.Ingest.QueueEdges,
-		QueueCap:      backlog.Ingest.QueueCap,
-		Monitors:      monitors,
-		Flight:        flight,
-		ServerBatches: st.Batches,
+		QueryP50Ms:   worstP50,
+		QueryP99Ms:   worstP99,
+		QueryMaxMs:   worstMax,
+		Gomaxprocs:   runtime.GOMAXPROCS(0),
+		Readers:      o.readers,
+		Endpoints:    endpoints,
+		QueueBatches: backlog.Ingest.QueueBatches,
+		QueueEdges:   backlog.Ingest.QueueEdges,
+		QueueCap:     backlog.Ingest.QueueCap,
+		Monitors:     monitors,
+		Flight:       flight,
 	}
-	if st.Batches > 0 {
-		res.MeanBatchSize = float64(st.Arrivals) / float64(st.Batches)
-		res.MeanApplyMs = float64(st.ApplyNS) / float64(st.Batches) / 1e6
-	}
-	res.ApplyParallelism = svc.Window().ApplyParallelism()
-	for _, ms := range svc.Window().MonitorStats() {
-		if ms.Name == stream.MonitorMSFWeight && ms.Ops > 0 {
-			res.MSFWeightApplyMs = float64(ms.ApplyNS) / float64(ms.Ops) / 1e6
-		}
-	}
+	fillServerStats(&res, svc)
 	po.fill(&res)
 	return res
 }
@@ -1095,53 +956,15 @@ func runCheckMetrics(o options) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	base := o.url
 	if base == "" {
-		reg, _, err := stream.OpenRegistry(stream.RegistryConfig{
-			Shards:    o.shards,
-			Telemetry: telemetry.NewRegistry(),
-			Template: stream.ServiceConfig{
-				Window: stream.WindowConfig{
-					N:           o.n,
-					Seed:        uint64(o.seed),
-					MaxArrivals: o.window,
-					// All monitors, so every per-monitor family appears.
-				},
-				Ingest: stream.IngesterConfig{MaxBatch: o.batch, MaxDelay: o.delay},
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer reg.Close()
-		svc, err := reg.Create(stream.DefaultWindow, reg.Template())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		srv := &http.Server{Handler: stream.NewRegistryServer(reg, stream.ServerConfig{}).Handler()}
-		go srv.Serve(ln)
-		defer srv.Close()
-		base = "http://" + ln.Addr().String()
+		// All monitors, so every per-monitor family appears.
+		svc, b, stop := serveInProc(o, stream.RegistryConfig{})
+		defer stop()
+		base = b
 
 		// One POST, one query, one flush: ingest, HTTP, and lifecycle
 		// families all gain mass through the real handlers.
-		r := rand.New(rand.NewSource(o.seed))
-		edges := make([]wireEdge, 256)
-		for i := range edges {
-			u := int32(r.Intn(o.n))
-			v := int32(r.Intn(o.n))
-			for v == u {
-				v = int32(r.Intn(o.n))
-			}
-			edges[i] = wireEdge{U: u, V: v}
-		}
-		body, _ := json.Marshal(map[string]any{"edges": edges})
-		resp, err := client.Post(base+"/edges", "application/json", bytes.NewReader(body))
+		body, ctype := encodeEdges(randomEdges(rand.New(rand.NewSource(o.seed)), o.n, 256), false)
+		resp, err := client.Post(base+"/edges", ctype, bytes.NewReader(body))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -1249,290 +1072,6 @@ func countMaxExemplars(exp *telemetry.Exposition) int {
 	return n
 }
 
-// runTelemetryCompare runs the same stream twice — telemetry registry
-// wired vs no-op recorders — and reports what the instrumentation costs.
-// Client-side throughput is noisy, so the verdict here is advisory; the
-// controlled guard is the fixed-iteration Go benchmark (see BENCH.md).
-func runTelemetryCompare(o options, rep *Report) {
-	o.telemetry = true
-	on := runInProc(o, "telemetry-on", o.batch, false, false, nil)
-	o.telemetry = false
-	off := runInProc(o, "telemetry-off", o.batch, false, false, nil)
-	rep.Results = []LoadResult{on, off}
-	if on.EdgesPerSec > 0 {
-		rep.TelemetryOverhead = off.EdgesPerSec / on.EdgesPerSec
-	}
-	printResult(on)
-	printResult(off)
-	pct := (rep.TelemetryOverhead - 1) * 100
-	fmt.Printf("\ntelemetry on/off ingest overhead: %+.1f%% (budget <3%%; client-side numbers are noisy — "+
-		"the authoritative guard is go test ./internal/stream -bench IngestTelemetry -benchtime 20000x)\n", pct)
-	if pct > 3 {
-		fmt.Fprintln(os.Stderr, "swload -telemetry-compare: overhead above the 3% budget on this run; re-check with the fixed-iteration benchmark")
-	}
-}
-
-// runWALCompare measures what durability costs and what recovery buys:
-// the same stream in-memory vs write-ahead logged, then a crash-recovery
-// replay of the durable run's data directory into fresh monitors.
-func runWALCompare(o options, rep *Report) {
-	pol, err := stream.ParseFsyncPolicy(o.fsync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	dir := o.dataDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "swload-wal-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-	} else if _, err := os.Stat(filepath.Join(dir, wal.ManifestName)); err == nil {
-		// A leftover manifest would make the durable run recover (and
-		// re-measure) the previous run's windows — and its Create of the
-		// same names would fail. Never delete user data; just refuse.
-		fmt.Fprintf(os.Stderr, "swload -wal: %s already holds a WAL manifest; point -data-dir at a fresh directory\n", dir)
-		os.Exit(2)
-	}
-	persist := &stream.PersistenceConfig{Dir: dir, Fsync: pol, SnapshotThreshold: o.snapThreshold}
-
-	mem := runInProc(o, "memory", o.batch, false, false, nil)
-	dur := runInProc(o, "wal", o.batch, false, false, persist)
-	dur.Fsync = string(pol)
-	rep.Results = []LoadResult{mem, dur}
-	if dur.EdgesPerSec > 0 {
-		rep.WALOverhead = mem.EdgesPerSec / dur.EdgesPerSec
-	}
-
-	// Crash recovery, full-suffix replay: re-open the data directory —
-	// no snapshot exists yet, so every unexpired logged batch replays into
-	// fresh monitors: the pre-snapshot recovery path and the baseline the
-	// snapshot attacks (with an unbounded window the whole log replays —
-	// the worst case). Then, on the recovered registry, run the checkpoint
-	// a production ticker would have run: with the replayable suffix past
-	// -snapshot-threshold it writes the live-edge snapshot (and GC
-	// reclaims the log segments the snapshot covers).
-	regFull, recFull, err := stream.OpenRegistry(stream.RegistryConfig{Shards: o.shards, Persistence: persist})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recovery (full replay): %v\n", err)
-		os.Exit(1)
-	}
-	if o.snapThreshold >= 0 {
-		ck, err := regFull.Checkpoint()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint: %v\n", err)
-			os.Exit(1)
-		}
-		if ck.Snapshots == 0 {
-			fmt.Fprintf(os.Stderr, "swload -wal: no snapshot written (replayable suffix <= -snapshot-threshold %d); raise -edges or lower the threshold\n", o.snapThreshold)
-		}
-	}
-	regFull.Close()
-
-	printResult(mem)
-	printResult(dur)
-	fmt.Printf("\ndurable/in-memory: ingest overhead x%.2f (fsync=%s)\n", rep.WALOverhead, pol)
-
-	if o.snapThreshold < 0 {
-		// Snapshots disabled: the full replay is the only recovery path.
-		rep.RecoverySec = recFull.Elapsed.Seconds()
-		rep.RecoveredWindows = recFull.Windows
-		rep.RecoveredBatches = recFull.Batches
-		rep.RecoveredEdges = recFull.Edges
-		if recFull.Elapsed > 0 {
-			rep.ReplayEdgesPerSec = float64(recFull.Edges) / recFull.Elapsed.Seconds()
-		}
-		fmt.Printf("recovery: %d windows, %d batches / %d edges replayed in %.0fms (%.0f edges/sec)\n",
-			recFull.Windows, recFull.Batches, recFull.Edges, rep.RecoverySec*1e3, rep.ReplayEdgesPerSec)
-		return
-	}
-
-	// Crash recovery, snapshot-seeded: this recovery finds the snapshot,
-	// seeds each window with one mega-batch apply, and replays only the
-	// post-snapshot records.
-	regSnap, recSnap, err := stream.OpenRegistry(stream.RegistryConfig{Shards: o.shards, Persistence: persist})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "recovery (snapshot): %v\n", err)
-		os.Exit(1)
-	}
-	regSnap.Close()
-	rep.RecoverySec = recSnap.Elapsed.Seconds()
-	rep.RecoveredWindows = recSnap.Windows
-	rep.RecoveredBatches = recSnap.Batches
-	rep.RecoveredEdges = recSnap.Edges
-	rep.RecoveredSnapshots = recSnap.Snapshots
-	rep.RecoveredSnapshotEdges = recSnap.SnapshotEdges
-	rep.RecoveryFullSec = recFull.Elapsed.Seconds()
-	if total := recSnap.Edges + recSnap.SnapshotEdges; recSnap.Elapsed > 0 && total > 0 {
-		rep.ReplayEdgesPerSec = float64(total) / recSnap.Elapsed.Seconds()
-	}
-	if rep.RecoverySec > 0 {
-		rep.RecoverySpeedup = rep.RecoveryFullSec / rep.RecoverySec
-	}
-	fmt.Printf("recovery (full replay):  %d windows, %d batches / %d edges replayed in %.0fms\n",
-		recFull.Windows, recFull.Batches, recFull.Edges, rep.RecoveryFullSec*1e3)
-	fmt.Printf("recovery (snapshot):     %d windows, %d snapshots / %d edges seeded + %d batches / %d edges replayed in %.0fms\n",
-		recSnap.Windows, recSnap.Snapshots, recSnap.SnapshotEdges, recSnap.Batches, recSnap.Edges, rep.RecoverySec*1e3)
-	fmt.Printf("snapshot recovery speedup: x%.2f\n", rep.RecoverySpeedup)
-}
-
-// windowNames returns the load-target window names: the legacy default
-// window when one window is asked for, w0..w{M-1} otherwise.
-func windowNames(m int) []string {
-	if m == 1 {
-		return []string{stream.DefaultWindow}
-	}
-	names := make([]string, m)
-	for i := range names {
-		names[i] = fmt.Sprintf("w%d", i)
-	}
-	return names
-}
-
-// runInProc starts a loopback swserver whose registry holds o.windows
-// windows built with the given ingester threshold and fan-out mode, and
-// drives them — concurrently, or one window at a time (oneAtATime). A
-// non-nil persist makes the registry durable (the -wal mode).
-func runInProc(o options, mode string, maxBatch int, seqFanout, oneAtATime bool, persist *stream.PersistenceConfig) LoadResult {
-	var treg *telemetry.Registry
-	if o.telemetry {
-		treg = telemetry.NewRegistry()
-	}
-	reg, _, err := stream.OpenRegistry(stream.RegistryConfig{
-		Shards:    o.shards,
-		Telemetry: treg,
-		Template: stream.ServiceConfig{
-			Window: stream.WindowConfig{
-				N:                o.n,
-				Seed:             uint64(o.seed),
-				Monitors:         stream.SplitMonitors(o.monitors),
-				MaxArrivals:      o.window,
-				SequentialFanout: seqFanout,
-				ApplyParallelism: applyParallelism(o),
-			},
-			Ingest: stream.IngesterConfig{MaxBatch: maxBatch, MaxDelay: o.delay},
-		},
-		Persistence: persist,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer reg.Close()
-	names := windowNames(o.windows)
-	svcs := make([]*stream.Service, len(names))
-	for i, name := range names {
-		// Pass the template itself so non-inherited fields (the fan-out
-		// mode) carry to the created windows.
-		svc, err := reg.Create(name, reg.Template())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		svcs[i] = svc
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	srv := &http.Server{Handler: stream.NewRegistryServer(reg, stream.ServerConfig{}).Handler()}
-	go srv.Serve(ln)
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-
-	// Path prefixes the producers/readers target: "" = legacy routes.
-	prefixes := make([]string, len(names))
-	if o.windows > 1 {
-		for i, name := range names {
-			prefixes[i] = "/windows/" + name
-		}
-	}
-
-	var res LoadResult
-	if oneAtATime {
-		// M sequential single-window runs over the same per-window shares.
-		// The aggregate divides total edges by the sum of the runs' ingest
-		// elapsed times — the same clock the concurrent mode uses, so the
-		// comparison excludes per-run client setup/teardown on both sides.
-		// Latency percentiles are the max across runs (a conservative
-		// upper bound, matching the histogram's upper-bound semantics).
-		var agg LoadResult
-		sub := o
-		sub.windows = 1
-		for i, prefix := range prefixes {
-			sub.edges = o.edges / o.windows
-			if i == 0 { // first window absorbs the division remainder
-				sub.edges += o.edges % o.windows
-			}
-			r := runLoad(sub, mode, base, []string{prefix}, nil)
-			agg.Edges += r.Edges
-			agg.Posts += r.Posts
-			agg.Queries += r.Queries
-			agg.ElapsedSec += r.ElapsedSec
-			agg.PostP50Ms = max(agg.PostP50Ms, r.PostP50Ms)
-			agg.PostP99Ms = max(agg.PostP99Ms, r.PostP99Ms)
-			agg.QueryP50Ms = max(agg.QueryP50Ms, r.QueryP50Ms)
-			agg.QueryP99Ms = max(agg.QueryP99Ms, r.QueryP99Ms)
-		}
-		res = agg
-		res.Mode, res.N, res.Producers, res.Chunk = mode, o.n, o.producers, o.chunk
-		res.EdgesPerSec = float64(res.Edges) / res.ElapsedSec
-	} else {
-		res = runLoad(o, mode, base, prefixes, svcs)
-	}
-	res.MaxBatch = maxBatch
-	res.Windows = o.windows
-
-	// Server-side batch shape and apply time, aggregated over the windows.
-	var batches, applyNS, arrivals int64
-	for _, svc := range svcs {
-		svc.Flush()
-		st := svc.Window().Stats()
-		batches += st.Batches
-		applyNS += st.ApplyNS
-		arrivals += st.Arrivals
-	}
-	res.ServerBatches = batches
-	if batches > 0 {
-		res.MeanBatchSize = float64(arrivals) / float64(batches)
-		res.MeanApplyMs = float64(applyNS) / float64(batches) / 1e6
-	}
-
-	// Per-monitor view of the same window set: the msfweight mean apply is
-	// the intra-monitor fork-join's headline number.
-	var msfOps, msfNS int64
-	for _, svc := range svcs {
-		for _, ms := range svc.Window().MonitorStats() {
-			if ms.Name == stream.MonitorMSFWeight {
-				msfOps += ms.Ops
-				msfNS += ms.ApplyNS
-			}
-		}
-	}
-	if msfOps > 0 {
-		res.MSFWeightApplyMs = float64(msfNS) / float64(msfOps) / 1e6
-	}
-	if len(svcs) > 0 {
-		res.ApplyParallelism = svcs[0].Window().ApplyParallelism()
-	}
-
-	return res
-}
-
-// applyParallelism maps the CLI toggle onto WindowConfig.ApplyParallelism:
-// -seq-levels pins sequential level application, otherwise the registry
-// default (GOMAXPROCS-wide shared budget) stands.
-func applyParallelism(o options) int {
-	if o.seqLevels {
-		return 1
-	}
-	return 0
-}
-
 // wireEdge is the JSON-envelope edge shape the producers POST.
 type wireEdge struct {
 	U int32 `json:"u"`
@@ -1540,10 +1079,10 @@ type wireEdge struct {
 	W int64 `json:"w,omitempty"`
 }
 
-// edgesPath renders the ingest path for one window prefix with the wire
-// format and ack mode baked into the query string.
-func edgesPath(prefix string, ndjson, syncAck bool) string {
-	p := prefix + "/edges"
+// edgesPath renders the ingest path with the wire format and ack mode
+// baked into the query string.
+func edgesPath(ndjson, syncAck bool) string {
+	p := "/edges"
 	var q []string
 	if ndjson {
 		q = append(q, "format=ndjson")
@@ -1600,19 +1139,17 @@ type poster struct {
 // the stop channel closes, or a hard error lands. Only the accepted
 // attempt's latency is observed. Returns false when the producer loop
 // should give up.
-func (p *poster) post(prefix string, edges []wireEdge, rec *stream.LatencyRecorder, stop <-chan struct{}) bool {
+func (p *poster) post(edges []wireEdge, rec *stream.LatencyRecorder, stop <-chan struct{}) bool {
 	body, ctype := encodeEdges(edges, p.ndjson)
-	path := p.base + edgesPath(prefix, p.ndjson, p.syncAck)
+	path := p.base + edgesPath(p.ndjson, p.syncAck)
 	for {
 		t0 := time.Now()
 		resp, err := p.client.Post(path, ctype, bytes.NewReader(body))
 		if err != nil {
-			if stop != nil {
-				select {
-				case <-stop: // shutdown race: the server is going away
-					return false
-				default:
-				}
+			select {
+			case <-stop: // shutdown race: the server is going away
+				return false
+			default:
 			}
 			fmt.Fprintf(os.Stderr, "POST %s: %v\n", path, err)
 			return false
@@ -1621,9 +1158,7 @@ func (p *poster) post(prefix string, edges []wireEdge, rec *stream.LatencyRecord
 		drainBody(resp)
 		switch resp.StatusCode {
 		case http.StatusAccepted:
-			if rec != nil {
-				rec.Observe(time.Since(t0))
-			}
+			rec.Observe(time.Since(t0))
 			return true
 		case http.StatusTooManyRequests:
 			p.rejected.Add(1)
@@ -1639,16 +1174,14 @@ func (p *poster) post(prefix string, edges []wireEdge, rec *stream.LatencyRecord
 				p.retryWait.Add(int64(wait))
 				select {
 				case <-time.After(wait):
-				case <-stopOrNever(stop):
+				case <-stop:
 					return false
 				}
 			}
-			if stop != nil {
-				select {
-				case <-stop:
-					return false
-				default:
-				}
+			select {
+			case <-stop:
+				return false
+			default:
 			}
 		default:
 			if !p.badLogged.Swap(true) {
@@ -1675,26 +1208,20 @@ func (p *poster) fill(res *LoadResult) {
 	}
 }
 
-// stopOrNever adapts an optional stop channel for select: a nil stop
-// never fires.
-func stopOrNever(stop <-chan struct{}) <-chan struct{} {
-	if stop == nil {
-		return make(chan struct{})
+// runLoad is the HTTP driver: it fires o.producers concurrent POST loops
+// plus o.readers query loops at o.url, or at an in-process server holding
+// the -monitors, and collects the measurements.
+func runLoad(o options) LoadResult {
+	base := o.url
+	var svc *stream.Service
+	if base == "" {
+		var cfg stream.RegistryConfig
+		cfg.Template.Window.Monitors = stream.SplitMonitors(o.monitors)
+		var stopServer func()
+		svc, base, stopServer = serveInProc(o, cfg)
+		defer stopServer()
 	}
-	return stop
-}
-
-// runLoad fires o.producers concurrent POST loops plus o.readers query
-// loops at base, spreading them across the given window path prefixes, and
-// collects the measurements.
-func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Service) LoadResult {
-	// The default transport keeps only 2 idle conns per host, which makes
-	// every concurrent loop beyond that pay a fresh TCP handshake per
-	// request; raise it so the pipeline, not the client, is measured.
-	transport := http.DefaultTransport.(*http.Transport).Clone()
-	transport.MaxIdleConns = 4 * (o.producers + o.readers)
-	transport.MaxIdleConnsPerHost = 4 * (o.producers + o.readers)
-	client := &http.Client{Timeout: 30 * time.Second, Transport: transport}
+	client := newClient(o.producers + o.readers)
 	var postRec, queryRec stream.LatencyRecorder
 	var posted atomic.Int64
 	stop := make(chan struct{})
@@ -1708,7 +1235,6 @@ func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Ser
 		go func(p int) {
 			defer prodWG.Done()
 			r := rand.New(rand.NewSource(o.seed + int64(p)))
-			prefix := prefixes[p%len(prefixes)]
 			perProducer := perProducer
 			if p == 0 { // first producer absorbs the division remainder
 				perProducer += o.edges % o.producers
@@ -1718,17 +1244,8 @@ func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Ser
 				if k > perProducer-sent {
 					k = perProducer - sent
 				}
-				edges := make([]wireEdge, k)
-				for i := range edges {
-					u := int32(r.Intn(o.n))
-					v := int32(r.Intn(o.n))
-					for v == u {
-						v = int32(r.Intn(o.n))
-					}
-					edges[i] = wireEdge{U: u, V: v, W: 1 + r.Int63n(1<<10)}
-				}
 				// Only accepted posts count toward the latency stats.
-				if !po.post(prefix, edges, &postRec, nil) {
+				if !po.post(randomEdges(r, o.n, k), &postRec, stop) {
 					return
 				}
 				posted.Add(int64(k))
@@ -1768,7 +1285,6 @@ func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Ser
 		go func(q int) {
 			defer readWG.Done()
 			r := rand.New(rand.NewSource(o.seed + 1000 + int64(q)))
-			prefix := prefixes[q%len(prefixes)]
 			badLogged := false
 			for i := 0; ; i++ {
 				select {
@@ -1776,9 +1292,9 @@ func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Ser
 					return
 				default:
 				}
-				path := prefix + queryPaths[i%len(queryPaths)]
+				path := queryPaths[i%len(queryPaths)]
 				if hasConn && i%2 == 0 {
-					path = fmt.Sprintf("%s/query/connected?u=%d&v=%d", prefix, r.Intn(o.n), r.Intn(o.n))
+					path = fmt.Sprintf("/query/connected?u=%d&v=%d", r.Intn(o.n), r.Intn(o.n))
 				}
 				t0 := time.Now()
 				resp, err := client.Get(base + path)
@@ -1804,21 +1320,15 @@ func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Ser
 	ingestElapsed := time.Since(start)
 	close(stop)
 	readWG.Wait()
-	for _, svc := range svcs {
-		svc.Flush()
-	}
 
 	ps := postRec.Snapshot()
 	qs := queryRec.Snapshot()
 	res := LoadResult{
-		Mode:      mode,
-		N:         o.n,
-		Windows:   len(prefixes),
-		Edges:     posted.Load(),
-		Producers: o.producers,
-		Chunk:     o.chunk,
-		// MaxBatch stays 0 here: only runInProc knows the server's real
-		// threshold; a remote server's -batch flag is not observable.
+		Mode:        "batched",
+		N:           o.n,
+		Edges:       posted.Load(),
+		Producers:   o.producers,
+		Chunk:       o.chunk,
 		ElapsedSec:  ingestElapsed.Seconds(),
 		EdgesPerSec: float64(posted.Load()) / ingestElapsed.Seconds(),
 		Posts:       ps.Count,
@@ -1829,17 +1339,22 @@ func runLoad(o options, mode, base string, prefixes []string, svcs []*stream.Ser
 		QueryP99Ms:  float64(qs.P99) / 1e6,
 	}
 
-	// Without in-process service handles (remote -url runs), scrape the
-	// server-side batch shape from the target window's /stats; runInProc
-	// overwrites these with exact aggregates when it has the handles.
-	if svcs == nil {
+	if svc != nil {
+		// In-process: the exact server-side numbers, once the queue has
+		// drained. A remote server's -batch flag is not observable, so
+		// MaxBatch stays 0 against -url.
+		svc.Flush()
+		res.MaxBatch = o.batch
+		fillServerStats(&res, svc)
+	} else {
+		// Remote: the batch shape from the window's /stats.
 		var stats struct {
 			Ingest struct {
 				Batches       int64   `json:"batches"`
 				MeanBatchSize float64 `json:"mean_batch_size"`
 			} `json:"ingest"`
 		}
-		if resp, err := client.Get(base + prefixes[0] + "/stats"); err == nil {
+		if resp, err := client.Get(base + "/stats"); err == nil {
 			_ = json.NewDecoder(resp.Body).Decode(&stats)
 			drainBody(resp)
 			res.ServerBatches = stats.Ingest.Batches
@@ -1860,14 +1375,9 @@ func drainBody(resp *http.Response) {
 }
 
 func printResult(r LoadResult) {
-	switch {
-	case r.MaxBatch > 0 && r.Windows > 1:
-		fmt.Printf("== %s (windows=%d, maxBatch=%d) ==\n", r.Mode, r.Windows, r.MaxBatch)
-	case r.MaxBatch > 0 && r.Fsync != "":
-		fmt.Printf("== %s (maxBatch=%d, fsync=%s) ==\n", r.Mode, r.MaxBatch, r.Fsync)
-	case r.MaxBatch > 0:
+	if r.MaxBatch > 0 {
 		fmt.Printf("== %s (maxBatch=%d) ==\n", r.Mode, r.MaxBatch)
-	default:
+	} else {
 		fmt.Printf("== %s (remote server; batch threshold unknown) ==\n", r.Mode)
 	}
 	fmt.Printf("  ingested %d edges in %.2fs  →  %.0f edges/sec\n", r.Edges, r.ElapsedSec, r.EdgesPerSec)

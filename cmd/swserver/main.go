@@ -109,7 +109,6 @@ func main() {
 	shards := flag.Int("shards", 16, "registry lock shards (rounded up to a power of two)")
 	maxWindows := flag.Int("maxwindows", 0, "cap on live windows (0 = unlimited)")
 	windows := flag.String("windows", "", "comma-separated extra windows to pre-create from the template")
-	seqFanout := flag.Bool("seqfanout", false, "apply batches to monitors sequentially instead of in parallel")
 	applyPar := flag.Int("apply-parallelism", 0,
 		"intra-monitor batch-apply worker budget shared by all windows (msfweight level fork-join): 0 = GOMAXPROCS, 1 = sequential levels")
 	maxBody := flag.Int64("maxbody", stream.DefaultMaxBodyBytes, "request body size cap in bytes")
@@ -122,8 +121,6 @@ func main() {
 		"with -data-dir: checkpoint writes a live-edge snapshot when a window's replayable WAL suffix exceeds this many arrivals, bounding restart time; -1 disables snapshots")
 	metricsOn := flag.Bool("metrics", true, "instrument the pipeline and expose Prometheus text at GET /metrics")
 	logLevel := flag.String("log-level", "info", "slog threshold for operational records: debug|info|warn|error")
-	slowBatch := flag.Duration("slow-batch", 0,
-		"deprecated alias for -flight-slow-threshold: slow batches are retained in the flight recorder's slow ring (/debug/flight?slow=1), not logged")
 	maxQueueEdges := flag.Int64("max-queue-edges", 0,
 		"admission budget: reject ingest (HTTP 429) once this many edges are queued un-applied (0 = unbounded)")
 	maxQueueBytes := flag.Int64("max-queue-bytes", 0,
@@ -171,7 +168,6 @@ func main() {
 			Monitor:          stream.MonitorConfig{Eps: *eps, MaxWeight: *maxW, K: *k},
 			MaxArrivals:      *window,
 			MaxAge:           *maxAge,
-			SequentialFanout: *seqFanout,
 			ApplyParallelism: *applyPar,
 			SyncAck:          *syncAck,
 		},
@@ -208,15 +204,6 @@ func main() {
 	if *metricsOn {
 		treg = telemetry.NewRegistry()
 	}
-	if *slowBatch > 0 {
-		// The warn-log path is gone; honour the old flag as the slow-ring
-		// threshold it was always approximating, unless the new flag set one.
-		logger.Warn("-slow-batch is deprecated; treating it as -flight-slow-threshold",
-			"threshold", *slowBatch)
-		if *flightSlow == 0 {
-			*flightSlow = *slowBatch
-		}
-	}
 	var injector *fault.Injector
 	if *faultInject {
 		injector = fault.NewInjector(nil, *faultSeed)
@@ -249,7 +236,7 @@ func main() {
 	}
 	names := append([]string{stream.DefaultWindow}, stream.SplitMonitors(*windows)...)
 	for _, name := range names {
-		// Pass the template itself so non-inherited fields (-seqfanout)
+		// Pass the template itself so non-inherited fields (-sync-ack)
 		// carry to the pre-created windows. A recovered window already
 		// holding the name wins — its durable config and contents stand.
 		if _, err := reg.Create(name, template); err != nil && !errors.Is(err, stream.ErrWindowExists) {
@@ -298,7 +285,6 @@ func main() {
 		"addr", *addr, "windows", strings.Join(reg.Names(), ","), "shards", reg.Shards(),
 		"n", *n, "monitors", *monitors, "window", *window, "maxage", *maxAge,
 		"batch", *batch, "delay", *delay,
-		"fanout", map[bool]string{false: "parallel", true: "sequential"}[*seqFanout],
 		"apply_parallelism", *applyPar,
 		"max_queue_edges", *maxQueueEdges, "max_queue_bytes", *maxQueueBytes,
 		"rate_limit", *rateLimit, "sync_ack", *syncAck,

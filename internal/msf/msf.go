@@ -1,8 +1,9 @@
-// Package msf implements static minimum-spanning-forest algorithms: Kruskal
-// (the workhorse for the O(ℓ)-size graphs arising in Algorithm 2), Prim (a
-// reference oracle for tests), and a parallel filter-Borůvka used as the
-// stand-in for the Cole–Klein–Tarjan linear-work parallel MSF [12] — see
-// DESIGN.md §2 for the substitution argument.
+// Package msf implements static minimum-spanning-forest algorithms.
+// Kruskal (Workspace) is the workhorse for the O(ℓ)-size graphs arising in
+// Algorithm 2 and the stand-in for the Cole–Klein–Tarjan linear-work
+// parallel MSF [12]; see DESIGN.md §2 for the substitution argument. Prim
+// and Borůvka are independently coded oracles that this package's tests
+// check Kruskal against.
 //
 // All algorithms break ties with the (W, ID) total order of package wgraph,
 // so on any input they return the same, unique, minimum spanning forest.
@@ -158,11 +159,13 @@ func (h *edgeHeap) pop() wgraph.Edge {
 	return top
 }
 
-// Boruvka computes the MSF with parallel Borůvka rounds: each component
-// selects its minimum incident edge in parallel, the selected edges are
-// committed through a union-find, and fully-contracted edges are filtered
-// before the next round. Expected O(lg n) rounds; each round's work is linear
-// in the surviving edges, which at least halve per round after filtering.
+// Boruvka computes the MSF with sequential Borůvka rounds: each component
+// selects its minimum incident edge, the selected edges are committed
+// through a union-find, and fully-contracted edges are filtered before the
+// next round. Every round at least halves the components that still have
+// an edge, so there are at most ⌈lg n⌉ rounds of O(n + m) work for the m
+// surviving edges. It exists as an independently-coded oracle for
+// differential tests.
 func Boruvka(n int, edges []wgraph.Edge) []wgraph.Edge {
 	live := make([]wgraph.Edge, 0, len(edges))
 	for _, e := range edges {

@@ -80,23 +80,6 @@ func TestBlockedForPanic(t *testing.T) {
 	}
 }
 
-func TestReduceInt64Panic(t *testing.T) {
-	v := recoverPanic(t, func() {
-		ReduceInt64(1<<16, 1, func(i int) int64 {
-			if i == 7777 {
-				panic("reduce")
-			}
-			return 1
-		})
-	})
-	if p, ok := v.(*Panic); ok {
-		v = p.Unwrap()
-	}
-	if v != any("reduce") {
-		t.Fatalf("recovered %v", v)
-	}
-}
-
 func TestForEachLimitedPanic(t *testing.T) {
 	var ran atomic.Int32
 	v := recoverPanic(t, func() {

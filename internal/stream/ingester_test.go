@@ -161,7 +161,7 @@ func TestIngesterSplitsOversizedSubmissions(t *testing.T) {
 
 func TestIngesterOneEdgePerBatch(t *testing.T) {
 	// MaxBatch=1 must degrade to one-edge batches even for grouped
-	// submissions — the unbatched baseline of cmd/swload -compare.
+	// submissions.
 	sink := newBatchSink()
 	g := NewIngester(IngesterConfig{MaxBatch: 1, MaxDelay: time.Hour}, sink.sink)
 	if err := g.SubmitBatch(make([]Edge, 5)); err != nil {

@@ -40,10 +40,13 @@ import (
 // goroutine, one op at a time; the WindowManager's writer lock enforces
 // that. Read-side methods are safe for any number of goroutines.
 type Multiplexer struct {
-	slots      []*monitorSlot
-	byName     map[string]*monitorSlot // configured monitor name → its slot
-	names      []string                // configured monitor names, deduplicated
-	forest     *monitorSlot            // the forest slot, nil when no monitor needs it
+	slots  []*monitorSlot
+	byName map[string]*monitorSlot // configured monitor name → its slot
+	names  []string                // configured monitor names, deduplicated
+	forest *monitorSlot            // the forest slot, nil when no monitor needs it
+	// sequential applies the slots one at a time, as a window with a
+	// single slot does. Only tests set it: the sequential loop is the
+	// reference the parallel fan-out must match.
 	sequential bool
 
 	// The op being applied, read by every slot's apply: set by Apply
@@ -159,22 +162,20 @@ type MonitorApplyStats struct {
 }
 
 // NewMultiplexer builds a multiplexer over the named monitors, one slot
-// per structure they need, in order of each slot's first monitor.
-// sequential forces one-slot-at-a-time fan-out; the default is parallel
-// fork-join. workers is the budget monitors with internal fork-joins
-// (msfweight's per-level apply) borrow auxiliary goroutines from; nil uses
-// the process-wide default budget.
-func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, sequential bool, workers *parallel.Limiter) (*Multiplexer, error) {
+// per structure they need, in order of each slot's first monitor. workers
+// is the budget monitors with internal fork-joins (msfweight's per-level
+// apply) borrow auxiliary goroutines from; nil uses the process-wide
+// default budget.
+func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, workers *parallel.Limiter) (*Multiplexer, error) {
 	if len(names) == 0 {
 		names = AllMonitors()
 	}
 	cfg = cfg.withDefaults()
 	m := &Multiplexer{
-		byName:     make(map[string]*monitorSlot, len(names)),
-		sequential: sequential,
-		n:          n,
-		cfg:        cfg,
-		workers:    workers,
+		byName:  make(map[string]*monitorSlot, len(names)),
+		n:       n,
+		cfg:     cfg,
+		workers: workers,
 	}
 	bySlot := make(map[string]*monitorSlot, len(slotOf))
 	slotFor := func(slot string, i int) *monitorSlot {
@@ -413,9 +414,6 @@ func (m *Multiplexer) forEachLastTiming(fn func(idx int, waitNS, applyNS int64))
 		fn(s.idx, s.lastWaitNS, s.lastApplyNS)
 	}
 }
-
-// Sequential reports whether fan-out is forced sequential.
-func (m *Multiplexer) Sequential() bool { return m.sequential }
 
 // Names lists the configured monitors, deduplicated, in config order.
 func (m *Multiplexer) Names() []string { return append([]string(nil), m.names...) }

@@ -182,44 +182,42 @@ type RecoveryReport struct {
 // manifest — everything needed to rebuild the ServiceConfig except the
 // clocks, which recovery takes from the registry template.
 type windowMeta struct {
-	N                int      `json:"n"`
-	Seed             uint64   `json:"seed"`
-	Monitors         []string `json:"monitors,omitempty"`
-	Eps              float64  `json:"eps,omitempty"`
-	MaxWeight        int64    `json:"max_weight,omitempty"`
-	K                int      `json:"k,omitempty"`
-	MaxArrivals      int      `json:"max_arrivals,omitempty"`
-	MaxAgeNS         int64    `json:"max_age_ns,omitempty"`
-	SequentialFanout bool     `json:"sequential_fanout,omitempty"`
-	SyncAck          bool     `json:"sync_ack,omitempty"`
-	MaxBatch         int      `json:"max_batch,omitempty"`
-	MaxDelayNS       int64    `json:"max_delay_ns,omitempty"`
-	QueueLen         int      `json:"queue_len,omitempty"`
-	MaxQueueEdges    int64    `json:"max_queue_edges,omitempty"`
-	MaxQueueBytes    int64    `json:"max_queue_bytes,omitempty"`
-	MaxEdgesPerSec   int      `json:"max_edges_per_sec,omitempty"`
-	BurstEdges       int      `json:"burst_edges,omitempty"`
+	N              int      `json:"n"`
+	Seed           uint64   `json:"seed"`
+	Monitors       []string `json:"monitors,omitempty"`
+	Eps            float64  `json:"eps,omitempty"`
+	MaxWeight      int64    `json:"max_weight,omitempty"`
+	K              int      `json:"k,omitempty"`
+	MaxArrivals    int      `json:"max_arrivals,omitempty"`
+	MaxAgeNS       int64    `json:"max_age_ns,omitempty"`
+	SyncAck        bool     `json:"sync_ack,omitempty"`
+	MaxBatch       int      `json:"max_batch,omitempty"`
+	MaxDelayNS     int64    `json:"max_delay_ns,omitempty"`
+	QueueLen       int      `json:"queue_len,omitempty"`
+	MaxQueueEdges  int64    `json:"max_queue_edges,omitempty"`
+	MaxQueueBytes  int64    `json:"max_queue_bytes,omitempty"`
+	MaxEdgesPerSec int      `json:"max_edges_per_sec,omitempty"`
+	BurstEdges     int      `json:"burst_edges,omitempty"`
 }
 
 func metaFromConfig(cfg ServiceConfig) windowMeta {
 	return windowMeta{
-		N:                cfg.Window.N,
-		Seed:             cfg.Window.Seed,
-		Monitors:         cfg.Window.Monitors,
-		Eps:              cfg.Window.Monitor.Eps,
-		MaxWeight:        cfg.Window.Monitor.MaxWeight,
-		K:                cfg.Window.Monitor.K,
-		MaxArrivals:      cfg.Window.MaxArrivals,
-		MaxAgeNS:         int64(cfg.Window.MaxAge),
-		SequentialFanout: cfg.Window.SequentialFanout,
-		SyncAck:          cfg.Window.SyncAck,
-		MaxBatch:         cfg.Ingest.MaxBatch,
-		MaxDelayNS:       int64(cfg.Ingest.MaxDelay),
-		QueueLen:         cfg.Ingest.QueueLen,
-		MaxQueueEdges:    cfg.Ingest.MaxQueueEdges,
-		MaxQueueBytes:    cfg.Ingest.MaxQueueBytes,
-		MaxEdgesPerSec:   cfg.Ingest.MaxEdgesPerSec,
-		BurstEdges:       cfg.Ingest.BurstEdges,
+		N:              cfg.Window.N,
+		Seed:           cfg.Window.Seed,
+		Monitors:       cfg.Window.Monitors,
+		Eps:            cfg.Window.Monitor.Eps,
+		MaxWeight:      cfg.Window.Monitor.MaxWeight,
+		K:              cfg.Window.Monitor.K,
+		MaxArrivals:    cfg.Window.MaxArrivals,
+		MaxAgeNS:       int64(cfg.Window.MaxAge),
+		SyncAck:        cfg.Window.SyncAck,
+		MaxBatch:       cfg.Ingest.MaxBatch,
+		MaxDelayNS:     int64(cfg.Ingest.MaxDelay),
+		QueueLen:       cfg.Ingest.QueueLen,
+		MaxQueueEdges:  cfg.Ingest.MaxQueueEdges,
+		MaxQueueBytes:  cfg.Ingest.MaxQueueBytes,
+		MaxEdgesPerSec: cfg.Ingest.MaxEdgesPerSec,
+		BurstEdges:     cfg.Ingest.BurstEdges,
 	}
 }
 
@@ -239,7 +237,6 @@ func configFromMeta(m windowMeta, tpl ServiceConfig) ServiceConfig {
 			MaxArrivals:      m.MaxArrivals,
 			MaxAge:           time.Duration(m.MaxAgeNS),
 			Clock:            tpl.Window.Clock,
-			SequentialFanout: m.SequentialFanout,
 			SyncAck:          m.SyncAck,
 			ApplyParallelism: tpl.Window.ApplyParallelism,
 			workers:          tpl.Window.workers,

@@ -399,6 +399,72 @@ func TestShutdownFlushesBufferedEdges(t *testing.T) {
 	}
 }
 
+// TestRecoverManifestWithSequentialFanout: windows created with the
+// removed sequential_fanout option keep the key in their manifest config.
+// Recovery ignores it: the window comes back with the same answers and
+// the default parallel fan-out.
+func TestRecoverManifestWithSequentialFanout(t *testing.T) {
+	const n = 40
+	dir := t.TempDir()
+	regCfg := RegistryConfig{
+		Template: ServiceConfig{
+			Window: WindowConfig{N: n, Seed: 9, MaxArrivals: 300, Monitor: MonitorConfig{K: 3}},
+			Ingest: IngesterConfig{MaxBatch: 64, MaxDelay: time.Hour},
+		},
+		Persistence: &PersistenceConfig{Dir: dir, Fsync: FsyncOff},
+	}
+	reg, _, err := OpenRegistry(regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Create("w", reg.Template())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 8; i++ {
+		if err := svc.Submit(randomEdges(r, n, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Flush()
+	pairs := [][2]int32{{0, 1}, {2, 3}, {5, 39}, {17, 30}}
+	ref := answersOf(t, svc.Window(), pairs)
+	reg.Close()
+
+	m, err := wal.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := m.Windows["w"]
+	var cfg map[string]any
+	if err := json.Unmarshal(ws.Config, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["sequential_fanout"] = true
+	if ws.Config, err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	m.Windows["w"] = ws
+	if err := wal.SaveManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2, rep, err := OpenRegistry(regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	svc2, ok := reg2.Get("w")
+	if !ok || rep.Windows != 1 {
+		t.Fatalf("recovered %d windows, w present %v", rep.Windows, ok)
+	}
+	diffAnswers(t, "recovered", ref, answersOf(t, svc2.Window(), pairs))
+	if svc2.Window().mux.sequential {
+		t.Fatal("recovered window applies its slots sequentially")
+	}
+}
+
 // TestDropDeletesDurableState: a dropped window's log directory and
 // manifest entry are gone, and a restart does not resurrect it.
 func TestDropDeletesDurableState(t *testing.T) {

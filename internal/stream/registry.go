@@ -295,12 +295,11 @@ func mergeTemplate(cfg, tpl ServiceConfig) ServiceConfig {
 	if cfg.Window.Clock == nil {
 		cfg.Window.Clock = tpl.Window.Clock
 	}
-	// SequentialFanout and SyncAck are NOT inherited: a bool cannot
-	// distinguish "unset" from an explicit false, so the merged value is
-	// exactly what the caller set. Callers that want the template's mode
-	// pass the template itself as the base config (cmd/swserver,
-	// cmd/swload) or resolve it before calling Create (the HTTP create
-	// handler's tri-state sequential_fanout / sync_ack fields).
+	// SyncAck is NOT inherited: a bool cannot distinguish "unset" from an
+	// explicit false, so the merged value is exactly what the caller set.
+	// Callers that want the template's mode pass the template itself as
+	// the base config (cmd/swserver, cmd/swload) or resolve it before
+	// calling Create (the HTTP create handler's tri-state sync_ack field).
 	if cfg.Ingest.MaxBatch == 0 {
 		cfg.Ingest.MaxBatch = tpl.Ingest.MaxBatch
 	}

@@ -115,13 +115,10 @@ type createWindowRequest struct {
 	MaxQueueBytes  int64 `json:"max_queue_bytes,omitempty"`
 	MaxEdgesPerSec int   `json:"max_edges_per_sec,omitempty"`
 	BurstEdges     int   `json:"burst_edges,omitempty"`
-	// SequentialFanout is tri-state: absent inherits the registry
-	// template's fan-out mode, an explicit true/false overrides it.
-	SequentialFanout *bool `json:"sequential_fanout,omitempty"`
-	// SyncAck is tri-state like SequentialFanout: absent inherits the
-	// template's ack mode, explicit true/false overrides. True makes
-	// POST /edges on this window block for durability by default
-	// (per-request ?sync= still overrides).
+	// SyncAck is tri-state: absent inherits the template's ack mode, an
+	// explicit true/false overrides it. True makes POST /edges on this
+	// window block for durability by default (per-request ?sync= still
+	// overrides).
 	SyncAck *bool `json:"sync_ack,omitempty"`
 	// ApplyParallelism tunes the intra-monitor fork-join of the batch
 	// apply: 0/absent inherits the registry's shared budget, 1 forces
@@ -439,10 +436,6 @@ func (s *Server) handleCreateWindow(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	seqFanout := s.reg.Template().Window.SequentialFanout
-	if req.SequentialFanout != nil {
-		seqFanout = *req.SequentialFanout
-	}
 	syncAck := s.reg.Template().Window.SyncAck
 	if req.SyncAck != nil {
 		syncAck = *req.SyncAck
@@ -455,7 +448,6 @@ func (s *Server) handleCreateWindow(w http.ResponseWriter, r *http.Request) {
 			Monitor:          MonitorConfig{Eps: req.Eps, MaxWeight: req.MaxWeight, K: req.K},
 			MaxArrivals:      req.MaxArrivals,
 			MaxAge:           time.Duration(req.MaxAgeMS) * time.Millisecond,
-			SequentialFanout: seqFanout,
 			SyncAck:          syncAck,
 			ApplyParallelism: req.ApplyParallelism,
 		},

@@ -305,7 +305,8 @@ func TestServerWindowsCRUD(t *testing.T) {
 	if resp["n"].(float64) != 20 {
 		t.Fatalf("created n = %v", resp["n"])
 	}
-	// Duplicate → 409, bad name → 400, unknown monitor → 400.
+	// Duplicate → 409, bad name → 400, unknown monitor → 400, a key the
+	// API no longer has → 400 that names it.
 	if code, _ := doJSON(t, "POST", ts.URL+"/windows", `{"name":"t1"}`); code != http.StatusConflict {
 		t.Fatalf("duplicate create = %d, want 409", code)
 	}
@@ -314,6 +315,10 @@ func TestServerWindowsCRUD(t *testing.T) {
 	}
 	if code, _ := doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","monitors":["nope"]}`); code != http.StatusBadRequest {
 		t.Fatalf("bad monitor = %d, want 400", code)
+	}
+	code, resp = doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","sequential_fanout":true}`)
+	if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"sequential_fanout"`) {
+		t.Fatalf("removed key = %d (%v), want 400 naming sequential_fanout", code, resp)
 	}
 
 	var list struct {

@@ -46,9 +46,8 @@
 //
 // cmd/swserver wraps a registry in an HTTP JSON front-end (windows
 // addressed under /windows/{name}/..., legacy single-window routes served
-// by a default window); cmd/swload drives it end-to-end, measures sustained
-// throughput and query latency, and isolates the fan-out win
-// (-fanout-compare) and multi-window scaling (-windows).
+// by a default window); cmd/swload drives it end-to-end and measures
+// sustained throughput and query latency.
 package stream
 
 import (

@@ -22,7 +22,7 @@ var processStart = time.Now()
 // A nil *Metrics (or the package-level noMetrics zero bundle) is the
 // "compiled-out" recorder: every instrument field is nil and every
 // observation is a nil-check branch and nothing else. This is what
-// `swload -telemetry-compare` benchmarks the instrumented build against.
+// BenchmarkIngestTelemetryOff measures the instrumented build against.
 //
 // Cardinality discipline: windows come and go under tenant control, so no
 // metric is labeled by window name — per-window numbers live in /stats,

@@ -25,7 +25,7 @@ var ErrMonitorQuarantined = errors.New("stream: monitor quarantined after apply 
 
 // WindowConfig describes one managed window.
 type WindowConfig struct {
-	// Name identifies the window in trace/log output (slow-batch records,
+	// Name identifies the window in trace/log output (slow batch traces,
 	// recovery lines). Purely informational; "" is fine for tests.
 	Name string
 	// N is the number of vertices (vertex ids are [0, N)).
@@ -54,19 +54,13 @@ type WindowConfig struct {
 	// Requests can override per-call with ?sync=0/1. Meaningless without
 	// a durability layer.
 	SyncAck bool
-	// SequentialFanout forces one-monitor-at-a-time batch application
-	// instead of the default parallel fork-join across monitors. The
-	// answers are identical either way (monitors are independent); the
-	// switch exists for measurement (swload -fanout-compare) and for
-	// pinning down fan-out bugs.
-	SequentialFanout bool
 	// ApplyParallelism budgets the intra-monitor fork-join of the batch
 	// apply — today the msfweight monitor's per-level fan-out, which also
 	// covers expiry and recovery replay since they run through the same
 	// entry points. 0 inherits: the registry's shared budget when the
 	// window belongs to one, the process-wide GOMAXPROCS-sized budget
-	// otherwise. 1 forces sequential level application (the measurement /
-	// differential-debug mode behind swload -seq-levels). p > 1 sizes a
+	// otherwise. 1 forces sequential level application (the reference
+	// TestLevelsParallelMatchesSequential compares against). p > 1 sizes a
 	// private budget of the caller plus p-1 auxiliary workers — honoured
 	// on standalone windows; inside a registry the budget is shared and
 	// sized from the registry template, so N windows × R levels cannot
@@ -92,10 +86,10 @@ type WindowStats struct {
 	// the whole fan-out (so under parallel fan-out it tracks the max
 	// monitor cost, not the sum). Counted exactly when Batches is, so
 	// ApplyNS/Batches is the mean apply latency per batch — the number
-	// swload -fanout-compare reports. Ticker-driven ExpireByAge is not
-	// included (it would skew the per-batch mean on idle streams). The
-	// per-monitor breakdown — which monitor's apply is the one a query
-	// would wait out — is MonitorStats.
+	// BenchmarkFanout reports as apply-ns/batch. Ticker-driven
+	// ExpireByAge is not included (it would skew the per-batch mean on
+	// idle streams). The per-monitor breakdown — which monitor's apply is
+	// the one a query would wait out — is MonitorStats.
 	ApplyNS int64 `json:"apply_ns"`
 	// Epoch is the apply epoch at snapshot time: even = all staged ops
 	// fully applied to every monitor, odd = a fan-out is in flight. It
@@ -275,7 +269,7 @@ func NewWindowManager(cfg WindowConfig) (*WindowManager, error) {
 		cfg.Clock = RealClock()
 	}
 	workers := resolveApplyWorkers(cfg)
-	mux, err := NewMultiplexer(cfg.Monitors, cfg.N, cfg.Monitor, cfg.Seed, cfg.SequentialFanout, workers)
+	mux, err := NewMultiplexer(cfg.Monitors, cfg.N, cfg.Monitor, cfg.Seed, workers)
 	if err != nil {
 		return nil, err
 	}

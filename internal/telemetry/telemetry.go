@@ -12,8 +12,8 @@
 //  2. Instruments are nil-safe: observing on a nil *Counter, *Gauge or
 //     *Histogram is a no-op, so a pipeline built without a telemetry
 //     registry pays one predictable branch per observation and nothing
-//     else (the "compiled-out" recorder swload's -telemetry-compare
-//     benchmarks against).
+//     else (the "compiled-out" recorder BenchmarkIngestTelemetryOff in
+//     internal/stream measures).
 //  3. Exposition is boring, valid Prometheus text format — HELP/TYPE per
 //     family, cumulative le buckets, _sum/_count — parseable by the real
 //     Prometheus and by this package's own ParseExposition (which the CI
