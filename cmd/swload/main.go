@@ -323,14 +323,15 @@ func main() {
 // serveInProc opens a registry with cfg, creates the default window from
 // its template and serves the registry on a loopback port. The flags set
 // the template's vertex count, seed, count bound and batching, and the
-// registry always gets a telemetry registry, as swserver's does by
+// registry always gets a telemetry registry, treg, as swserver's does by
 // default; cfg supplies the rest. stop closes the server, then the
 // registry.
-func serveInProc(o options, cfg stream.RegistryConfig) (svc *stream.Service, base string, stop func()) {
+func serveInProc(o options, cfg stream.RegistryConfig) (svc *stream.Service, treg *telemetry.Registry, base string, stop func()) {
 	win, in := &cfg.Template.Window, &cfg.Template.Ingest
 	win.N, win.Seed, win.MaxArrivals = o.n, uint64(o.seed), o.window
 	in.MaxBatch, in.MaxDelay = o.batch, o.delay
-	cfg.Telemetry = telemetry.NewRegistry()
+	treg = telemetry.NewRegistry()
+	cfg.Telemetry = treg
 	reg, _, err := stream.OpenRegistry(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -348,7 +349,7 @@ func serveInProc(o options, cfg stream.RegistryConfig) (svc *stream.Service, bas
 	}
 	srv := &http.Server{Handler: stream.NewRegistryServer(reg, stream.ServerConfig{}).Handler()}
 	go srv.Serve(ln)
-	return svc, "http://" + ln.Addr().String(), func() {
+	return svc, treg, "http://" + ln.Addr().String(), func() {
 		srv.Close()
 		reg.Close()
 	}
@@ -381,21 +382,19 @@ func randomEdges(r *rand.Rand, n, k int) []wireEdge {
 }
 
 // fillServerStats copies an in-process window's batch shape, mean apply
-// time and level fork-join into res. Call it after the window's queue has
-// drained.
-func fillServerStats(res *LoadResult, svc *stream.Service) {
+// time and level fork-join into res. The mean apply times are the means of
+// treg's fan-out and msfweight slot histograms, which serveInProc's one
+// window alone feeds. Call it after the window's queue has drained.
+func fillServerStats(res *LoadResult, svc *stream.Service, treg *telemetry.Registry) {
 	st := svc.Window().Stats()
 	res.ServerBatches = st.Batches
 	if st.Batches > 0 {
 		res.MeanBatchSize = float64(st.Arrivals) / float64(st.Batches)
-		res.MeanApplyMs = float64(st.ApplyNS) / float64(st.Batches) / 1e6
 	}
+	res.MeanApplyMs = float64(treg.Histogram("sw_apply_fanout_seconds", "").Snapshot().Mean) / 1e6
 	res.ApplyParallelism = svc.Window().ApplyParallelism()
-	for _, ms := range svc.Window().MonitorStats() {
-		if ms.Name == stream.MonitorMSFWeight && ms.Ops > 0 {
-			res.MSFWeightApplyMs = float64(ms.ApplyNS) / float64(ms.Ops) / 1e6
-		}
-	}
+	msf := treg.Histogram("sw_monitor_apply_seconds", "", telemetry.L("monitor", stream.MonitorMSFWeight))
+	res.MSFWeightApplyMs = float64(msf.Snapshot().Mean) / 1e6
 }
 
 // mixEntry is one weighted endpoint of the -mixed querier mix.
@@ -552,15 +551,20 @@ func runMixed(o options) LoadResult {
 	// minutes. Backpressure lands in POST latency instead, which is the
 	// honest place for it.
 	cfg.Template.Ingest.QueueLen = o.producers
-	svc, base, stopServer := serveInProc(o, cfg)
+	svc, treg, base, stopServer := serveInProc(o, cfg)
 	defer stopServer()
 	fmt.Fprintf(os.Stderr, "swload -mixed: monitors built in %v; running %v of mixed load\n",
 		time.Since(setupStart).Round(time.Millisecond), o.duration)
 
 	client := newClient(o.producers + o.readers)
 
-	var postRec stream.LatencyRecorder
-	queryRecs := stream.NewEndpointStats()
+	// One histogram per endpoint, made before the readers start, so the
+	// readers only read the map.
+	var postRec telemetry.Histogram
+	queryRecs := make(map[string]*telemetry.Histogram, len(mix))
+	for _, m := range mix {
+		queryRecs[m.name] = new(telemetry.Histogram)
+	}
 	var posted atomic.Int64
 	stop := make(chan struct{})
 	po := &poster{client: client, base: base, ndjson: o.ndjson, syncAck: o.syncAck, burst: o.burst}
@@ -639,7 +643,7 @@ func runMixed(o options) LoadResult {
 					}
 					continue
 				}
-				queryRecs.Recorder(ep.name).Observe(time.Since(t0))
+				queryRecs[ep.name].Observe(time.Since(t0))
 			}
 		}(q)
 	}
@@ -739,7 +743,11 @@ func runMixed(o options) LoadResult {
 	endpoints := make(map[string]EndpointLatency)
 	var totalQueries int64
 	var worstP50, worstP99, worstMax float64
-	for name, snap := range queryRecs.Snapshot() {
+	for name, rec := range queryRecs {
+		snap := rec.Snapshot()
+		if snap.Count == 0 {
+			continue
+		}
 		endpoints[name] = EndpointLatency{
 			Count:  snap.Count,
 			MeanMs: float64(snap.Mean) / 1e6,
@@ -783,7 +791,7 @@ func runMixed(o options) LoadResult {
 		Monitors:     monitors,
 		Flight:       flight,
 	}
-	fillServerStats(&res, svc)
+	fillServerStats(&res, svc, treg)
 	po.fill(&res)
 	return res
 }
@@ -957,7 +965,7 @@ func runCheckMetrics(o options) {
 	base := o.url
 	if base == "" {
 		// All monitors, so every per-monitor family appears.
-		svc, b, stop := serveInProc(o, stream.RegistryConfig{})
+		svc, _, b, stop := serveInProc(o, stream.RegistryConfig{})
 		defer stop()
 		base = b
 
@@ -1139,7 +1147,7 @@ type poster struct {
 // the stop channel closes, or a hard error lands. Only the accepted
 // attempt's latency is observed. Returns false when the producer loop
 // should give up.
-func (p *poster) post(edges []wireEdge, rec *stream.LatencyRecorder, stop <-chan struct{}) bool {
+func (p *poster) post(edges []wireEdge, rec *telemetry.Histogram, stop <-chan struct{}) bool {
 	body, ctype := encodeEdges(edges, p.ndjson)
 	path := p.base + edgesPath(p.ndjson, p.syncAck)
 	for {
@@ -1214,15 +1222,16 @@ func (p *poster) fill(res *LoadResult) {
 func runLoad(o options) LoadResult {
 	base := o.url
 	var svc *stream.Service
+	var treg *telemetry.Registry
 	if base == "" {
 		var cfg stream.RegistryConfig
 		cfg.Template.Window.Monitors = stream.SplitMonitors(o.monitors)
 		var stopServer func()
-		svc, base, stopServer = serveInProc(o, cfg)
+		svc, treg, base, stopServer = serveInProc(o, cfg)
 		defer stopServer()
 	}
 	client := newClient(o.producers + o.readers)
-	var postRec, queryRec stream.LatencyRecorder
+	var postRec, queryRec telemetry.Histogram
 	var posted atomic.Int64
 	stop := make(chan struct{})
 	po := &poster{client: client, base: base, ndjson: o.ndjson, syncAck: o.syncAck, burst: o.burst}
@@ -1345,7 +1354,7 @@ func runLoad(o options) LoadResult {
 		// MaxBatch stays 0 against -url.
 		svc.Flush()
 		res.MaxBatch = o.batch
-		fillServerStats(&res, svc)
+		fillServerStats(&res, svc, treg)
 	} else {
 		// Remote: the batch shape from the window's /stats.
 		var stats struct {

@@ -32,7 +32,7 @@
 //	GET    /windows/{name}/query/connected?u=&v=
 //	GET    /windows/{name}/query/{components,bipartite,msfweight,cycle,kcert}
 //	GET    /windows/{name}/query/summary   all monitors at one apply epoch
-//	GET    /windows/{name}/stats           per-window counters (incl. per-monitor apply/wait)
+//	GET    /windows/{name}/stats           per-window counters and health
 //	POST   /edges, GET /query/..., /stats  default window (legacy routes)
 //	POST   /admin/checkpoint               persist watermarks + GC segments
 //	GET    /metrics                        Prometheus text exposition (unless -metrics=false)

@@ -52,7 +52,6 @@ func captureRefState(t *testing.T, wm *WindowManager, pairs [][2]int32) epochRef
 		t.Fatal(err)
 	}
 	st.stats = wm.Stats()
-	st.stats.ApplyNS = 0
 	st.stats.Epoch = 0
 	st.epoch = wm.Stats().Epoch
 	return st
@@ -249,7 +248,6 @@ func TestEpochConsistencyDifferential(t *testing.T) {
 	// with Expired from op k).
 	spawn("stats", func() func(*epochRefState) bool {
 		got := live.Stats()
-		got.ApplyNS = 0
 		got.Epoch = 0
 		return func(st *epochRefState) bool { return st.stats == got }
 	})

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/wal"
 )
 
 // faultRig is the shared harness of the fault-schedule differentials: a
@@ -291,6 +294,49 @@ func TestENOSPCDuringRotationDegradesAndHeals(t *testing.T) {
 	r.compare("post-enospc recovery", svc2.Window())
 }
 
+// TestHealNotLostInHealTail pins that every append failure gets a heal,
+// including one that lands after a heal has turned degraded off but
+// before its loop has ended. A latency rule holds that heal in its last
+// step, the manifest write, while a second append fails.
+func TestHealNotLostInHealTail(t *testing.T) {
+	r := newFaultRig(t, nil)
+	defer r.reg.Close()
+	for i := 0; i < 10; i++ {
+		r.step(r.svc)
+	}
+	// Watch the window's flags directly: DegradedWindows takes the
+	// persister lock, which the held manifest write keeps.
+	r.reg.persist.mu.Lock()
+	pw := r.reg.persist.wins["w"]
+	r.reg.persist.mu.Unlock()
+	for _, rule := range []fault.Rule{
+		{ID: "hold", Op: fault.OpWrite, Path: wal.ManifestName + ".tmp", Kind: fault.KindLatency, LatencyMS: 1000, Count: 1},
+		{ID: "eio1", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1},
+	} {
+		if _, err := r.inj.Set(rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.step(r.svc)
+	for deadline := time.Now().Add(10 * time.Second); pw.degraded.Load() || !pw.healing.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first heal never reached its manifest write")
+		}
+	}
+	if _, err := r.inj.Set(fault.Rule{ID: "eio2", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r.step(r.svc)
+	if !pw.degraded.Load() || !pw.healing.Load() {
+		t.Fatalf("second append: degraded %v, first heal running %v; want both", pw.degraded.Load(), pw.healing.Load())
+	}
+	r.inj.Reset()
+	r.waitNotDegraded()
+	if ps, _ := r.reg.PersistenceStats(); ps.WALHeals != 2 || ps.GapEdges != 0 {
+		t.Fatalf("after two failures and their heals: %+v", ps)
+	}
+}
+
 // TestSnapshotFsyncFailureFailsCheckpointLoudly injects an fsync failure
 // into the snapshot commit path: the checkpoint must fail (and count a
 // consecutive-failure streak for the loop's backoff), no *.snap file may
@@ -442,6 +488,22 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	}
 	if q[0].Monitor != SlotForest || q[0].Reason == "" || q[0].RebuildErr == "" {
 		t.Fatalf("quarantine record: %+v", q[0])
+	}
+	// The window's stats serve the whole record, stack included.
+	ts := httptest.NewServer(NewRegistryServer(reg, ServerConfig{}).Handler())
+	defer ts.Close()
+	var st struct {
+		Health struct {
+			State       string           `json:"state"`
+			Quarantined []QuarantineInfo `json:"quarantined"`
+		} `json:"health"`
+	}
+	if code := getJSON(t, ts.URL+"/windows/w1/stats", &st); code != http.StatusOK {
+		t.Fatalf("w1 stats status %d", code)
+	}
+	if hq := st.Health.Quarantined; st.Health.State != "quarantined" || len(hq) != 1 ||
+		hq[0].Monitor != SlotForest || hq[0].Reason == "" || hq[0].Stack == "" {
+		t.Fatalf("w1 stats health: %+v", st.Health)
 	}
 
 	// Quarantined slot: 503-shaped errors, machine-readable, for every

@@ -198,18 +198,4 @@ func TestExemplarLinksToTrace(t *testing.T) {
 	if v.TraceID != trace.FormatID(ex.TraceID) {
 		t.Errorf("lookup returned trace %s, want %s", v.TraceID, trace.FormatID(ex.TraceID))
 	}
-
-	// The /stats view renders the same link.
-	found := false
-	for _, e := range reg.Metrics().Exemplars() {
-		if e.Family == "sw_apply_batch_seconds" {
-			found = true
-			if e.TraceID != trace.FormatID(ex.TraceID) {
-				t.Errorf("Exemplars() trace = %s, want %s", e.TraceID, trace.FormatID(ex.TraceID))
-			}
-		}
-	}
-	if !found {
-		t.Error("Exemplars() view missing sw_apply_batch_seconds")
-	}
 }

@@ -29,12 +29,13 @@ import (
 // staged ops on its slot — never half a batch.
 //
 // The fan-out is also where apply time becomes observable: each slot
-// keeps a log₂ histogram of the time the writer spent holding (apply) and
-// waiting for (wait) its lock — not just cumulative sums, so /stats and
+// times how long the writer waited for (wait) and held (apply) its lock,
+// once per op. The times land in the registry's per-slot histograms, so
 // /metrics can answer "what does the p99 lock hold on the forest slot
-// look like", which is exactly the window a query can block for. The
-// apply runs under a pprof label ("monitor" = slot name) so CPU profiles
-// attribute fan-out time per slot.
+// look like", which is exactly the window a query can block for, and in
+// the batch's flight trace, which /debug/flight?window= serves per window.
+// The apply runs under a pprof label ("monitor" = slot name) so CPU
+// profiles attribute fan-out time per slot.
 //
 // Writer-side methods (Apply) must only be called by the window's writer
 // goroutine, one op at a time; the WindowManager's writer lock enforces
@@ -84,8 +85,10 @@ type Multiplexer struct {
 }
 
 // QuarantineInfo describes one quarantined slot: why it was isolated and
-// whether a rebuild can bring it back. Served machine-readably on 503s and
-// in /stats. Every monitor the slot answers is quarantined with it.
+// whether a rebuild can bring it back. Served machine-readably, stack
+// included, in the window's stats (health.quarantined); a 503 names only
+// the error and the reason. Every monitor the slot answers is quarantined
+// with it.
 type QuarantineInfo struct {
 	Monitor string    `json:"monitor"` // the slot name
 	Reason  string    `json:"reason"`
@@ -120,14 +123,6 @@ type monitorSlot struct {
 	// rebuilding guards the one-rebuild-at-a-time CAS for this slot.
 	rebuilding atomic.Bool
 
-	// Per-slot apply/wait histograms (nanoseconds). Written only by the
-	// single writer's fan-out (one Apply at a time), read by Stats
-	// snapshots at any time — Observe and Snapshot are both lock-free, so
-	// stats readers never queue behind a slow apply. These always record:
-	// they back the /stats JSON, which predates the telemetry subsystem.
-	applyH telemetry.Histogram
-	waitH  telemetry.Histogram
-
 	// Shared process-wide per-slot-name histograms from the telemetry
 	// bundle (nil when telemetry is off) — the /metrics view, aggregated
 	// across windows.
@@ -140,25 +135,6 @@ type monitorSlot struct {
 	// (forEachLastTiming).
 	lastApplyNS int64
 	lastWaitNS  int64
-}
-
-// MonitorApplyStats is one fan-out slot's cumulative apply accounting.
-type MonitorApplyStats struct {
-	Name string `json:"name"` // the slot name
-	// Ops counts applied staged ops (batch inserts and/or expiries).
-	Ops int64 `json:"ops"`
-	// ApplyNS is the cumulative time the writer held this slot's write
-	// lock — the window a lock-path query on this slot can block for.
-	ApplyNS int64 `json:"apply_ns"`
-	// WaitNS is the cumulative time the writer waited to acquire the
-	// write lock (in-flight readers of this monitor hold it out).
-	WaitNS int64 `json:"wait_ns"`
-	// Per-op lock-hold distribution (log₂ buckets, upper-bound quantiles
-	// clamped to max — overestimates by at most 2×).
-	ApplyP50NS int64 `json:"apply_p50_ns"`
-	ApplyP99NS int64 `json:"apply_p99_ns"`
-	ApplyMaxNS int64 `json:"apply_max_ns"`
-	WaitP99NS  int64 `json:"wait_p99_ns"`
 }
 
 // NewMultiplexer builds a multiplexer over the named monitors, one slot
@@ -233,8 +209,8 @@ func describePanic(r any) (reason, stack string) {
 }
 
 // setTelemetry points each slot at the process-wide per-slot histograms
-// so fan-out timings land in /metrics as well as /stats. Called during
-// wiring, before the window is published to writers.
+// so fan-out timings land in /metrics. Called during wiring, before the
+// window is published to writers.
 func (m *Multiplexer) setTelemetry(tm *Metrics) {
 	for _, s := range m.slots {
 		s.applyShared = tm.monitorApplyHist(s.name)
@@ -314,8 +290,6 @@ func (m *Multiplexer) applySlot(s *monitorSlot) {
 	s.mu.Unlock()
 	s.lastWaitNS = t1.Sub(t0).Nanoseconds()
 	s.lastApplyNS = t2.Sub(t1).Nanoseconds()
-	s.waitH.ObserveVal(s.lastWaitNS)
-	s.applyH.ObserveVal(s.lastApplyNS)
 	s.waitShared.ObserveValTraced(s.lastWaitNS, m.traceID)
 	s.applyShared.ObserveValTraced(s.lastApplyNS, m.traceID)
 }
@@ -423,26 +397,6 @@ func (m *Multiplexer) slotNames() []string {
 	out := make([]string, len(m.slots))
 	for i, s := range m.slots {
 		out[i] = s.name
-	}
-	return out
-}
-
-// Stats snapshots every slot's apply accounting, in fan-out order.
-func (m *Multiplexer) Stats() []MonitorApplyStats {
-	out := make([]MonitorApplyStats, len(m.slots))
-	for i, s := range m.slots {
-		a := s.applyH.Snapshot()
-		w := s.waitH.Snapshot()
-		out[i] = MonitorApplyStats{
-			Name:       s.name,
-			Ops:        a.Count,
-			ApplyNS:    a.Sum,
-			WaitNS:     w.Sum,
-			ApplyP50NS: a.P50,
-			ApplyP99NS: a.P99,
-			ApplyMaxNS: a.Max,
-			WaitP99NS:  w.P99,
-		}
 	}
 	return out
 }

@@ -341,8 +341,11 @@ type persister struct {
 	// take p.mu, never the reverse.
 	ckptMu sync.Mutex
 
-	checkpoints int64
-	snapshots   int64
+	// Completed checkpoint passes and committed snapshots since boot: the
+	// persistence block of /stats, and sw_checkpoints_total and
+	// sw_snapshots_total on /metrics.
+	checkpoints atomic.Int64
+	snapshots   atomic.Int64
 
 	// testSnapshotFail, when set (tests only), is invoked before a
 	// snapshot's Commit and can force the write to fail — the regression
@@ -414,8 +417,9 @@ func newPersister(cfg PersistenceConfig, m *Metrics, logger *slog.Logger) (*pers
 	return p, nil
 }
 
-// registerDurabilityGauges publishes the durability state that is read, not
-// accumulated: segment counts, checkpoint/snapshot ages, error tallies.
+// registerDurabilityGauges publishes the durability state the persister
+// already keeps: segment counts, checkpoint/snapshot ages and tallies,
+// error tallies.
 func (p *persister) registerDurabilityGauges(reg *telemetry.Registry) {
 	reg.GaugeFunc("sw_wal_segments",
 		"WAL segment files across all windows.", func() float64 {
@@ -448,6 +452,14 @@ func (p *persister) registerDurabilityGauges(reg *telemetry.Registry) {
 			p.errMu.Lock()
 			defer p.errMu.Unlock()
 			return float64(p.appendErrs)
+		})
+	reg.CounterFunc("sw_checkpoints_total",
+		"Completed checkpoint passes.", func() float64 {
+			return float64(p.checkpoints.Load())
+		})
+	reg.CounterFunc("sw_snapshots_total",
+		"Live-edge snapshot files committed.", func() float64 {
+			return float64(p.snapshots.Load())
 		})
 	reg.CounterFunc("sw_checkpoint_errors_total",
 		"Checkpoint passes that failed.", func() float64 {
@@ -556,7 +568,17 @@ func (p *persister) kickHeal(pw *persistedWindow) {
 // succeeds, the window is gone, or the persister shuts down.
 func (p *persister) healLoop(pw *persistedWindow) {
 	defer p.healWG.Done()
-	defer pw.healing.Store(false)
+	healed := false
+	defer func() {
+		pw.healing.Store(false)
+		// healWindow turns degraded off before healing clears. An append
+		// that failed in between saw this loop still running and started
+		// no heal, and a degraded window never appends again to start one,
+		// so start it here.
+		if healed && pw.degraded.Load() {
+			p.kickHeal(pw)
+		}
+	}()
 	delay := p.cfg.healRetry()
 	maxDelay := delay * 32
 	for attempt := 1; ; attempt++ {
@@ -565,6 +587,7 @@ func (p *persister) healLoop(pw *persistedWindow) {
 		}
 		err := p.healWindow(pw)
 		if err == nil {
+			healed = true
 			return
 		}
 		if errors.Is(err, wal.ErrClosed) {
@@ -691,8 +714,7 @@ func (p *persister) healWindow(pw *persistedWindow) error {
 	}
 	pw.snapName = snapName
 	pw.snapEnd = end
-	p.snapshots++
-	p.m.snapshots.Inc()
+	p.snapshots.Add(1)
 	p.m.snapshotEdges.Add(int64(len(edges)))
 	p.lastSnapshotAt.Store(time.Now().UnixNano())
 	p.lastSnapshotEdges.Store(int64(len(edges)))
@@ -979,8 +1001,7 @@ func (p *persister) maybeSnapshot(name string, pw *persistedWindow, threshold in
 	}
 	pw.snapName = snapName
 	pw.snapEnd = absW + uint64(len(edges))
-	p.snapshots++
-	p.m.snapshots.Inc()
+	p.snapshots.Add(1)
 	p.m.snapshotEdges.Add(int64(len(edges)))
 	p.lastSnapshotAt.Store(time.Now().UnixNano())
 	p.lastSnapshotEdges.Store(int64(len(edges)))
@@ -1102,9 +1123,8 @@ func (p *persister) checkpointPass() (CheckpointStats, error) {
 	}
 	st.Windows = len(horizons)
 	st.Elapsed = time.Since(start)
-	p.checkpoints++
+	p.checkpoints.Add(1)
 	p.lastCheckpointAt.Store(time.Now().UnixNano())
-	p.m.checkpoints.Inc()
 	p.m.checkpointSeconds.Observe(st.Elapsed)
 	p.logger.Debug("checkpoint complete",
 		slog.Int("windows", st.Windows),
@@ -1152,7 +1172,6 @@ func (p *persister) closeAll() {
 
 func (p *persister) stats() PersistenceStats {
 	p.mu.Lock()
-	ckpts, snaps := p.checkpoints, p.snapshots
 	var degraded []string
 	var gap int64
 	for name, pw := range p.wins {
@@ -1168,8 +1187,8 @@ func (p *persister) stats() PersistenceStats {
 	st := PersistenceStats{
 		Dir:                  p.cfg.Dir,
 		Fsync:                string(p.cfg.Fsync),
-		Checkpoints:          ckpts,
-		Snapshots:            snaps,
+		Checkpoints:          p.checkpoints.Load(),
+		Snapshots:            p.snapshots.Load(),
 		CheckpointErrors:     p.ckptErrs,
 		AppendErrors:         p.appendErrs,
 		DegradedWindows:      len(degraded),

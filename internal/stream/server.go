@@ -37,22 +37,21 @@ const DefaultMaxBodyBytes = 8 << 20
 //	GET    /windows/{name}/query/cycle
 //	GET    /windows/{name}/query/kcert
 //	GET    /windows/{name}/query/summary     all monitors at one apply epoch
-//	GET    /windows/{name}/stats                per-window counters
+//	GET    /windows/{name}/stats                per-window counters and health
 //	POST   /edges, GET /query/..., GET /stats   same, on the default window
 //	GET    /healthz                             liveness (process up)
 //	GET    /readyz                              readiness (see ServerConfig)
 //	GET    /metrics                             Prometheus text exposition
+//	GET    /debug/flight                        flight recorder (per-window timings)
 //
-// Every endpoint records latency into an EndpointStats table keyed by route
-// pattern (shared across windows, so cardinality stays bounded), surfaced
-// by /stats — and, when the registry carries a telemetry bundle, into the
-// sw_http_request_seconds{route=...} histogram the /metrics endpoint
-// exposes (same buckets, same observations: the two views cannot drift).
+// When the registry carries a telemetry bundle, every routed request is
+// observed once, into the sw_http_request_seconds{route=...} histogram
+// keyed by route pattern (shared across windows, so cardinality stays
+// bounded). The stats documents carry counters and health, no latencies.
 type Server struct {
 	reg        *WindowRegistry
 	defaultWin string
 	maxBody    int64
-	stats      *EndpointStats
 	m          *Metrics
 	health     *telemetry.Health
 	mux        *http.ServeMux
@@ -161,7 +160,6 @@ func NewRegistryServer(reg *WindowRegistry, cfg ServerConfig) *Server {
 		reg:        reg,
 		defaultWin: cfg.DefaultWindow,
 		maxBody:    cfg.MaxBodyBytes,
-		stats:      NewEndpointStats(),
 		m:          cfg.Metrics.orNoop(),
 		health:     buildHealth(reg, cfg),
 		mux:        http.NewServeMux(),
@@ -315,20 +313,16 @@ func (s *Server) Registry() *WindowRegistry { return s.reg }
 // Handler returns the root handler for an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// handle registers a pattern with latency recording keyed by the pattern:
-// the /stats recorder and (when telemetry is on) the per-route /metrics
-// histogram see the same observation, plus the in-flight gauge.
+// handle registers a pattern with latency recording keyed by the pattern
+// into the per-route /metrics histogram, plus the in-flight gauge.
 func (s *Server) handle(pattern string, fn http.HandlerFunc) {
-	rec := s.stats.Recorder(pattern)
 	hist := s.m.routeHist(pattern) // nil (no-op) when telemetry is off
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		s.m.httpInflight.Add(1)
 		start := time.Now()
 		fn(w, r)
-		d := time.Since(start)
+		hist.Observe(time.Since(start))
 		s.m.httpInflight.Add(-1)
-		rec.Observe(d)
-		hist.Observe(d)
 	})
 }
 
@@ -896,51 +890,13 @@ func windowStatsBody(svc *Service, degraded bool) map[string]any {
 	}
 	health := map[string]any{"state": state, "wal_degraded": degraded}
 	if len(quar) > 0 {
-		qs := make([]map[string]any, 0, len(quar))
-		for _, q := range quar {
-			e := map[string]any{"monitor": q.Monitor, "reason": q.Reason, "at": q.At}
-			if q.Permanent {
-				e["permanent"] = true
-				e["rebuild_error"] = q.RebuildErr
-			}
-			qs = append(qs, e)
-		}
-		health["quarantined"] = qs
+		health["quarantined"] = quar
 	}
 	body["health"] = health
-	// The apply block replaces the old single mean_apply_ms: with
-	// per-monitor locking the interesting production number is per
-	// monitor — whose apply a query waits behind (mean_apply_ms) and how
-	// hard readers push back on the writer (mean_wait_ms).
-	apply := map[string]any{
-		// Effective intra-monitor fork-join width (caller + auxiliaries;
-		// 1 = sequential levels) — shared across windows in a registry.
-		"parallelism": svc.Window().ApplyParallelism(),
-	}
-	if win.Batches > 0 {
-		apply["mean_batch_ms"] = float64(win.ApplyNS) / float64(win.Batches) / 1e6
-	}
-	perMon := map[string]any{}
-	for _, ms := range svc.Window().MonitorStats() {
-		if ms.Ops == 0 {
-			continue
-		}
-		perMon[ms.Name] = map[string]any{
-			"ops":           ms.Ops,
-			"mean_apply_ms": float64(ms.ApplyNS) / float64(ms.Ops) / 1e6,
-			"mean_wait_ms":  float64(ms.WaitNS) / float64(ms.Ops) / 1e6,
-			"p50_apply_ms":  float64(ms.ApplyP50NS) / 1e6,
-			"p99_apply_ms":  float64(ms.ApplyP99NS) / 1e6,
-			"max_apply_ms":  float64(ms.ApplyMaxNS) / 1e6,
-			"p99_wait_ms":   float64(ms.WaitP99NS) / 1e6,
-		}
-	}
-	if len(perMon) > 0 {
-		apply["per_monitor"] = perMon
-	}
-	if len(apply) > 0 {
-		body["apply"] = apply
-	}
+	// Effective intra-monitor fork-join width (caller + auxiliaries; 1 =
+	// sequential levels) — shared across windows in a registry. Apply
+	// timings are per batch and per slot in the window's flight traces.
+	body["apply"] = map[string]any{"parallelism": svc.Window().ApplyParallelism()}
 	return body
 }
 
@@ -954,9 +910,9 @@ func (s *Server) handleWindowStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleStats serves the process-wide view: registry shape, per-endpoint
-// latency, and — when the default window exists — its stats inline under
-// the original keys, so single-window clients keep working untouched.
+// handleStats serves the process-wide view: registry shape, durability,
+// and — when the default window exists — its stats inline under the
+// original keys, so single-window clients keep working untouched.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := map[string]any{
 		"uptime_seconds": time.Since(s.start).Seconds(),
@@ -965,13 +921,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"count":   s.reg.Len(),
 			"shards":  s.reg.Shards(),
 		},
-		"endpoints": s.stats.Snapshot(),
 	}
 	if ps, ok := s.reg.PersistenceStats(); ok {
 		resp["persistence"] = ps
-	}
-	if ex := s.m.Exemplars(); len(ex) > 0 {
-		resp["exemplars"] = ex
 	}
 	if svc, ok := s.reg.Get(s.defaultWin); ok {
 		for k, v := range windowStatsBody(svc, s.windowDegraded(s.defaultWin)) {

@@ -7,11 +7,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sw"
+	"repro/internal/trace"
 )
 
 func newTestServer(t *testing.T, n int) (*httptest.Server, *Service) {
@@ -175,9 +177,8 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	var stats struct {
-		Window    WindowStats                `json:"window"`
-		Endpoints map[string]LatencySnapshot `json:"endpoints"`
-		Monitors  []string                   `json:"monitors"`
+		Window   WindowStats `json:"window"`
+		Monitors []string    `json:"monitors"`
 	}
 	if code := getJSON(t, ts.URL+"/stats", &stats); code != 200 {
 		t.Fatalf("stats status %d", code)
@@ -187,9 +188,6 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if len(stats.Monitors) != len(AllMonitors()) {
 		t.Fatalf("monitors = %v", stats.Monitors)
-	}
-	if ep, ok := stats.Endpoints["POST /edges"]; !ok || ep.Count != 10 {
-		t.Fatalf("POST /edges latency count = %+v", stats.Endpoints)
 	}
 
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != 200 {
@@ -489,26 +487,67 @@ func TestServerQuerySummary(t *testing.T) {
 	if !*sum.Cycle {
 		t.Fatal("triangle reported cycle-free")
 	}
-	// Per-slot apply stats surfaced in /stats.
-	var stats struct {
-		Apply struct {
-			PerMonitor map[string]struct {
-				Ops         int64   `json:"ops"`
-				MeanApplyMs float64 `json:"mean_apply_ms"`
-				MeanWaitMs  float64 `json:"mean_wait_ms"`
-			} `json:"per_monitor"`
-		} `json:"apply"`
+}
+
+// TestServerFlightSlotSpans pins where per-window apply timing is served:
+// after one flushed batch, the newest batch trace at
+// /debug/flight?window=<name> carries one wait and one apply span for
+// each fan-out slot of that window, and for no other slot — also when
+// msfweight's level spans overflow a trace whose first slot is msfweight.
+func TestServerFlightSlotSpans(t *testing.T) {
+	const n = 500
+	reg := NewRegistry(RegistryConfig{Template: ServiceConfig{
+		// Parallelism 2 turns on msfweight's level spans.
+		Window: WindowConfig{N: n, Seed: 5, ApplyParallelism: 2, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 20, K: 3}},
+	}})
+	defer reg.Close()
+	ts := httptest.NewServer(NewRegistryServer(reg, ServerConfig{}).Handler())
+	defer ts.Close()
+	r := rand.New(rand.NewSource(5))
+	wide := make([]edgeJSON, 2000) // weights over most of msfweight's levels
+	for i := range wide {
+		u := int32(r.Intn(n))
+		wide[i] = edgeJSON{U: u, V: (u + 1 + int32(r.Intn(n-1))) % n, W: 1 + r.Int63n(1<<20)}
 	}
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	for _, name := range AllSlots() {
-		pm, ok := stats.Apply.PerMonitor[name]
-		if !ok {
-			t.Fatalf("/stats apply.per_monitor missing %q: %+v", name, stats.Apply.PerMonitor)
+	small := []edgeJSON{{U: 1, V: 2}, {U: 2, V: 3, W: 9}}
+	for _, w := range []struct {
+		name     string
+		monitors []string // nil: all five
+		slots    []string
+		edges    []edgeJSON
+	}{
+		{DefaultWindow, nil, AllSlots(), small},
+		{"connonly", []string{MonitorConn}, []string{SlotForest}, small},
+		{"msffirst", []string{MonitorMSFWeight, MonitorConn}, []string{MonitorMSFWeight, SlotForest}, wide},
+	} {
+		svc, err := reg.Create(w.name, ServiceConfig{Window: WindowConfig{Monitors: w.monitors}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pm.Ops < 1 {
-			t.Fatalf("monitor %q shows %d ops after a flushed batch", name, pm.Ops)
+		if code, _ := postEdges(t, ts.URL+"/windows/"+w.name, w.edges); code != http.StatusAccepted {
+			t.Fatalf("%s: post status %d", w.name, code)
+		}
+		svc.Flush()
+		var fr trace.Response
+		if code := getJSON(t, ts.URL+"/debug/flight?window="+w.name+"&kind=batch", &fr); code != http.StatusOK || len(fr.Traces) == 0 {
+			t.Fatalf("%s: flight status %d, %d traces", w.name, code, len(fr.Traces))
+		}
+		v := fr.Traces[0]
+		got := map[string]int{}
+		for _, sp := range v.Spans {
+			if sp.Name == "wait" || sp.Name == "apply" {
+				got[sp.Name+" "+sp.Monitor]++
+			}
+		}
+		want := map[string]int{}
+		for _, slot := range w.slots {
+			want["wait "+slot], want["apply "+slot] = 1, 1
+		}
+		if v.Window != w.name || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: trace of window %q has slot spans %v, want %v (%d spans dropped)", w.name, v.Window, got, want, v.Dropped)
+		}
+		if w.name == "msffirst" && v.Dropped == 0 {
+			t.Fatalf("%s: the trace kept all %d spans; the batch must overflow it", w.name, len(v.Spans))
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // processStart anchors sw_uptime_seconds; package init is close enough to
@@ -17,7 +16,10 @@ var processStart = time.Now()
 // Metrics bundles every stream-layer instrument. The bundle is resolved
 // once at wiring time (NewMetrics) and handed to each pipeline component,
 // which holds the instruments it needs as direct fields — the hot path
-// never touches the registry, a map, or a lock.
+// never touches the registry, a map, or a lock. Each timing the pipeline
+// takes is observed once, into this bundle (and the flight recorder's
+// span for it); the JSON stats documents carry counters and health, not
+// latencies of their own.
 //
 // A nil *Metrics (or the package-level noMetrics zero bundle) is the
 // "compiled-out" recorder: every instrument field is nil and every
@@ -25,10 +27,12 @@ var processStart = time.Now()
 // BenchmarkIngestTelemetryOff measures the instrumented build against.
 //
 // Cardinality discipline: windows come and go under tenant control, so no
-// metric is labeled by window name — per-window numbers live in /stats,
-// and the Prometheus families aggregate across windows. The only labels in
-// the bundle are the monitor label, whose universe is the fixed AllSlots
-// set, and the HTTP route pattern, whose universe is the route table.
+// metric is labeled by window name — per-window counters and health live
+// in /windows/{name}/stats, per-window timings in the flight recorder
+// (/debug/flight?window=), and the Prometheus families aggregate across
+// windows. The only labels in the bundle are the monitor label, whose
+// universe is the fixed AllSlots set, and the HTTP route pattern, whose
+// universe is the route table.
 type Metrics struct {
 	reg *telemetry.Registry
 
@@ -78,8 +82,6 @@ type Metrics struct {
 	walRepairs        *telemetry.Counter
 	walRepairedBytes  *telemetry.Counter
 	checkpointSeconds *telemetry.Histogram
-	checkpoints       *telemetry.Counter
-	snapshots         *telemetry.Counter
 	snapshotEdges     *telemetry.Counter
 
 	// Recovery.
@@ -180,10 +182,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Bytes discarded by torn-tail repairs.")
 	m.checkpointSeconds = reg.Histogram("sw_checkpoint_seconds",
 		"Whole checkpoint pass duration (snapshots, manifest, segment GC).")
-	m.checkpoints = reg.Counter("sw_checkpoints_total",
-		"Completed checkpoint passes.")
-	m.snapshots = reg.Counter("sw_snapshots_total",
-		"Live-edge snapshot files committed.")
 	m.snapshotEdges = reg.Counter("sw_snapshot_edges_total",
 		"Live edges captured into committed snapshots.")
 
@@ -276,46 +274,6 @@ func (m *Metrics) monitorWaitHist(name string) *telemetry.Histogram {
 		return nil
 	}
 	return m.monWait[name]
-}
-
-// ExemplarView is one histogram family's p-max exemplar for /stats: the
-// largest observation the family has seen and the flight-recorder trace
-// that produced it, resolvable at /debug/flight.
-type ExemplarView struct {
-	Family  string  `json:"family"`
-	Monitor string  `json:"monitor,omitempty"`
-	Seconds float64 `json:"seconds"`
-	TraceID string  `json:"trace_id"`
-}
-
-// Exemplars snapshots the max exemplar of every trace-tagged histogram
-// family (batch lifecycle and per-monitor fan-out); families that never
-// saw a traced observation are omitted.
-func (m *Metrics) Exemplars() []ExemplarView {
-	if !m.on() {
-		return nil
-	}
-	var out []ExemplarView
-	add := func(family, monitor string, h *telemetry.Histogram) {
-		ex := h.MaxExemplar()
-		if ex.TraceID == 0 {
-			return
-		}
-		out = append(out, ExemplarView{
-			Family:  family,
-			Monitor: monitor,
-			Seconds: float64(ex.Value) / 1e9,
-			TraceID: trace.FormatID(ex.TraceID),
-		})
-	}
-	add("sw_apply_stage_seconds", "", m.stageSeconds)
-	add("sw_apply_fanout_seconds", "", m.fanoutSeconds)
-	add("sw_apply_batch_seconds", "", m.batchSeconds)
-	for _, name := range AllSlots() {
-		add("sw_monitor_apply_seconds", name, m.monApply[name])
-		add("sw_monitor_wait_seconds", name, m.monWait[name])
-	}
-	return out
 }
 
 // routeHist registers (or fetches) the per-route request latency histogram.

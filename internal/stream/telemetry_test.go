@@ -117,56 +117,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMetricsAndStatsAgree pins the "one source of truth" property: the
-// per-monitor apply p99 computed from the /metrics histogram buckets must
-// equal the p99 the /stats JSON reports, because both read the same
-// underlying bucket counts (shared per-name histograms aggregate across
-// windows; with a single window they see identical observations).
-func TestMetricsAndStatsAgree(t *testing.T) {
-	srv, reg := newTelemetryServer(t, RegistryConfig{}, ServerConfig{})
-	svc, _ := reg.Get(DefaultWindow)
-	for i := 0; i < 50; i++ {
-		if err := svc.Submit([]Edge{{U: int32(i % 60), V: int32((i + 1) % 60)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	svc.Flush()
-
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	res, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Body.Close()
-	exp, err := telemetry.ParseExposition(res.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, ms := range svc.Window().MonitorStats() {
-		lbl := map[string]string{"monitor": ms.Name}
-		count, ok := exp.Value("sw_monitor_apply_seconds_count", lbl)
-		if !ok {
-			t.Fatalf("no apply histogram for %s", ms.Name)
-		}
-		if int64(count) != ms.Ops {
-			t.Errorf("%s: /metrics count %v != /stats ops %d", ms.Name, count, ms.Ops)
-		}
-		sum, _ := exp.Value("sw_monitor_apply_seconds_sum", lbl)
-		if gotNS := int64(sum * 1e9); abs64(gotNS-ms.ApplyNS) > ms.ApplyNS/100+1000 {
-			t.Errorf("%s: /metrics sum %dns != /stats apply_ns %d", ms.Name, gotNS, ms.ApplyNS)
-		}
-	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // TestMetricNameLint walks every family a fully-wired process registers and
 // re-checks it against the naming rules — the registration-time panics
 // enforce this too, but only on code paths a given run exercises; this test

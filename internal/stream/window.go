@@ -80,17 +80,6 @@ type WindowStats struct {
 	WindowLen int64 `json:"window_len"` // unexpired arrivals
 	Batches   int64 `json:"batches"`    // Apply calls with ≥1 valid edge
 	Dropped   int64 `json:"dropped"`    // out-of-range or self-loop edges
-	// ApplyNS is the cumulative wall time (nanoseconds) the writer spent
-	// in the monitor fan-out for Apply calls carrying ≥1 valid edge —
-	// lock acquisition plus insert plus inline expiry, wall clock across
-	// the whole fan-out (so under parallel fan-out it tracks the max
-	// monitor cost, not the sum). Counted exactly when Batches is, so
-	// ApplyNS/Batches is the mean apply latency per batch — the number
-	// BenchmarkFanout reports as apply-ns/batch. Ticker-driven
-	// ExpireByAge is not included (it would skew the per-batch mean on
-	// idle streams). The per-monitor breakdown — which monitor's apply is
-	// the one a query would wait out — is MonitorStats.
-	ApplyNS int64 `json:"apply_ns"`
 	// Epoch is the apply epoch at snapshot time: even = all staged ops
 	// fully applied to every monitor, odd = a fan-out is in flight. It
 	// advances twice per applied op, so Epoch/2 counts completed ops.
@@ -481,9 +470,6 @@ func (w *WindowManager) Apply(batch []Edge) error {
 		traceID = ft.ID(walSeq)
 	}
 	// Fan out under the per-monitor locks, bracketed by the epoch.
-	// ApplyNS times the fan-out with the monotonic wall clock,
-	// deliberately not the injected Clock: FakeClock time does not
-	// advance during a call, and the stat must reflect real apply time.
 	w.epoch.Add(1)
 	m.applyInflight.Add(1)
 	applyStart := time.Now()
@@ -493,9 +479,6 @@ func (w *WindowManager) Apply(batch []Edge) error {
 	w.publish(w.epoch.Load()+1, nil)
 	w.epoch.Add(1)
 	if len(valid) > 0 {
-		w.coord.Lock()
-		w.stats.ApplyNS += applyNS
-		w.coord.Unlock()
 		m.batchesApplied.Inc()
 		m.edgesApplied.Add(int64(len(valid)))
 	}
@@ -548,14 +531,12 @@ func (w *WindowManager) commitBatchTrace(ft *trace.Ring,
 		}
 	}
 	applyOff := pre + applyStart.Sub(stageStart).Nanoseconds()
+	var levelOff int64
 	w.mux.forEachLastTiming(func(idx int, waitNS, monApplyNS int64) {
 		t.Add(trace.SpanMonitorWait, int32(idx), applyOff, waitNS)
 		t.Add(trace.SpanMonitorApply, int32(idx), applyOff+waitNS, monApplyNS)
-		if w.levelMon != nil && idx == w.levelMonIdx && edges > 0 {
-			base := applyOff + waitNS
-			w.levelMon.a.LevelSpans(func(level int, startNS, durNS int64) {
-				t.Add(trace.SpanLevel, int32(level), base+startNS, durNS)
-			})
+		if idx == w.levelMonIdx {
+			levelOff = applyOff + waitNS
 		}
 	})
 	pubOff := applyOff + applyNS
@@ -564,6 +545,15 @@ func (w *WindowManager) commitBatchTrace(ft *trace.Ring,
 		pubNS = 0
 	}
 	t.Add(trace.SpanPublish, 0, pubOff, pubNS)
+	// Level spans go last. Their number grows with msfweight's kept
+	// levels, so when a trace runs out of its trace.MaxSpans the spans
+	// dropped are levels, never a slot's wait or apply or the publish,
+	// whatever the slot order.
+	if w.levelMon != nil && edges > 0 {
+		w.levelMon.a.LevelSpans(func(level int, startNS, durNS int64) {
+			t.Add(trace.SpanLevel, int32(level), levelOff+startNS, durNS)
+		})
+	}
 	t.TotalNS = pubOff + pubNS
 	ft.Commit(t)
 }
@@ -713,12 +703,6 @@ func (w *WindowManager) Stats() WindowStats {
 // budget it borrows from (1 = sequential levels). For a registry window
 // the budget — and hence the number — is shared across windows.
 func (w *WindowManager) ApplyParallelism() int { return w.workers.Aux() + 1 }
-
-// MonitorStats snapshots each fan-out slot's apply accounting, named by
-// slot: how long the writer held (ApplyNS) and waited for (WaitNS) that
-// slot's lock — i.e. which apply a query the slot answers can block
-// behind, and how much readers pushed back on the writer.
-func (w *WindowManager) MonitorStats() []MonitorApplyStats { return w.mux.Stats() }
 
 // publish builds the scalar answers of every healthy slot, stamped with
 // epoch, and stores them for readers. Writer-only (under writerMu, or

@@ -75,9 +75,9 @@ func (g *Gauge) Value() int64 {
 // usable raw-unit histogram; registry-created duration histograms store
 // nanoseconds and expose seconds.
 //
-// Quantiles are bucket-upper-bound estimates (same semantics as the
-// pre-telemetry LatencyRecorder): p99 answers "99% of observations were at
-// most this", rounded up to a power of two and clamped to the true max.
+// Quantiles are bucket-upper-bound estimates: p99 answers "99% of
+// observations were at most this", rounded up to a power of two and
+// clamped to the true max.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	sum     atomic.Int64

@@ -45,6 +45,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 
 func TestHistogramSnapshotQuantiles(t *testing.T) {
 	var h Histogram
+	if s := h.Snapshot(); s.Count != 0 || s.P99 != 0 {
+		t.Fatalf("empty snapshot = %+v", s)
+	}
 	// 1000 observations at 1ms, 10 at 100ms: p50 should land near 1ms
 	// (within the 2x bucket rounding), p99 likewise, max exact.
 	for i := 0; i < 1000; i++ {

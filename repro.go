@@ -174,11 +174,6 @@ type StreamCheckpointStats = stream.CheckpointStats
 // StreamPersistenceStats is the /stats snapshot of the durability layer.
 type StreamPersistenceStats = stream.PersistenceStats
 
-// StreamMonitorApplyStats is one monitor's cumulative apply accounting
-// under the per-monitor locking scheme: how long the window's writer held
-// (ApplyNS) and waited for (WaitNS) that monitor's lock.
-type StreamMonitorApplyStats = stream.MonitorApplyStats
-
 // StreamQuerySummary is one consistent multi-monitor read: every answer
 // comes from the answers record published at one apply epoch.
 type StreamQuerySummary = stream.QuerySummary
