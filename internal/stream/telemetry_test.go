@@ -326,6 +326,46 @@ func TestReadyzQueueBudget(t *testing.T) {
 	}
 }
 
+// TestLatencyRecorderQuantiles pins the summary of request latency, which
+// is recorded once, into the per-route sw_http_request_seconds histogram
+// that Server.handle observes (it used to pass through a LatencyRecorder
+// for /stats as well).
+func TestLatencyRecorderQuantiles(t *testing.T) {
+	m := NewMetrics(telemetry.NewRegistry())
+	h := m.routeHist("POST /edges")
+	if s := h.Snapshot(); s.Count != 0 || s.P99 != 0 {
+		t.Fatalf("empty snapshot = %+v", s)
+	}
+	// 99 fast observations and 1 slow one: p50 must stay near the fast
+	// cluster, p99 may reach the slow one, and all quantiles are bounded
+	// by Max.
+	for i := 0; i < 99; i++ {
+		h.Observe(100 * time.Microsecond)
+	}
+	// A second lookup of the route fetches the same instrument.
+	m.routeHist("POST /edges").Observe(80 * time.Millisecond)
+	s := h.Snapshot()
+	if s.Count != 100 {
+		t.Fatalf("count = %d", s.Count)
+	}
+	p50, p99, max, mean := time.Duration(s.P50), time.Duration(s.P99), time.Duration(s.Max), time.Duration(s.Mean)
+	if max != 80*time.Millisecond {
+		t.Fatalf("max = %v", max)
+	}
+	if p50 < 100*time.Microsecond || p50 >= time.Millisecond {
+		t.Fatalf("p50 = %v, want within 2x of 100µs", p50)
+	}
+	if p99 > max || p99 < p50 {
+		t.Fatalf("p99 = %v outside [p50=%v, max=%v]", p99, p50, max)
+	}
+	if mean <= 0 || mean > max {
+		t.Fatalf("mean = %v out of range", mean)
+	}
+	if other := m.routeHist("GET /stats").Snapshot(); other.Count != 0 {
+		t.Fatalf("GET /stats count = %d, want 0: routes must not share a histogram", other.Count)
+	}
+}
+
 // TestIngestHotPathAllocs pins the instrumented submit path: Submit with
 // telemetry ON must not allocate beyond the pre-existing batch copy.
 func TestIngestHotPathAllocs(t *testing.T) {
