@@ -49,5 +49,5 @@ func figure2(seed uint64) {
 	fmt.Println()
 	fmt.Print(fig.RCTreeDump(seed))
 	fmt.Println("(cluster letters correspond to the representative vertices of Figure 2c;")
-	fmt.Println(" the exact rounds depend on the contraction coins, Figure 2 shows one valid run)")
+	fmt.Println(" the exact rounds depend on the contraction priorities, Figure 2 shows one valid run)")
 }

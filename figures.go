@@ -126,7 +126,7 @@ func NewFigure2Example() Figure2Example {
 // RCTreeDump builds the rake-compress tree of the Figure 2 example and
 // returns a per-vertex description of the contraction (death round,
 // decision, cluster relationships), which is the information Figure 2c
-// depicts. The exact clustering depends on the contraction coins; any seed
+// depicts. The exact clustering depends on the contraction priorities; any seed
 // yields a valid RC tree of the same tree.
 func (f Figure2Example) RCTreeDump(seed uint64) string {
 	t := rctree.New(f.N, seed)

@@ -14,7 +14,7 @@ import (
 // Steiner vertices, with edge weights {3, 6, 7, 9, 10, 12}.
 func TestFigure1Reproduction(t *testing.T) {
 	fig := NewFigure1Example()
-	for _, seed := range []uint64{1, 7, 42, 1234} { // coin-independent
+	for _, seed := range []uint64{1, 7, 42, 1234} { // seed-independent
 		got := fig.Compute(seed)
 		if len(got) != 6 {
 			t.Fatalf("seed %d: CPT has %d edges, want 6:\n%s", seed, len(got), fig.Render(got))

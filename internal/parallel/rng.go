@@ -2,7 +2,7 @@ package parallel
 
 // Splitmix64 is the 64-bit mixing function from Steele et al. (splitmix64).
 // It is the deterministic hash behind every random choice in this repository:
-// RC-tree contraction coins, treap priorities, workload generators. Using a
+// RC-tree contraction priorities, treap priorities, workload generators. Using a
 // pure mix function (rather than stateful RNG streams) makes every parallel
 // algorithm's random choices independent of execution order.
 func Splitmix64(x uint64) uint64 {
@@ -12,7 +12,7 @@ func Splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Hash2 mixes two words into one, for keyed coins such as coin(vertex, round).
+// Hash2 mixes two words into one, for keyed random choices.
 func Hash2(a, b uint64) uint64 {
 	return Splitmix64(a ^ Splitmix64(b))
 }

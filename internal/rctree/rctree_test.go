@@ -2,6 +2,7 @@ package rctree
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/linkcut"
@@ -13,7 +14,7 @@ import (
 // --- Naive reference contraction -------------------------------------------
 //
 // An independently-coded round-by-round simulation of the contraction rules,
-// using the same coin function. Used to cross-check the change-propagation
+// sharing only the priority hash. Used to cross-check the change-propagation
 // engine's final records.
 
 type naiveEdge struct {
@@ -51,6 +52,13 @@ func naiveContract(t *Tree, n int, edges []naiveEdge) naiveOut {
 		}
 		return es[ei].u
 	}
+	// higher reports whether a's round-r priority beats b's, ties to the
+	// higher id.
+	higher := func(a, b, r int32) bool {
+		pa := parallel.Hash3(t.seed, uint64(a), uint64(r))
+		pb := parallel.Hash3(t.seed, uint64(b), uint64(r))
+		return pa > pb || (pa == pb && a > b)
+	}
 	for r := int32(0); remaining > 0; r++ {
 		if r > 10_000 {
 			panic("naive contraction did not converge")
@@ -84,10 +92,14 @@ func naiveContract(t *Tree, n int, edges []naiveEdge) naiveOut {
 					eids = append(eids, k)
 				}
 				a, b := other(eids[0], v), other(eids[1], v)
-				if len(adj[a]) >= 2 && len(adj[b]) >= 2 &&
-					t.coin(v, r) && !t.coin(a, r) && !t.coin(b, r) {
-					acts[v] = act{dec: Compress, target: -1, eids: eids}
+				if len(adj[a]) < 2 || len(adj[b]) < 2 {
+					continue
 				}
+				// A local maximum among the degree-2 vertices compresses.
+				if (len(adj[a]) == 2 && !higher(v, a, r)) || (len(adj[b]) == 2 && !higher(v, b, r)) {
+					continue
+				}
+				acts[v] = act{dec: Compress, target: -1, eids: eids}
 			}
 		}
 		for v, a := range acts {
@@ -322,9 +334,61 @@ func TestRandomForestsMatchNaive(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsAdjacentCompressions rewrites a correct contraction so
+// that a neighbour of a compressing vertex dies in the same round, as if
+// both had compressed, and requires Validate to name the compression. The
+// engine cannot be driven there: under a rule that lets neighbours compress
+// together, a later decide reads the dead neighbour's round and panics.
+// The pair is chosen so that the compressing vertex is checked before any
+// vertex that would meet the dead neighbour in a later round.
+func TestValidateRejectsAdjacentCompressions(t *testing.T) {
+	const n = 64
+	rng := parallel.NewRNG(3)
+	for seed := uint64(1); seed <= 20; seed++ {
+		tr := New(n, seed)
+		tr.BatchUpdate(buildRandomForest(rng, n, n-1, 1), nil)
+		mustValidate(t, tr)
+		// seenLater reports whether a vertex below v has u as a neighbour
+		// after round r.
+		seenLater := func(u, v, r int32) bool {
+			for x := int32(0); x < v; x++ {
+				for rr := r + 1; rr < int32(len(tr.verts[x].hist)); rr++ {
+					h := tr.verts[x].hist[rr]
+					for i := int8(0); i < h.deg; i++ {
+						if h.nb[i] == u {
+							return true
+						}
+					}
+				}
+			}
+			return false
+		}
+		for v := int32(0); v < n; v++ {
+			vr := &tr.verts[v]
+			if vr.decision != Compress {
+				continue
+			}
+			r := vr.death
+			for _, u := range vr.boundary {
+				ur := &tr.verts[u]
+				if u < v || cap(ur.hist) != histMinRounds || seenLater(u, v, r) {
+					continue
+				}
+				ur.hist, ur.death, ur.decision = ur.hist[:r+1], r, Compress
+				err := tr.Validate()
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("vertex %d compresses at round %d", v, r)) {
+					t.Fatalf("seed %d: vertex %d and its neighbour %d both compress at round %d; Validate: %v", seed, v, u, r, err)
+				}
+				return
+			}
+		}
+	}
+	t.Fatal("no compression to rewrite")
+}
+
 // TestIncrementalEqualsFresh is the central differential test: applying
 // random batches of links and cuts must leave the tree in exactly the state
-// a from-scratch contraction of the final forest would produce (coins are
+// a from-scratch contraction of the final forest would produce (priorities are
 // deterministic, so the contraction is a pure function of the round-0
 // forest).
 func TestIncrementalEqualsFresh(t *testing.T) {

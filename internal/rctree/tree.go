@@ -14,19 +14,28 @@
 //     its component;
 //   - degree 1: rake into its neighbour, consuming the connecting edge
 //     (when both endpoints of an edge are leaves, the lower id rakes);
-//   - degree 2 with both neighbours of degree >= 2: compress when the vertex
-//     flips heads and both neighbours flip tails, consuming its two edges
-//     and creating a replacement edge between the neighbours;
+//   - degree 2 with both neighbours of degree >= 2: compress when the
+//     vertex's round priority exceeds that of each neighbour of degree
+//     exactly 2 (a local maximum among the compress candidates), consuming
+//     its two edges and creating a replacement edge between the neighbours;
 //   - otherwise: stay live.
 //
-// Coins are the deterministic hash coin(v, r) = Hash3(seed, v, r), so the
-// whole contraction is a pure function of the round-0 forest. Batch updates
-// are implemented by change propagation: only vertices whose local
-// neighbourhood differs from the previous contraction are re-executed, which
-// costs O(l·lg(1+n/l)) expected work for a batch of l edge changes
-// (Lemma 3.3). Determinism gives the key testing property: an incrementally
-// updated tree is bit-for-bit (up to edge-slot renaming) the contraction a
-// fresh build would produce.
+// Priorities are the deterministic hash Hash3(seed, v, r), ties broken by
+// id, so the whole contraction is a pure function of the round-0 forest.
+// No two adjacent vertices compress in one round: a neighbour of degree 3
+// never compresses, and of two adjacent candidates only the higher priority
+// can. A candidate beside zero, one or two other candidates compresses with
+// probability 1, 1/2 or 1/3, so each round removes a constant fraction of
+// the vertices in expectation and a contraction takes O(lg n) rounds w.h.p.
+//
+// Batch updates are implemented by change propagation: only vertices whose
+// local neighbourhood differs from the previous contraction are re-executed,
+// which costs O(l·lg(1+n/l)) expected work for a batch of l edge changes
+// (Lemma 3.3). A decision reads only the vertex's own round adjacency and
+// its neighbours' degrees and priorities, the neighbourhood the wave
+// already re-examines. Determinism gives the key testing property: an
+// incrementally updated tree is bit-for-bit (up to edge-slot renaming) the
+// contraction a fresh build would produce.
 //
 // # RC-tree identification
 //
@@ -274,7 +283,7 @@ func (t *Tree) grow(k int) int32 {
 // A vertex's contraction history lives in a block of histMinRounds<<c
 // rounds for some class c ≥ 0, more than a quarter full unless c = 0. Each
 // round of contraction removes a constant fraction of the live vertices,
-// so a vertex lives O(1) rounds in expectation (about 3.5 on the recency
+// so a vertex lives O(1) rounds in expectation (about 2.2 on the recency
 // replay) and the smallest class covers most vertices. A wave that extends
 // a vertex past its block moves it up a class; one that truncates it to a
 // quarter of its block or less moves it down to the smallest class that
@@ -345,9 +354,16 @@ func (t *Tree) NumComponents() int { return t.roots }
 // NumBaseEdges returns the number of live base edges.
 func (t *Tree) NumBaseEdges() int { return t.numBase }
 
-// coin returns the contraction coin for (v, round).
-func (t *Tree) coin(v, round int32) bool {
-	return parallel.Hash3(t.seed, uint64(v), uint64(round))&1 == 1
+// priority returns v's compress priority at round r.
+func (t *Tree) priority(v, r int32) uint64 {
+	return parallel.Hash3(t.seed, uint64(v), uint64(r))
+}
+
+// outranks reports whether v, of priority p at round r, outranks u at r:
+// a higher priority, or an equal one and a higher id.
+func (t *Tree) outranks(v int32, p uint64, u, r int32) bool {
+	pu := t.priority(u, r)
+	return p > pu || p == pu && v > u
 }
 
 func (t *Tree) allocEdge() int32 {

@@ -134,11 +134,17 @@ func (t *Tree) decide(v, r int32) (Decision, int32) {
 		return Rake, u
 	case 2:
 		u, w := h.nb[0], h.nb[1]
-		if t.verts[u].hist[r].deg >= 2 && t.verts[w].hist[r].deg >= 2 &&
-			t.coin(v, r) && !t.coin(u, r) && !t.coin(w, r) {
-			return Compress, nilVert
+		du, dw := t.verts[u].hist[r].deg, t.verts[w].hist[r].deg
+		if du < 2 || dw < 2 {
+			return Live, nilVert
 		}
-		return Live, nilVert
+		// Only a neighbour of degree 2 could compress too; v must outrank
+		// each such neighbour.
+		p := t.priority(v, r)
+		if du == 2 && !t.outranks(v, p, u, r) || dw == 2 && !t.outranks(v, p, w, r) {
+			return Live, nilVert
+		}
+		return Compress, nilVert
 	default:
 		return Live, nilVert
 	}

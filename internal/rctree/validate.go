@@ -153,6 +153,11 @@ func (t *Tree) Validate() error {
 			if vr.boundary != [2]int32{a, b} && vr.boundary != [2]int32{b, a} {
 				return fmt.Errorf("vertex %d: compress boundary %v vs (%d,%d)", v, vr.boundary, a, b)
 			}
+			// Compressions are independent: the replacement edge joins two
+			// vertices that outlive the round.
+			if !t.aliveAt(a, vr.death+1) || !t.aliveAt(b, vr.death+1) {
+				return fmt.Errorf("vertex %d compresses at round %d beside a neighbour that dies in it", v, vr.death)
+			}
 			er := &t.edges[ce]
 			if !(er.u == a && er.v == b) && !(er.u == b && er.v == a) {
 				return fmt.Errorf("vertex %d: compress edge endpoints (%d,%d) vs (%d,%d)", v, er.u, er.v, a, b)

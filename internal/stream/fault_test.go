@@ -294,39 +294,54 @@ func TestENOSPCDuringRotationDegradesAndHeals(t *testing.T) {
 	r.compare("post-enospc recovery", svc2.Window())
 }
 
+// failDuringHeldHeal fails one append of w, holds the heal that follows in
+// its last step, the manifest write, with a one-shot 1 s latency rule, and
+// fails a second append while that write is held. The heal turns degraded
+// off before the write and holds the persister lock across it. It returns
+// w's persisted window, whose flags tell whether w is degraded and whether
+// the held heal is still running (healing is not exported).
+func (r *faultRig) failDuringHeldHeal() *persistedWindow {
+	r.t.Helper()
+	pw := r.reg.persist.windows()["w"]
+	for _, rule := range []fault.Rule{
+		{ID: "hold", Op: fault.OpWrite, Path: wal.ManifestName + ".tmp", Kind: fault.KindLatency, LatencyMS: 1000, Count: 1},
+		{ID: "eio1", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1},
+	} {
+		if _, err := r.inj.Set(rule); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	r.step(r.svc)
+	held := func() bool {
+		for _, st := range r.inj.Rules() {
+			if st.ID == "hold" {
+				return st.Fired == 1
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); !held(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			r.t.Fatal("the first heal never reached its manifest write")
+		}
+	}
+	if _, err := r.inj.Set(fault.Rule{ID: "eio2", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1}); err != nil {
+		r.t.Fatal(err)
+	}
+	r.step(r.svc)
+	return pw
+}
+
 // TestHealNotLostInHealTail pins that every append failure gets a heal,
 // including one that lands after a heal has turned degraded off but
-// before its loop has ended. A latency rule holds that heal in its last
-// step, the manifest write, while a second append fails.
+// before its loop has ended.
 func TestHealNotLostInHealTail(t *testing.T) {
 	r := newFaultRig(t, nil)
 	defer r.reg.Close()
 	for i := 0; i < 10; i++ {
 		r.step(r.svc)
 	}
-	// Watch the window's flags directly: DegradedWindows takes the
-	// persister lock, which the held manifest write keeps.
-	r.reg.persist.mu.Lock()
-	pw := r.reg.persist.wins["w"]
-	r.reg.persist.mu.Unlock()
-	for _, rule := range []fault.Rule{
-		{ID: "hold", Op: fault.OpWrite, Path: wal.ManifestName + ".tmp", Kind: fault.KindLatency, LatencyMS: 1000, Count: 1},
-		{ID: "eio1", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1},
-	} {
-		if _, err := r.inj.Set(rule); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.step(r.svc)
-	for deadline := time.Now().Add(10 * time.Second); pw.degraded.Load() || !pw.healing.Load(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the first heal never reached its manifest write")
-		}
-	}
-	if _, err := r.inj.Set(fault.Rule{ID: "eio2", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1}); err != nil {
-		t.Fatal(err)
-	}
-	r.step(r.svc)
+	pw := r.failDuringHeldHeal()
 	if !pw.degraded.Load() || !pw.healing.Load() {
 		t.Fatalf("second append: degraded %v, first heal running %v; want both", pw.degraded.Load(), pw.healing.Load())
 	}
@@ -335,6 +350,41 @@ func TestHealNotLostInHealTail(t *testing.T) {
 	if ps, _ := r.reg.PersistenceStats(); ps.WALHeals != 2 || ps.GapEdges != 0 {
 		t.Fatalf("after two failures and their heals: %+v", ps)
 	}
+}
+
+// TestDegradedReadsSkipManifestWrite pins that reading a window's
+// durability state never waits on the persister lock, which a heal holds
+// across its manifest write and a checkpoint across its log syncs and
+// manifest save. While a heal is held in that write and w is degraded
+// again, DegradedWindows and GET /windows/w/stats must each answer within
+// 100 ms and report w degraded.
+func TestDegradedReadsSkipManifestWrite(t *testing.T) {
+	r := newFaultRig(t, nil)
+	defer r.reg.Close()
+	ts := httptest.NewServer(NewRegistryServer(r.reg, ServerConfig{}).Handler())
+	defer ts.Close()
+	for i := 0; i < 10; i++ {
+		r.step(r.svc)
+	}
+	r.failDuringHeldHeal()
+
+	start := time.Now()
+	deg := r.reg.DegradedWindows()
+	if took := time.Since(start); took > 100*time.Millisecond || len(deg) != 1 || deg[0] != "w" {
+		t.Errorf("DegradedWindows() = %v after %v; want [w] within 100ms", deg, took)
+	}
+	var st struct {
+		Health struct {
+			State string `json:"state"`
+		} `json:"health"`
+	}
+	start = time.Now()
+	code := getJSON(t, ts.URL+"/windows/w/stats", &st)
+	if took := time.Since(start); took > 100*time.Millisecond || code != http.StatusOK || st.Health.State != "degraded" {
+		t.Errorf("GET /windows/w/stats: status %d, state %q after %v; want 200, degraded within 100ms", code, st.Health.State, took)
+	}
+	r.inj.Reset()
+	r.waitNotDegraded()
 }
 
 // TestSnapshotFsyncFailureFailsCheckpointLoudly injects an fsync failure

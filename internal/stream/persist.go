@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -300,10 +301,10 @@ func (pw *persistedWindow) watermark() uint64 {
 }
 
 // persister owns a registry's durability state: the per-window logs and
-// the manifest image. Its mutex guards the window table and manifest
-// writes; it is never taken from the recorder hot path (which holds the
-// window coordinator lock), so {coord → log} and {persister → coord,
-// persister → log} never form a cycle.
+// the manifest image. Its mutex serializes window-table changes and
+// manifest writes; it is never taken from the recorder hot path (which
+// holds the window coordinator lock), so {coord → log} and {persister →
+// coord, persister → log} never form a cycle.
 type persister struct {
 	cfg    PersistenceConfig
 	fs     fault.FS // every disk op routes through it (never nil)
@@ -331,8 +332,12 @@ type persister struct {
 	lastSnapshotAt    atomic.Int64
 	lastSnapshotEdges atomic.Int64
 
-	mu     sync.Mutex
-	wins   map[string]*persistedWindow
+	mu sync.Mutex
+	// wins is the window table, copy-on-write: add, drop and close store a
+	// new map under mu, and a stored map is never modified. Reading the
+	// degraded flags (/stats, /readyz, sw_window_health) loads it without
+	// mu, so it never waits out a manifest write or a checkpoint's syncs.
+	wins   atomic.Pointer[map[string]*persistedWindow]
 	closed bool // set by closeAll: no further manifest writes
 
 	// ckptMu serializes whole checkpoint passes (ticker, manual trigger,
@@ -392,9 +397,9 @@ func newPersister(cfg PersistenceConfig, m *Metrics, logger *slog.Logger) (*pers
 			SyncEvery:    cfg.SyncEvery,
 			FS:           cfg.fs,
 		},
-		wins:     make(map[string]*persistedWindow),
 		stopHeal: make(chan struct{}),
 	}
+	p.clearWindows()
 	p.lastCheckpointAt.Store(time.Now().UnixNano())
 	if p.m.on() {
 		// The wal package stays metrics-free: the persister injects these
@@ -426,7 +431,7 @@ func (p *persister) registerDurabilityGauges(reg *telemetry.Registry) {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			total := 0
-			for _, pw := range p.wins {
+			for _, pw := range p.windows() {
 				total += pw.log.Segments()
 			}
 			return float64(total)
@@ -485,12 +490,34 @@ func (p *persister) windowDir(name string) string {
 	return filepath.Join(p.cfg.Dir, "windows", name)
 }
 
+// windows returns the window table, which callers must not modify.
+func (p *persister) windows() map[string]*persistedWindow { return *p.wins.Load() }
+
+// putWindow publishes a copy of the window table with name bound to pw,
+// or without name when pw is nil. Callers hold p.mu.
+func (p *persister) putWindow(name string, pw *persistedWindow) {
+	m := maps.Clone(p.windows())
+	if pw == nil {
+		delete(m, name)
+	} else {
+		m[name] = pw
+	}
+	p.wins.Store(&m)
+}
+
+// clearWindows publishes an empty window table. Callers hold p.mu, except
+// at construction.
+func (p *persister) clearWindows() {
+	m := map[string]*persistedWindow{}
+	p.wins.Store(&m)
+}
+
 // windowGone reports whether pw no longer backs name — dropped, replaced
 // by a newer window that re-won the name, or the persister closed.
 func (p *persister) windowGone(name string, pw *persistedWindow) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.closed || p.wins[name] != pw
+	return p.closed || p.windows()[name] != pw
 }
 
 func (p *persister) noteErr(err error) {
@@ -709,7 +736,7 @@ func (p *persister) healWindow(pw *persistedWindow) error {
 		slog.Int("snapshot_edges", len(edges)))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.wins[pw.name] != pw {
+	if p.closed || p.windows()[pw.name] != pw {
 		return nil
 	}
 	pw.snapName = snapName
@@ -792,7 +819,7 @@ func (p *persister) addWindow(name string, cfg ServiceConfig, svc *Service) erro
 		log.Close()
 		return ErrRegistryClosed
 	}
-	p.wins[name] = pw
+	p.putWindow(name, pw)
 	return nil
 }
 
@@ -805,7 +832,7 @@ func (p *persister) addWindow(name string, cfg ServiceConfig, svc *Service) erro
 func (p *persister) commitWindow(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pw, ok := p.wins[name]
+	pw, ok := p.windows()[name]
 	if !ok || p.closed {
 		return ErrRegistryClosed
 	}
@@ -827,12 +854,12 @@ func (p *persister) commitWindow(name string) error {
 // dropped window, which a restart resurrects empty-handed but consistent.
 func (p *persister) removeWindow(name string, svc *Service) error {
 	p.mu.Lock()
-	pw, ok := p.wins[name]
+	pw, ok := p.windows()[name]
 	if !ok || p.closed || (svc != nil && pw.svc != svc) {
 		p.mu.Unlock()
 		return nil
 	}
-	delete(p.wins, name)
+	p.putWindow(name, nil)
 	var err error
 	if pw.committed {
 		_, err = p.saveManifestLocked()
@@ -861,9 +888,10 @@ func (p *persister) removeWindow(name string, svc *Service) error {
 // snapshot (or watermark) the manifest does not yet know about cannot
 // justify deleting log records a crash would still replay.
 func (p *persister) saveManifestLocked() (map[string]uint64, error) {
-	watermarks := make(map[string]uint64, len(p.wins))
-	horizons := make(map[string]uint64, len(p.wins))
-	for name, pw := range p.wins {
+	wins := p.windows()
+	watermarks := make(map[string]uint64, len(wins))
+	horizons := make(map[string]uint64, len(wins))
+	for name, pw := range wins {
 		if !pw.committed {
 			continue // an unpublished Create must leave no durable trace
 		}
@@ -874,7 +902,7 @@ func (p *persister) saveManifestLocked() (map[string]uint64, error) {
 		}
 		horizons[name] = wm
 	}
-	for _, pw := range p.wins {
+	for _, pw := range wins {
 		if pw.degraded.Load() {
 			// A degraded log is broken by definition (it may still hold
 			// the failed append's buffered bytes, so syncing it would
@@ -889,7 +917,7 @@ func (p *persister) saveManifestLocked() (map[string]uint64, error) {
 		}
 	}
 	m := &wal.Manifest{Version: wal.ManifestVersion, Windows: make(map[string]wal.WindowState, len(watermarks))}
-	for name, pw := range p.wins {
+	for name, pw := range wins {
 		if w, ok := watermarks[name]; ok {
 			m.Windows[name] = wal.WindowState{
 				Config:      pw.meta,
@@ -996,7 +1024,7 @@ func (p *persister) maybeSnapshot(name string, pw *persistedWindow, threshold in
 	// as a harmless orphan a future recovery may still validly use.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.wins[name] != pw {
+	if p.closed || p.windows()[name] != pw {
 		return -1, nil
 	}
 	pw.snapName = snapName
@@ -1060,7 +1088,7 @@ func (p *persister) checkpointPass() (CheckpointStats, error) {
 		return st, ErrRegistryClosed
 	}
 	if threshold = p.cfg.snapshotThreshold(); threshold >= 0 {
-		for name, pw := range p.wins {
+		for name, pw := range p.windows() {
 			if pw.committed {
 				cands = append(cands, candidate{name, pw})
 			}
@@ -1101,7 +1129,7 @@ func (p *persister) checkpointPass() (CheckpointStats, error) {
 		p.noteCkptErr(err)
 		return st, err
 	}
-	for name, pw := range p.wins {
+	for name, pw := range p.windows() {
 		pruned, err := pw.log.Prune(horizons[name])
 		if err != nil {
 			p.noteCkptErr(err)
@@ -1161,26 +1189,24 @@ func (p *persister) closeAll() {
 	p.mu.Lock()
 	p.closed = true               // later checkpoints/creates/drops must not touch the manifest
 	_, _ = p.saveManifestLocked() // captures watermarks, syncs, renames
-	for _, pw := range p.wins {
+	for _, pw := range p.windows() {
 		_ = pw.log.Close()
 	}
-	p.wins = make(map[string]*persistedWindow)
+	p.clearWindows()
 	p.mu.Unlock()
 	p.stopOnce.Do(func() { close(p.stopHeal) })
 	p.healWG.Wait()
 }
 
 func (p *persister) stats() PersistenceStats {
-	p.mu.Lock()
 	var degraded []string
 	var gap int64
-	for name, pw := range p.wins {
+	for name, pw := range p.windows() {
 		if pw.degraded.Load() {
 			degraded = append(degraded, name)
 			gap += pw.gap.Load()
 		}
 	}
-	p.mu.Unlock()
 	sort.Strings(degraded)
 	p.errMu.Lock()
 	defer p.errMu.Unlock()
@@ -1209,10 +1235,8 @@ func (p *persister) stats() PersistenceStats {
 // degradedWindows snapshots the names of windows currently serving without
 // a working WAL (readiness and /stats feed).
 func (p *persister) degradedWindows() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []string
-	for name, pw := range p.wins {
+	for name, pw := range p.windows() {
 		if pw.degraded.Load() {
 			out = append(out, name)
 		}
@@ -1414,7 +1438,7 @@ func (p *persister) recoverWindow(name string, ws wal.WindowState, tpl ServiceCo
 	}
 	p.attachRecorder(pw)
 	p.mu.Lock()
-	p.wins[name] = pw
+	p.putWindow(name, pw)
 	p.mu.Unlock()
 	p.m.recoveryRecords.Add(st.Records)
 	p.m.recoveryEdges.Add(st.Edges)
@@ -1494,10 +1518,10 @@ func OpenRegistry(cfg RegistryConfig) (*WindowRegistry, *RecoveryReport, error) 
 	// window table.
 	abort := func() {
 		p.mu.Lock()
-		for _, pw := range p.wins {
+		for _, pw := range p.windows() {
 			_ = pw.log.Close()
 		}
-		p.wins = make(map[string]*persistedWindow)
+		p.clearWindows()
 		p.mu.Unlock()
 		r.persist = nil
 		r.Close()

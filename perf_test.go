@@ -137,16 +137,23 @@ func (rp *recencyReplay) stepLinkCut(m *linkcut.IncrementalMSF) {
 
 // TestWaveLocalityRecency guards the engine at the shape every sliding-window
 // monitor runs: the recency replay at n = 500, W = 2000, ℓ = 32. It pins
-// the rake-compress tree's size and its wave work per step (insert plus
-// expiry) once the window is full. Fixed seeds make both exact:
+// the rake-compress tree's size, its wave work per step (insert plus
+// expiry) once the window is full, and its contraction depth: the live
+// history rounds per tree vertex, Σ(death+1) ÷ vertices, after the last
+// step. Fixed seeds make all three exact:
 //
-//	                      chain node per edge end   compact gadgets   bound
-//	rctree vertices                1498                   614          1000
-//	wave work per step             3840                  2117          2900
+//	                    chain node per    compact gadgets,   compact gadgets,
+//	                    edge end, coins   coins              local maxima       bound
+//	rctree vertices          1498              614                614           1000
+//	wave work per step       3840             2117               1210           1600
+//	rounds per vertex                         3.22               2.15           2.7
 //
 // A layout that gives every forest edge its own chain node at both ends
 // holds n + 2m vertices; compact gadgets let a vertex anchor up to three
-// forest edges itself (package ternary). Either bound fails at the former.
+// forest edges itself (package ternary). The coin rule compresses a
+// degree-2 vertex on heads beside two tails; the local-maximum rule
+// compresses it when it outranks its degree-2 neighbours (package rctree).
+// The vertex bound fails with chain nodes; the other two fail with coins.
 func TestWaveLocalityRecency(t *testing.T) {
 	const n, window, l, steps = 500, 2000, 32, 400
 	rp := newRecencyReplay(n, window, l, 0x5EED)
@@ -159,12 +166,17 @@ func TestWaveLocalityRecency(t *testing.T) {
 		rp.stepEngine(m)
 	}
 	perStep := (m.WaveWork() - before) / steps
-	t.Logf("rctree vertices %d, wave work per step %d", m.TreeVertices(), perStep)
+	live, _ := m.HistoryRounds()
+	depth := float64(live) / float64(m.TreeVertices())
+	t.Logf("rctree vertices %d, wave work per step %d, rounds per vertex %.2f", m.TreeVertices(), perStep, depth)
 	if got := m.TreeVertices(); got > 1000 {
 		t.Errorf("rake-compress tree holds %d vertices for n = %d and %d forest edges", got, n, m.Size())
 	}
-	if perStep > 2900 {
+	if perStep > 1600 {
 		t.Errorf("wave work per recency step %d", perStep)
+	}
+	if depth > 2.7 {
+		t.Errorf("a tree vertex lives %.2f contraction rounds", depth)
 	}
 }
 
