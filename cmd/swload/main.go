@@ -1007,7 +1007,7 @@ func runCheckMetrics(o options) {
 	// Families the admission layer must always export, budgets configured
 	// or not — CI's smoke step asserts rejections out of these, so their
 	// absence has to fail here, not silently scrape as zero.
-	for _, fam := range []string{"sw_ingest_rejected_total", "sw_ingest_rejected_edges_total", "sw_ingest_queue_bytes"} {
+	for _, fam := range []string{"sw_ingest_rejected_total", "sw_ingest_rejected_edges_total", "sw_ingest_queue_edges"} {
 		if _, ok := exp.Types[fam]; !ok {
 			fmt.Fprintf(os.Stderr, "swload -check-metrics: family %q missing from the exposition\n", fam)
 			bad++

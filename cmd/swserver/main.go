@@ -55,20 +55,20 @@
 // operational records (boot, recovery, checkpoints at debug).
 // -ready-queue-budget and -ready-checkpoint-age tune when /readyz sheds.
 //
-// Admission control: -max-queue-edges / -max-queue-bytes bound how much
-// un-applied work the ingest queue may hold (in the units that actually
-// cost memory), and -rate-limit / -rate-burst cap the sustained edge
-// rate. A submission over budget is rejected immediately — HTTP 429 with
-// a Retry-After hint and a sw_ingest_rejected_total{reason=} counter —
-// instead of parking the connection on a full channel. -sync-ack flips
-// the ack contract to durable-by-default: POST /edges returns 202 only
-// after the batch's WAL append (and, under -fsync batch, its fsync) has
-// completed; clients override per request with ?sync=0/1.
+// Admission control: -max-queue-edges bounds how many un-applied edges
+// the ingest queue may hold (the unit that actually costs memory), and
+// -rate-limit / -rate-burst cap the sustained edge rate. A submission
+// over budget is rejected immediately — HTTP 429 with a Retry-After hint
+// and a sw_ingest_rejected_total{reason=} counter — instead of parking
+// the connection on a full channel. -sync-ack flips the ack contract to
+// durable-by-default: POST /edges returns 202 only after the batch's WAL
+// append (and, under -fsync batch, its fsync) has completed; clients
+// override per request with ?sync=0/1.
 //
 // Example:
 //
 //	swserver -addr :8080 -n 100000 -window 1000000 -batch 512 -delay 2ms \
-//	         -shards 32 -windows tenant-a,tenant-b -pprof \
+//	         -windows tenant-a,tenant-b -maxwindows 64 -pprof \
 //	         -data-dir /var/lib/swserver -fsync interval -checkpoint-interval 30s \
 //	         -log-level debug -flight-slow-threshold 50ms
 package main
@@ -106,7 +106,6 @@ func main() {
 	maxW := flag.Int64("maxw", 1<<20, "msfweight maximum edge weight")
 	k := flag.Int("k", 2, "kcert certificate order")
 	seed := flag.Uint64("seed", 0xC0FFEE, "structure seed")
-	shards := flag.Int("shards", 16, "registry lock shards (rounded up to a power of two)")
 	maxWindows := flag.Int("maxwindows", 0, "cap on live windows (0 = unlimited)")
 	windows := flag.String("windows", "", "comma-separated extra windows to pre-create from the template")
 	applyPar := flag.Int("apply-parallelism", 0,
@@ -123,8 +122,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "slog threshold for operational records: debug|info|warn|error")
 	maxQueueEdges := flag.Int64("max-queue-edges", 0,
 		"admission budget: reject ingest (HTTP 429) once this many edges are queued un-applied (0 = unbounded)")
-	maxQueueBytes := flag.Int64("max-queue-bytes", 0,
-		"admission budget: reject ingest (HTTP 429) once queued edges occupy this many bytes (0 = unbounded)")
 	rateLimit := flag.Int("rate-limit", 0,
 		"admission rate limit in edges per second, enforced as a token bucket per window (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 0,
@@ -175,7 +172,6 @@ func main() {
 			MaxBatch:       *batch,
 			MaxDelay:       *delay,
 			MaxQueueEdges:  *maxQueueEdges,
-			MaxQueueBytes:  *maxQueueBytes,
 			MaxEdgesPerSec: *rateLimit,
 			BurstEdges:     *rateBurst,
 		},
@@ -210,7 +206,6 @@ func main() {
 		logger.Warn("fault injection armed: durability I/O runs through a chaos injector controlled at /admin/fault")
 	}
 	reg, recovered, err := stream.OpenRegistry(stream.RegistryConfig{
-		Shards:        *shards,
 		MaxWindows:    *maxWindows,
 		Template:      template,
 		Persistence:   persist,
@@ -282,11 +277,11 @@ func main() {
 		durability = fmt.Sprintf("wal:%s fsync=%s ckpt=%v", *dataDir, *fsync, *ckptEvery)
 	}
 	logger.Info("swserver listening",
-		"addr", *addr, "windows", strings.Join(reg.Names(), ","), "shards", reg.Shards(),
+		"addr", *addr, "windows", strings.Join(reg.Names(), ","),
 		"n", *n, "monitors", *monitors, "window", *window, "maxage", *maxAge,
 		"batch", *batch, "delay", *delay,
 		"apply_parallelism", *applyPar,
-		"max_queue_edges", *maxQueueEdges, "max_queue_bytes", *maxQueueBytes,
+		"max_queue_edges", *maxQueueEdges,
 		"rate_limit", *rateLimit, "sync_ack", *syncAck,
 		"durability", durability, "metrics", *metricsOn, "pprof", *pprofOn)
 

@@ -114,8 +114,11 @@ func TestRepeatedMiddleCut(t *testing.T) {
 }
 
 // TestQuickRandomForestOps is a quick-check harness over random operation
-// scripts: each script is decoded into valid links/cuts and the tree is
-// validated after every batch.
+// scripts: each script is decoded into batches of valid links and cuts, and
+// the tree is validated after every batch. A link batch holds up to 8
+// edges, three in four of them joining two path ends (vertices of degree
+// at most 1), so one batch lengthens paths by several edges at once and
+// puts adjacent degree-2 vertices up for compression in the same round.
 func TestQuickRandomForestOps(t *testing.T) {
 	f := func(script []uint16, seedLow uint8) bool {
 		const n = 48
@@ -129,37 +132,60 @@ func TestQuickRandomForestOps(t *testing.T) {
 		nextID := 1
 		step := 0
 		for step+1 < len(script) {
-			op := script[step] % 3
-			arg := script[step+1]
+			op := script[step] % 4
+			k := 1 + int(script[step+1])%8
 			step += 2
 			switch op {
-			case 0, 1: // link
-				u := int32(arg) % n
-				v := int32(script[step%len(script)]) % n
+			case 0, 1, 2: // link up to k edges
 				uf := unionfind.New(n)
 				for _, le := range live {
 					uf.Union(le.e.U, le.e.V)
 				}
-				if u == v || deg[u] >= 3 || deg[v] >= 3 || !uf.Union(u, v) {
+				var batch []Edge
+				for i := 0; i < k; i++ {
+					x := script[(step+i)%len(script)]
+					u, v := int32(x>>2)%n, int32(x>>9)%n
+					if x%4 != 0 {
+						var ends []int32
+						for w := int32(0); w < n; w++ {
+							if deg[w] <= 1 {
+								ends = append(ends, w)
+							}
+						}
+						if len(ends) < 2 {
+							continue
+						}
+						u, v = ends[int(x>>2)%len(ends)], ends[int(x>>9)%len(ends)]
+					}
+					if u == v || deg[u] >= 3 || deg[v] >= 3 || !uf.Union(u, v) {
+						continue
+					}
+					batch = append(batch, Edge{U: u, V: v, Key: key(nextID)})
+					nextID++
+					deg[u]++
+					deg[v]++
+				}
+				if len(batch) == 0 {
 					continue
 				}
-				e := Edge{U: u, V: v, Key: key(nextID)}
-				nextID++
-				hs := tr.BatchUpdate([]Edge{e}, nil)
-				live = append(live, liveEdge{h: hs[0], e: e})
-				deg[u]++
-				deg[v]++
-			case 2: // cut
-				if len(live) == 0 {
+				for i, h := range tr.BatchUpdate(batch, nil) {
+					live = append(live, liveEdge{h: h, e: batch[i]})
+				}
+			case 3: // cut up to k edges
+				var cut []Handle
+				for i := 0; i < k && len(live) > 0; i++ {
+					j := int(script[(step+i)%len(script)]) % len(live)
+					le := live[j]
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+					deg[le.e.U]--
+					deg[le.e.V]--
+					cut = append(cut, le.h)
+				}
+				if len(cut) == 0 {
 					continue
 				}
-				i := int(arg) % len(live)
-				le := live[i]
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-				deg[le.e.U]--
-				deg[le.e.V]--
-				tr.BatchUpdate(nil, []Handle{le.h})
+				tr.BatchUpdate(nil, cut)
 			}
 			if tr.Validate() != nil {
 				return false

@@ -42,34 +42,29 @@ func BenchmarkFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryGet measures the sharded name → window lookup under
-// parallel readers — the per-request overhead multi-tenancy adds to every
-// HTTP call.
+// BenchmarkRegistryGet measures the name → window lookup over 32 windows
+// under parallel readers — the per-request overhead multi-tenancy adds to
+// every HTTP call.
 func BenchmarkRegistryGet(b *testing.B) {
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			reg := NewRegistry(RegistryConfig{
-				Shards:   shards,
-				Template: ServiceConfig{Window: WindowConfig{N: 16, Monitors: []string{MonitorConn}}},
-			})
-			defer reg.Close()
-			names := make([]string, 32)
-			for i := range names {
-				names[i] = fmt.Sprintf("w%d", i)
-				if _, err := reg.Create(names[i], ServiceConfig{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, ok := reg.Get(names[i%len(names)]); !ok {
-						b.Fail()
-					}
-					i++
-				}
-			})
-		})
+	reg := NewRegistry(RegistryConfig{
+		Template: ServiceConfig{Window: WindowConfig{N: 16, Monitors: []string{MonitorConn}}},
+	})
+	defer reg.Close()
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i)
+		if _, err := reg.Create(names[i], ServiceConfig{}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, ok := reg.Get(names[i%len(names)]); !ok {
+				b.Fail()
+			}
+			i++
+		}
+	})
 }

@@ -483,33 +483,29 @@ func TestKillWhileDegradedIsLoud(t *testing.T) {
 	}
 }
 
-// TestApplyPanicQuarantineIsolation pins the quarantine fault domain with
-// no rebuild escape hatch: an unbounded window retains no live edges, so a
-// panicking slot is quarantined permanently — the queries of every monitor
-// it answers fail with ErrMonitorQuarantined (conn and cyclefree read the
-// one forest, and bipartite reads c(G) from it), the msfweight slot of the
-// same window and every other window keep answering, and the quarantine is
-// machine-readable in the query summary.
-func TestApplyPanicQuarantineIsolation(t *testing.T) {
+// quarantineRig builds an in-memory registry of count-only windows (no
+// MaxAge, no durability layer) and two windows on it, arms a panic on w1's
+// forest-slot apply that fires count times, and submits one batch to both.
+func quarantineRig(t *testing.T, count int64) (reg *WindowRegistry, w1, w2 *Service) {
+	t.Helper()
 	inj := fault.NewInjector(nil, 1)
-	reg := NewRegistry(RegistryConfig{
+	reg = NewRegistry(RegistryConfig{
 		FaultInjector: inj,
 		Template: ServiceConfig{
-			Window: WindowConfig{N: 32, Seed: 7, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 10, K: 3}},
+			Window: WindowConfig{N: 32, Seed: 7, MaxArrivals: 64, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 10, K: 3}},
 			Ingest: IngesterConfig{MaxBatch: 1 << 16, MaxDelay: time.Hour},
 		},
 	})
-	defer reg.Close()
-	w1, err := reg.Create("w1", reg.Template())
-	if err != nil {
+	t.Cleanup(reg.Close)
+	var err error
+	if w1, err = reg.Create("w1", reg.Template()); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := reg.Create("w2", reg.Template())
-	if err != nil {
+	if w2, err = reg.Create("w2", reg.Template()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inj.Set(fault.Rule{
-		ID: "boom", Op: fault.OpApply, Path: "w1/" + SlotForest, Kind: fault.KindPanic, Count: 1,
+		ID: "boom", Op: fault.OpApply, Path: "w1/" + SlotForest, Kind: fault.KindPanic, Count: count,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -523,9 +519,21 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	if inj.Trips() == 0 {
 		t.Fatal("apply panic rule never fired")
 	}
+	return reg, w1, w2
+}
 
-	// The victim monitor is quarantined; with no retention the rebuild must
-	// fail fast and mark it permanent rather than retry forever.
+// TestApplyPanicQuarantineIsolation pins the quarantine fault domain with
+// no rebuild escape hatch: the panic rule fires on the apply and again on
+// the rebuild's, so the slot is quarantined permanently — the queries of
+// every monitor it answers fail with ErrMonitorQuarantined (conn and
+// cyclefree read the one forest, and bipartite reads c(G) from it), the
+// msfweight slot of the same window and every other window keep
+// answering, and the quarantine is machine-readable in the query summary.
+func TestApplyPanicQuarantineIsolation(t *testing.T) {
+	reg, w1, w2 := quarantineRig(t, 2)
+
+	// The victim monitor is quarantined; its failed rebuild marks it
+	// permanent rather than retrying forever.
 	var q []QuarantineInfo
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
 		q = w1.Window().Quarantined()
@@ -592,8 +600,43 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	}
 }
 
-// TestApplyPanicRebuildRestores pins the self-healing half of quarantine:
-// with live-edge retention, the background rebuild replays the window's
+// TestApplyPanicRebuildCountOnlyWindow: an in-memory window with
+// count-based expiry only keeps its live ring too, so a slot whose apply
+// panicked once is rebuilt from it while the stream flows on, and the
+// window then answers like w2, the same stream without the fault.
+func TestApplyPanicRebuildCountOnlyWindow(t *testing.T) {
+	_, w1, w2 := quarantineRig(t, 1)
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 20; i++ {
+		batch := randomEdges(r, 32, 8)
+		for _, svc := range []*Service{w1, w2} {
+			if err := svc.Submit(append([]Edge(nil), batch...)); err != nil {
+				t.Fatal(err)
+			}
+			svc.Flush()
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		q := w1.Window().Quarantined()
+		if len(q) == 0 {
+			break
+		}
+		if q[0].Permanent {
+			t.Fatalf("rebuild failed: %+v", q[0])
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("forest slot still quarantined after 10s: %+v", q)
+		}
+	}
+	pairs := make([][2]int32, 200)
+	for i := range pairs {
+		pairs[i] = [2]int32{int32(r.Intn(32)), int32(r.Intn(32))}
+	}
+	diffAnswers(t, "rebuilt", answersOf(t, w2.Window(), pairs), answersOf(t, w1.Window(), pairs))
+}
+
+// TestApplyPanicRebuildRestores pins the self-healing half of quarantine
+// on a time-expired window: the background rebuild replays the window's
 // unexpired suffix into a fresh monitor and swaps it in — queries return
 // and answer exactly like an uninterrupted reference, no restart needed.
 // It panics msfweight, and then the forest slot, whose rebuild must come
@@ -610,8 +653,8 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 	const n = 48
 	inj := fault.NewInjector(nil, 1)
 	clock := NewFakeClock(time.Unix(1_700_000_000, 0))
-	// Live-edge retention needs time-based expiry (or a durability layer);
-	// a frozen clock with a wide MaxAge keeps every arrival rebuildable.
+	// A frozen clock with a wide MaxAge keeps every arrival in the window,
+	// so the rebuild replays the whole stream.
 	winCfg := WindowConfig{
 		N: n, Seed: 0xFEED,
 		Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 10, K: 3},

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/telemetry"
 )
@@ -20,18 +19,11 @@ type admitReason uint8
 
 const (
 	admitEdges admitReason = iota // edge budget exceeded
-	admitBytes                    // byte budget exceeded
 	admitRate                     // per-window rate limit exceeded
 	admitReasons
 )
 
-var admitReasonNames = [admitReasons]string{"edges", "bytes", "rate"}
-
-// edgeMemBytes is the in-memory cost of one queued Edge — the unit of the
-// byte budget. Queue bytes are edges × this, not wire bytes: the budget
-// bounds resident memory, and a decoded Edge costs the same no matter how
-// it arrived.
-var edgeMemBytes = int64(unsafe.Sizeof(Edge{}))
+var admitReasonNames = [admitReasons]string{"edges", "rate"}
 
 // defaultRetryAfter is the Retry-After hint for budget rejections, where
 // (unlike rate rejections) there is no token-bucket arithmetic to predict
@@ -40,12 +32,12 @@ var edgeMemBytes = int64(unsafe.Sizeof(Edge{}))
 const defaultRetryAfter = time.Second
 
 // AdmissionError is returned by Submit when admission control rejects the
-// batch before it touches the queue: the edge budget, the byte budget, or
-// the rate limit said no. The HTTP layer maps it to 429 with a Retry-After
-// header; nothing about the submission was accepted or retained.
+// batch before it touches the queue: the edge budget or the rate limit
+// said no. The HTTP layer maps it to 429 with a Retry-After header;
+// nothing about the submission was accepted or retained.
 type AdmissionError struct {
-	// Reason is the rejection cause: "edges", "bytes", or "rate" — the
-	// same universe as the sw_ingest_rejected_total{reason=} label.
+	// Reason is the rejection cause: "edges" or "rate" — the same
+	// universe as the sw_ingest_rejected_total{reason=} label.
 	Reason string
 	// RetryAfter hints when a retry could succeed. For rate rejections it
 	// is computed from the token bucket; for budget rejections it is a
@@ -71,7 +63,7 @@ type IngesterConfig struct {
 	MaxDelay time.Duration
 	// QueueLen is the capacity of the producer channel in submissions
 	// (default 8×MaxBatch). Producers block when it is full — natural
-	// backpressure — unless an edge/byte budget rejects first.
+	// backpressure — unless the edge budget rejects first.
 	QueueLen int
 	// MaxQueueEdges, when > 0, bounds the edges queued across all pending
 	// submissions: a Submit that would push the total past the budget is
@@ -79,9 +71,6 @@ type IngesterConfig struct {
 	// admission bound a deployment should set — QueueLen counts
 	// submissions, which says nothing about memory when batch sizes vary.
 	MaxQueueEdges int64
-	// MaxQueueBytes, when > 0, bounds the in-memory bytes of queued edges
-	// (edges × sizeof(Edge)); same rejection semantics as MaxQueueEdges.
-	MaxQueueBytes int64
 	// MaxEdgesPerSec, when > 0, rate-limits admission with a token bucket
 	// refilled at this rate; a submission that outruns it is rejected
 	// with an AdmissionError whose RetryAfter says when the bucket will
@@ -160,8 +149,8 @@ func (rl *rateLimiter) take(n int64) time.Duration {
 	return wait
 }
 
-// refund returns tokens taken by an admission that a later check (edge or
-// byte budget) rolled back, so a budget rejection does not also burn rate.
+// refund returns tokens taken by an admission that the edge budget then
+// rejected, so a budget rejection does not also burn rate.
 func (rl *rateLimiter) refund(n int64) {
 	rl.mu.Lock()
 	rl.tokens += float64(n)
@@ -265,17 +254,16 @@ type Ingester struct {
 	rejected atomic.Int64 // submissions rejected by admission control
 	rejEdges atomic.Int64 // edges inside rejected submissions
 
-	// Queue depth in three units: submissions (channel occupancy, the
+	// Queue depth in two units: submissions (channel occupancy, the
 	// backpressure signal — a submission blocked on a full channel still
-	// counts), the edges inside them, and their in-memory bytes (the
-	// magnitude signals the admission budgets bound; a thousand one-edge
-	// submissions and one thousand-edge submission are very different
-	// queues). Incremented in Submit before the channel send, decremented
-	// when the flush goroutine absorbs the submission (or the send is
-	// abandoned on close/context cancel).
+	// counts) and the edges inside them (the magnitude signal the
+	// admission budget bounds; a thousand one-edge submissions and one
+	// thousand-edge submission are very different queues). Incremented in
+	// Submit before the channel send, decremented when the flush goroutine
+	// absorbs the submission (or the send is abandoned on close/context
+	// cancel).
 	qBatches atomic.Int64
 	qEdges   atomic.Int64
-	qBytes   atomic.Int64
 }
 
 // NewIngester starts an ingester flushing batches to sink. The sink is
@@ -376,11 +364,11 @@ func (g *Ingester) submitOwnedDurable(ctx context.Context, edges []Edge) error {
 	}
 }
 
-// admit charges the submission against the rate limit and the edge/byte
-// budgets, in that order, rolling back earlier charges when a later check
-// rejects. On success the queue gauges are charged; absorb (or unqueue,
-// if the send is abandoned) settles them.
-func (g *Ingester) admit(n, bytes int64) error {
+// admit charges the submission against the rate limit and the edge
+// budget, in that order, refunding the rate charge when the budget
+// rejects. On success the queue gauges are charged; absorb (or unqueue, if
+// the send is abandoned) settles them.
+func (g *Ingester) admit(n int64) error {
 	if g.limiter != nil {
 		if wait := g.limiter.take(n); wait > 0 {
 			return g.reject(admitRate, n, wait)
@@ -397,22 +385,9 @@ func (g *Ingester) admit(n, bytes int64) error {
 	} else {
 		g.qEdges.Add(n)
 	}
-	if max := g.cfg.MaxQueueBytes; max > 0 {
-		if g.qBytes.Add(bytes) > max {
-			g.qBytes.Add(-bytes)
-			g.qEdges.Add(-n)
-			if g.limiter != nil {
-				g.limiter.refund(n)
-			}
-			return g.reject(admitBytes, n, defaultRetryAfter)
-		}
-	} else {
-		g.qBytes.Add(bytes)
-	}
 	g.qBatches.Add(1)
 	g.m.queueBatches.Add(1)
 	g.m.queueEdges.Add(n)
-	g.m.queueBytes.Add(bytes)
 	return nil
 }
 
@@ -427,13 +402,11 @@ func (g *Ingester) reject(r admitReason, n int64, retry time.Duration) error {
 // unqueue rolls back admit's queue charges for a submission whose channel
 // send was abandoned (close or context cancel) — the mirror of absorb's
 // settlement.
-func (g *Ingester) unqueue(n, bytes int64) {
+func (g *Ingester) unqueue(n int64) {
 	g.qBatches.Add(-1)
 	g.qEdges.Add(-n)
-	g.qBytes.Add(-bytes)
 	g.m.queueBatches.Add(-1)
 	g.m.queueEdges.Add(-n)
-	g.m.queueBytes.Add(-bytes)
 }
 
 // submitOwnedCtx is the single admission + enqueue path. Zero event times
@@ -448,7 +421,6 @@ func (g *Ingester) submitOwnedCtx(ctx context.Context, edges []Edge, ack chan er
 		return nil
 	}
 	n := int64(len(edges))
-	bytes := n * edgeMemBytes
 
 	g.closeMu.RLock()
 	if g.closed {
@@ -459,7 +431,7 @@ func (g *Ingester) submitOwnedCtx(ctx context.Context, edges []Edge, ack chan er
 	if g.onFlush != nil {
 		admitStart = time.Now().UnixNano()
 	}
-	if err := g.admit(n, bytes); err != nil {
+	if err := g.admit(n); err != nil {
 		g.closeMu.RUnlock()
 		return err
 	}
@@ -485,11 +457,11 @@ func (g *Ingester) submitOwnedCtx(ctx context.Context, edges []Edge, ack chan er
 		return nil
 	case <-g.abort:
 		g.inflight.Done()
-		g.unqueue(n, bytes)
+		g.unqueue(n)
 		return ErrClosed
 	case <-ctx.Done():
 		g.inflight.Done()
-		g.unqueue(n, bytes)
+		g.unqueue(n)
 		return ctx.Err()
 	}
 }
@@ -543,18 +515,13 @@ func (g *Ingester) QueueDepth() (batches, edges int64) {
 	return g.qBatches.Load(), g.qEdges.Load()
 }
 
-// QueueBytes returns the in-memory bytes of queued edges.
-func (g *Ingester) QueueBytes() int64 { return g.qBytes.Load() }
-
 // QueueCap returns the submission-queue capacity. Budgeted deployments
 // should read QueueBudget instead — submissions say nothing about memory.
 func (g *Ingester) QueueCap() int { return g.cfg.QueueLen }
 
-// QueueBudget returns the configured admission budgets (0 = unlimited) —
-// the denominators for queue-utilization readiness checks.
-func (g *Ingester) QueueBudget() (maxEdges, maxBytes int64) {
-	return g.cfg.MaxQueueEdges, g.cfg.MaxQueueBytes
-}
+// QueueBudget returns the configured edge admission budget (0 =
+// unlimited) — the denominator for the queue-utilization readiness check.
+func (g *Ingester) QueueBudget() int64 { return g.cfg.MaxQueueEdges }
 
 func (g *Ingester) run() {
 	defer g.wg.Done()
@@ -590,10 +557,8 @@ func (g *Ingester) run() {
 		n := int64(len(sub.edges))
 		g.qBatches.Add(-1)
 		g.qEdges.Add(-n)
-		g.qBytes.Add(-n * edgeMemBytes)
 		g.m.queueBatches.Add(-1)
 		g.m.queueEdges.Add(-n)
-		g.m.queueBytes.Add(-n * edgeMemBytes)
 		if g.m.on() {
 			g.m.queueWait.Observe(g.cfg.Clock.Now().Sub(sub.enq))
 		}

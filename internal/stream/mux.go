@@ -94,9 +94,9 @@ type QuarantineInfo struct {
 	Reason  string    `json:"reason"`
 	Stack   string    `json:"stack,omitempty"`
 	At      time.Time `json:"at"`
-	// Permanent means no rebuild is possible (the window retains no live
-	// edges to rebuild from, or the rebuild itself failed); only a process
-	// restart recovers the monitor.
+	// Permanent means the rebuild failed (RebuildErr says why) and no
+	// further rebuild will be attempted; only a process restart recovers
+	// the monitor.
 	Permanent  bool   `json:"permanent,omitempty"`
 	RebuildErr string `json:"rebuild_error,omitempty"`
 }

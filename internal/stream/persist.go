@@ -196,7 +196,6 @@ type windowMeta struct {
 	MaxDelayNS     int64    `json:"max_delay_ns,omitempty"`
 	QueueLen       int      `json:"queue_len,omitempty"`
 	MaxQueueEdges  int64    `json:"max_queue_edges,omitempty"`
-	MaxQueueBytes  int64    `json:"max_queue_bytes,omitempty"`
 	MaxEdgesPerSec int      `json:"max_edges_per_sec,omitempty"`
 	BurstEdges     int      `json:"burst_edges,omitempty"`
 }
@@ -216,7 +215,6 @@ func metaFromConfig(cfg ServiceConfig) windowMeta {
 		MaxDelayNS:     int64(cfg.Ingest.MaxDelay),
 		QueueLen:       cfg.Ingest.QueueLen,
 		MaxQueueEdges:  cfg.Ingest.MaxQueueEdges,
-		MaxQueueBytes:  cfg.Ingest.MaxQueueBytes,
 		MaxEdgesPerSec: cfg.Ingest.MaxEdgesPerSec,
 		BurstEdges:     cfg.Ingest.BurstEdges,
 	}
@@ -247,7 +245,6 @@ func configFromMeta(m windowMeta, tpl ServiceConfig) ServiceConfig {
 			MaxDelay:       time.Duration(m.MaxDelayNS),
 			QueueLen:       m.QueueLen,
 			MaxQueueEdges:  m.MaxQueueEdges,
-			MaxQueueBytes:  m.MaxQueueBytes,
 			MaxEdgesPerSec: m.MaxEdgesPerSec,
 			BurstEdges:     m.BurstEdges,
 			Clock:          tpl.Ingest.Clock,
@@ -824,11 +821,11 @@ func (p *persister) addWindow(name string, cfg ServiceConfig, svc *Service) erro
 }
 
 // commitWindow registers a created window in the manifest. Create calls
-// it while holding the shard lock, after its closed re-check and before
-// publishing the handle, so the manifest gains the window exactly when
-// the registry does. The fsync+rename under the shard lock only stalls
-// same-shard control-plane operations — data-plane lookups on other
-// windows in the shard read-lock and creates are rare.
+// it while holding the registry lock, after its closed re-check and
+// before publishing the handle, so the manifest gains the window exactly
+// when the registry does. The fsync+rename under the registry lock only
+// stalls other creates, drops and Close — lookups read the registry's
+// table without the lock, and creates are rare.
 func (p *persister) commitWindow(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1296,10 +1293,6 @@ func (p *persister) recoverWindow(name string, ws wal.WindowState, tpl ServiceCo
 	if err != nil {
 		return nil, res, fmt.Errorf("stream: window %q: %w", name, err)
 	}
-	// Retention must be on before the first replayed arrival (the
-	// recorder, which would also enable it, attaches only after replay):
-	// the next checkpoint's snapshot reads the ring this replay fills.
-	wm.enableLiveRetention()
 	dir := p.windowDir(name)
 	log, err := wal.Open(dir, p.walOptFor(wm))
 	if err != nil {
@@ -1456,9 +1449,7 @@ func (p *persister) recoverWindow(name string, ws wal.WindowState, tpl ServiceCo
 // the manifest is re-created and its unexpired log suffix replayed, after
 // which the background checkpoint ticker (if configured) starts. With a
 // nil Persistence config it degenerates to NewRegistry. Windows created
-// through Create on the returned registry are durable; windows Attach-ed
-// are not (the registry cannot serialize an externally-built pipeline's
-// config).
+// through Create on the returned registry are durable.
 func OpenRegistry(cfg RegistryConfig) (*WindowRegistry, *RecoveryReport, error) {
 	r := NewRegistry(cfg)
 	rep := &RecoveryReport{}

@@ -404,6 +404,24 @@ func TestShutdownFlushesBufferedEdges(t *testing.T) {
 // Recovery ignores it: the window comes back with the same answers and
 // the default parallel fan-out.
 func TestRecoverManifestWithSequentialFanout(t *testing.T) {
+	svc := recoverWithManifestKey(t, "sequential_fanout", true)
+	if svc.Window().mux.sequential {
+		t.Fatal("recovered window applies its slots sequentially")
+	}
+}
+
+// TestRecoverManifestWithMaxQueueBytes: the same for the removed
+// max_queue_bytes budget, which the edge budget already covered.
+func TestRecoverManifestWithMaxQueueBytes(t *testing.T) {
+	recoverWithManifestKey(t, "max_queue_bytes", 1<<20)
+}
+
+// recoverWithManifestKey creates a durable window, streams into it, adds
+// key = val to the window's manifest config, reopens the registry and
+// checks the window comes back answering as before. It returns the
+// recovered window.
+func recoverWithManifestKey(t *testing.T, key string, val any) *Service {
+	t.Helper()
 	const n = 40
 	dir := t.TempDir()
 	regCfg := RegistryConfig{
@@ -441,7 +459,7 @@ func TestRecoverManifestWithSequentialFanout(t *testing.T) {
 	if err := json.Unmarshal(ws.Config, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	cfg["sequential_fanout"] = true
+	cfg[key] = val
 	if ws.Config, err = json.Marshal(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -454,15 +472,13 @@ func TestRecoverManifestWithSequentialFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reg2.Close()
+	t.Cleanup(reg2.Close)
 	svc2, ok := reg2.Get("w")
 	if !ok || rep.Windows != 1 {
 		t.Fatalf("recovered %d windows, w present %v", rep.Windows, ok)
 	}
 	diffAnswers(t, "recovered", ref, answersOf(t, svc2.Window(), pairs))
-	if svc2.Window().mux.sequential {
-		t.Fatal("recovered window applies its slots sequentially")
-	}
+	return svc2
 }
 
 // TestDropDeletesDurableState: a dropped window's log directory and
@@ -954,9 +970,6 @@ func TestLiveEdgesSnapshotEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Count-only windows retain live edges only for the
-				// durability layer; this test IS that consumer.
-				ref.enableLiveRetention()
 				mkBatch := func() []Edge {
 					clock.Advance(time.Duration(rng.Intn(4000)) * time.Millisecond)
 					k := 1 + rng.Intn(24)
@@ -1145,7 +1158,7 @@ func TestSyncAckKillAndRecoverDifferential(t *testing.T) {
 			// hour-long delay timer.
 			Ingest: IngesterConfig{
 				MaxBatch: 16, MaxDelay: time.Hour, Clock: clock,
-				MaxQueueEdges: 1 << 16, MaxQueueBytes: 1 << 24,
+				MaxQueueEdges: 1 << 16,
 			},
 		},
 		Persistence: &PersistenceConfig{
@@ -1210,8 +1223,8 @@ func TestSyncAckKillAndRecoverDifferential(t *testing.T) {
 		t.Fatalf("recovered window dropped sync-ack: syncAck=%v durable=%v",
 			svc2.SyncAckDefault(), svc2.Durable())
 	}
-	if maxE, maxB := svc2.QueueBudget(); maxE != 1<<16 || maxB != 1<<24 {
-		t.Fatalf("recovered queue budget = (%d, %d), want (%d, %d)", maxE, maxB, 1<<16, 1<<24)
+	if maxE := svc2.QueueBudget(); maxE != 1<<16 {
+		t.Fatalf("recovered queue budget = %d, want %d", maxE, 1<<16)
 	}
 
 	pairs := make([][2]int32, 300)

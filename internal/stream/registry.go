@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -33,12 +34,9 @@ var (
 
 // RegistryConfig tunes a WindowRegistry; zero values select defaults.
 type RegistryConfig struct {
-	// Shards is the number of independent lock shards the window table is
-	// hash-partitioned over (default 16, rounded up to a power of two).
-	// Operations on windows in different shards never contend.
-	Shards int
-	// MaxWindows caps the number of live windows (0 = unlimited). Creation
-	// beyond the cap fails with ErrTooManyWindows.
+	// MaxWindows caps the number of live windows, counting ones still being
+	// created (0 = unlimited). Creation beyond the cap fails with
+	// ErrTooManyWindows.
 	MaxWindows int
 	// Template is the ServiceConfig new windows inherit when the creator
 	// leaves fields zero (see mergeTemplate). Template.Window.N must be set
@@ -69,20 +67,6 @@ type RegistryConfig struct {
 	FaultInjector *fault.Injector
 }
 
-func (c *RegistryConfig) withDefaults() RegistryConfig {
-	out := *c
-	if out.Shards <= 0 {
-		out.Shards = 16
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod.
-	n := 1
-	for n < out.Shards {
-		n <<= 1
-	}
-	out.Shards = n
-	return out
-}
-
 // WindowInfo is a point-in-time public snapshot of one registered window.
 type WindowInfo struct {
 	Name     string      `json:"name"`
@@ -94,40 +78,33 @@ type WindowInfo struct {
 	Batches  int64       `json:"ingest_batches"`
 }
 
-// windowHandle is one registry entry. svc is nil while the window is still
-// being constructed (Create publishes a placeholder first so it can build
-// the Service outside the shard lock); every reader treats a nil-svc
-// handle as "window does not exist yet".
+// windowHandle is one registry entry, never modified once stored. svc is
+// nil while the window is still being constructed (Create publishes a
+// placeholder first so it can build the Service outside the registry
+// lock, then replaces it with the finished handle); every reader treats a
+// nil-svc handle as "window does not exist yet".
 type windowHandle struct {
 	name    string
 	svc     *Service
 	created time.Time
 }
 
-type registryShard struct {
-	mu   sync.RWMutex
-	wins map[string]*windowHandle
-}
-
 // WindowRegistry owns many named windows — each a full Service pipeline
-// (Ingester + WindowManager + expiry ticker) — hash-sharded across
-// independent locks so tenants operating on different windows never
-// contend on registry state. The shard locks guard only the name → window
-// table; each window's own single-writer/many-reader discipline is
-// unchanged, so one tenant's batch application never blocks another
-// tenant's queries.
+// (Ingester + WindowManager + expiry ticker). Its one lock guards only the
+// name → window table and only its writers; each window's own
+// single-writer/many-reader discipline is unchanged, so one tenant's batch
+// application never blocks another tenant's queries.
 type WindowRegistry struct {
-	cfg    RegistryConfig
-	shards []registryShard
-	mask   uint64
+	cfg RegistryConfig
 
-	// countMu serializes the MaxWindows admission check across shards;
-	// count is the number of live windows. closed is atomic so Create can
-	// re-check it under the shard lock (see the comment there) without
-	// taking countMu inside it.
-	countMu sync.Mutex
-	count   int
-	closed  atomic.Bool
+	// mu serializes changes to the window table and guards closed. wins is
+	// the table, copy-on-write: Create, Drop, attachService and Close store
+	// a new map under mu, and a stored map is never modified, so every
+	// lookup (Get on each request, the listings, the gauges) loads it
+	// without a lock.
+	mu     sync.Mutex
+	wins   atomic.Pointer[map[string]*windowHandle]
+	closed bool
 
 	// persist is the durability layer, set only by OpenRegistry; nil
 	// means in-memory. ckptStop/ckptWG manage the background checkpoint
@@ -161,14 +138,12 @@ type WindowRegistry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry(cfg RegistryConfig) *WindowRegistry {
-	cfg = cfg.withDefaults()
 	r := &WindowRegistry{
 		cfg:    cfg,
-		shards: make([]registryShard, cfg.Shards),
-		mask:   uint64(cfg.Shards - 1),
 		logger: cfg.Logger,
 		flight: trace.New(cfg.Flight),
 	}
+	r.wins.Store(&map[string]*windowHandle{})
 	if r.logger == nil {
 		r.logger = slog.New(slog.DiscardHandler)
 	}
@@ -205,9 +180,6 @@ func NewRegistry(cfg RegistryConfig) *WindowRegistry {
 	} else {
 		r.metrics = noMetrics
 	}
-	for i := range r.shards {
-		r.shards[i].wins = make(map[string]*windowHandle)
-	}
 	return r
 }
 
@@ -226,21 +198,36 @@ func (r *WindowRegistry) Logger() *slog.Logger { return r.logger }
 // Template returns the config new windows inherit defaults from.
 func (r *WindowRegistry) Template() ServiceConfig { return r.cfg.Template }
 
-// Shards returns the number of lock shards.
-func (r *WindowRegistry) Shards() int { return len(r.shards) }
+// windows returns the window table, which callers must not modify.
+func (r *WindowRegistry) windows() map[string]*windowHandle { return *r.wins.Load() }
 
-// shardFor picks the shard owning a name (FNV-1a).
-func (r *WindowRegistry) shardFor(name string) *registryShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
+// putWindow publishes a copy of the window table with name bound to h, or
+// without name when h is nil. Callers hold r.mu.
+func (r *WindowRegistry) putWindow(name string, h *windowHandle) {
+	m := maps.Clone(r.windows())
+	if h == nil {
+		delete(m, name)
+	} else {
+		m[name] = h
 	}
-	return &r.shards[h&r.mask]
+	r.wins.Store(&m)
+}
+
+// admitLocked checks a window-to-be against the closed flag, MaxWindows
+// (the table's size, placeholders included) and the names taken. Callers
+// hold r.mu.
+func (r *WindowRegistry) admitLocked(name string) error {
+	if r.closed {
+		return ErrRegistryClosed
+	}
+	wins := r.windows()
+	if r.cfg.MaxWindows > 0 && len(wins) >= r.cfg.MaxWindows {
+		return fmt.Errorf("%w (max %d)", ErrTooManyWindows, r.cfg.MaxWindows)
+	}
+	if _, dup := wins[name]; dup {
+		return fmt.Errorf("%w: %q", ErrWindowExists, name)
+	}
+	return nil
 }
 
 // ValidateWindowName enforces the name grammar shared by the registry and
@@ -312,9 +299,6 @@ func mergeTemplate(cfg, tpl ServiceConfig) ServiceConfig {
 	if cfg.Ingest.MaxQueueEdges == 0 {
 		cfg.Ingest.MaxQueueEdges = tpl.Ingest.MaxQueueEdges
 	}
-	if cfg.Ingest.MaxQueueBytes == 0 {
-		cfg.Ingest.MaxQueueBytes = tpl.Ingest.MaxQueueBytes
-	}
 	if cfg.Ingest.MaxEdgesPerSec == 0 {
 		cfg.Ingest.MaxEdgesPerSec = tpl.Ingest.MaxEdgesPerSec
 	}
@@ -325,27 +309,6 @@ func mergeTemplate(cfg, tpl ServiceConfig) ServiceConfig {
 		cfg.Ingest.Clock = tpl.Ingest.Clock
 	}
 	return cfg
-}
-
-// reserve admits one window-to-be against MaxWindows and the closed flag.
-// The caller must call release on any failure after reserve succeeded.
-func (r *WindowRegistry) reserve() error {
-	r.countMu.Lock()
-	defer r.countMu.Unlock()
-	if r.closed.Load() {
-		return ErrRegistryClosed
-	}
-	if r.cfg.MaxWindows > 0 && r.count >= r.cfg.MaxWindows {
-		return fmt.Errorf("%w (max %d)", ErrTooManyWindows, r.cfg.MaxWindows)
-	}
-	r.count++
-	return nil
-}
-
-func (r *WindowRegistry) release() {
-	r.countMu.Lock()
-	r.count--
-	r.countMu.Unlock()
 }
 
 // Create builds and registers a new window named name. Zero fields of cfg
@@ -360,30 +323,19 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 	cfg.Window.workers = r.workers
 	cfg.Telemetry = r.metrics
 	cfg.flight = r.flight
-	if err := r.reserve(); err != nil {
+	// Publish a placeholder and construct outside the lock: building
+	// monitors is O(N) and must not stall the registry's other writers.
+	// The placeholder reserves the name (racing creates see a duplicate)
+	// and a MaxWindows slot; Get/List/Drop all treat nil svc as "no such
+	// window".
+	r.mu.Lock()
+	if err := r.admitLocked(name); err != nil {
+		r.mu.Unlock()
 		return nil, err
 	}
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	// Re-check closed under the shard lock (see the matching re-check
-	// below for why this pairs safely with Close).
-	if r.closed.Load() {
-		sh.mu.Unlock()
-		r.release()
-		return nil, ErrRegistryClosed
-	}
-	if _, dup := sh.wins[name]; dup {
-		sh.mu.Unlock()
-		r.release()
-		return nil, fmt.Errorf("%w: %q", ErrWindowExists, name)
-	}
-	// Publish a placeholder and construct outside the lock: building
-	// monitors is O(N) and must not stall Get for unrelated windows in
-	// this shard. The placeholder reserves the name (racing creates see a
-	// duplicate); Get/List/Drop all treat nil svc as "no such window".
-	h := &windowHandle{name: name, created: time.Now()}
-	sh.wins[name] = h
-	sh.mu.Unlock()
+	created := time.Now()
+	r.putWindow(name, &windowHandle{name: name, created: created})
+	r.mu.Unlock()
 
 	svc, err := NewService(cfg)
 	if err == nil {
@@ -399,116 +351,80 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 		}
 	}
 
-	sh.mu.Lock()
+	r.mu.Lock()
+	switch {
+	case err != nil:
+	case r.closed:
+		// Close took the table while this window was a placeholder and
+		// left it to us: no window outlives Close.
+		err = ErrRegistryClosed
+	case r.persist != nil:
+		// Commit to the manifest in the same hold that publishes the
+		// window (after the closed check): the durable registry and the
+		// in-memory one can never disagree about a successfully-created
+		// window.
+		err = r.persist.commitWindow(name)
+	}
 	if err != nil {
-		delete(sh.wins, name)
-		sh.mu.Unlock()
-		r.release()
+		r.putWindow(name, nil)
+		r.mu.Unlock()
+		if svc != nil {
+			svc.Close()
+			if r.persist != nil {
+				_ = r.persist.removeWindow(name, svc)
+			}
+		}
 		return nil, err
 	}
-	// Re-check closed before publishing: a Close that stored the flag
-	// before this load skipped our placeholder in its sweep (nil svc) and
-	// expects us to clean up; one that stores after will sweep the
-	// published window once we release the lock. Either way no window
-	// outlives Close.
-	if r.closed.Load() {
-		delete(sh.wins, name)
-		sh.mu.Unlock()
-		svc.Close()
-		if r.persist != nil {
-			_ = r.persist.removeWindow(name, svc)
-		}
-		r.release()
-		return nil, ErrRegistryClosed
-	}
-	// Commit to the manifest at the same moment the registry commits to
-	// the name (under the shard lock, after the closed re-check): the
-	// durable registry and the in-memory one can never disagree about a
-	// successfully-created window.
-	if r.persist != nil {
-		if perr := r.persist.commitWindow(name); perr != nil {
-			delete(sh.wins, name)
-			sh.mu.Unlock()
-			svc.Close()
-			_ = r.persist.removeWindow(name, svc)
-			r.release()
-			return nil, perr
-		}
-	}
-	h.svc = svc
-	sh.mu.Unlock()
+	r.putWindow(name, &windowHandle{name: name, svc: svc, created: created})
+	r.mu.Unlock()
 	return svc, nil
 }
 
-// Attach registers an externally-built Service under name. The registry
-// takes ownership: Drop and Close will Close it. Attached windows are
-// never persisted — the registry cannot serialize an external pipeline's
-// config into the manifest — so on a durable registry they vanish at
-// restart; use Create for durable windows.
-func (r *WindowRegistry) Attach(name string, svc *Service) error {
-	return r.attachService(name, svc)
-}
-
-// attachService is Attach without the persistence caveat — the recovery
-// path registers windows whose durability state it has already wired.
+// attachService registers an already-built Service under name; the
+// registry takes ownership, so Drop and Close will Close it. The recovery
+// path registers windows whose durability state it has already wired;
+// NewServer registers its caller's window, which is never persisted.
 func (r *WindowRegistry) attachService(name string, svc *Service) error {
 	if err := ValidateWindowName(name); err != nil {
 		return err
 	}
-	if err := r.reserve(); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.admitLocked(name); err != nil {
 		return err
 	}
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if r.closed.Load() { // same Close handshake as Create
-		r.release()
-		return ErrRegistryClosed
-	}
-	if _, dup := sh.wins[name]; dup {
-		r.release()
-		return fmt.Errorf("%w: %q", ErrWindowExists, name)
-	}
-	sh.wins[name] = &windowHandle{name: name, svc: svc, created: time.Now()}
+	r.putWindow(name, &windowHandle{name: name, svc: svc, created: time.Now()})
 	return nil
 }
 
 // Get returns the named window's service. A window whose Create is still
 // constructing does not resolve yet.
 func (r *WindowRegistry) Get(name string) (*Service, bool) {
-	sh := r.shardFor(name)
-	sh.mu.RLock()
-	h, ok := sh.wins[name]
-	var svc *Service
-	if ok {
-		svc = h.svc
-	}
-	sh.mu.RUnlock()
-	if svc == nil {
+	h := r.windows()[name]
+	if h == nil || h.svc == nil {
 		return nil, false
 	}
-	return svc, true
+	return h.svc, true
 }
 
 // Drop unregisters the named window and closes its pipeline (draining the
-// ingester). The close runs outside the shard lock so a slow drain never
-// blocks other registry operations; readers that fetched the service before
-// the drop keep a usable (query-only, once closed) handle. On a durable
-// registry the window's log directory and manifest entry are deleted —
-// a dropped window does not come back at restart.
+// ingester). The close runs outside the registry lock so a slow drain
+// never blocks other registry operations; readers that fetched the service
+// before the drop keep a usable (query-only, once closed) handle. On a
+// durable registry the window's log directory and manifest entry are
+// deleted — a dropped window does not come back at restart.
 func (r *WindowRegistry) Drop(name string) error {
-	sh := r.shardFor(name)
-	sh.mu.Lock()
-	h, ok := sh.wins[name]
-	ok = ok && h.svc != nil // a mid-construction placeholder is not droppable
+	r.mu.Lock()
+	h := r.windows()[name]
+	ok := h != nil && h.svc != nil // a mid-construction placeholder is not droppable
 	if ok {
-		delete(sh.wins, name)
+		r.putWindow(name, nil)
 	}
-	sh.mu.Unlock()
+	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrWindowNotFound, name)
 	}
-	r.release()
 	// Flush before Close so every edge accepted up to the drop is applied
 	// (Close's shutdown drain would cover this too; the explicit flush
 	// keeps the applied-before-closed guarantee independent of it), then
@@ -544,23 +460,18 @@ func (r *WindowRegistry) healthCounts() (healthy, degraded, quarantined int) {
 			degradedSet[n] = true
 		}
 	}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name, h := range sh.wins {
-			if h.svc == nil {
-				continue
-			}
-			switch {
-			case h.svc.Window().hasQuarantine():
-				quarantined++
-			case degradedSet[name]:
-				degraded++
-			default:
-				healthy++
-			}
+	for name, h := range r.windows() {
+		if h.svc == nil {
+			continue
 		}
-		sh.mu.RUnlock()
+		switch {
+		case h.svc.Window().hasQuarantine():
+			quarantined++
+		case degradedSet[name]:
+			degraded++
+		default:
+			healthy++
+		}
 	}
 	return healthy, degraded, quarantined
 }
@@ -570,15 +481,10 @@ func (r *WindowRegistry) healthCounts() (healthy, degraded, quarantined int) {
 // takes no monitor lock.
 func (r *WindowRegistry) msfLevelsLive() int64 {
 	var total int64
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, h := range sh.wins {
-			if h.svc != nil {
-				total += h.svc.Window().mux.msfLevels.Load()
-			}
+	for _, h := range r.windows() {
+		if h.svc != nil {
+			total += h.svc.Window().mux.msfLevels.Load()
 		}
-		sh.mu.RUnlock()
 	}
 	return total
 }
@@ -673,43 +579,29 @@ func (r *WindowRegistry) startCheckpointLoop(period time.Duration) {
 	}()
 }
 
-// Len returns the number of live windows.
-func (r *WindowRegistry) Len() int {
-	r.countMu.Lock()
-	defer r.countMu.Unlock()
-	return r.count
-}
+// Len returns the number of live windows, counting ones whose Create is
+// still building them — the number MaxWindows admits against.
+func (r *WindowRegistry) Len() int { return len(r.windows()) }
 
 // Names lists the registered window names, sorted.
 func (r *WindowRegistry) Names() []string {
 	var out []string
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name, h := range sh.wins {
-			if h.svc != nil {
-				out = append(out, name)
-			}
+	for name, h := range r.windows() {
+		if h.svc != nil {
+			out = append(out, name)
 		}
-		sh.mu.RUnlock()
 	}
 	sort.Strings(out)
 	return out
 }
 
-// List snapshots every window's info, sorted by name. Stats are gathered
-// outside the shard locks.
+// List snapshots every window's info, sorted by name.
 func (r *WindowRegistry) List() []WindowInfo {
 	var handles []*windowHandle
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, h := range sh.wins {
-			if h.svc != nil {
-				handles = append(handles, h)
-			}
+	for _, h := range r.windows() {
+		if h.svc != nil {
+			handles = append(handles, h)
 		}
-		sh.mu.RUnlock()
 	}
 	sort.Slice(handles, func(i, j int) bool { return handles[i].name < handles[j].name })
 	out := make([]WindowInfo, len(handles))
@@ -733,31 +625,23 @@ func (r *WindowRegistry) List() []WindowInfo {
 // checkpoint (the drained pipelines' last appends and watermarks) and
 // closes the logs. Idempotent.
 func (r *WindowRegistry) Close() {
-	r.countMu.Lock()
-	already := r.closed.Swap(true)
-	r.countMu.Unlock()
+	r.mu.Lock()
+	already := r.closed
+	r.closed = true
+	wins := r.windows()
+	r.wins.Store(&map[string]*windowHandle{})
+	r.mu.Unlock()
 	if !already && r.ckptStop != nil {
 		close(r.ckptStop)
 		r.ckptWG.Wait()
 	}
-	var handles []*windowHandle
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for name, h := range sh.wins {
-			// Skip mid-construction placeholders: their Create observes
-			// the closed flag when it re-locks the shard and cleans up its
-			// own reservation (see Create).
-			if h.svc == nil {
-				continue
-			}
-			handles = append(handles, h)
-			delete(sh.wins, name)
+	for _, h := range wins {
+		// Skip mid-construction placeholders: their Create sees the
+		// closed flag when it re-takes the lock and cleans up its own
+		// window (see Create).
+		if h.svc == nil {
+			continue
 		}
-		sh.mu.Unlock()
-	}
-	for _, h := range handles {
-		r.release()
 		// Flush, then Close: edges accepted before shutdown — including
 		// ones still buffered under the ingester's MaxDelay deadline —
 		// are applied (and logged) rather than dropped. Close's shutdown

@@ -3,9 +3,12 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 func testRegistry(t *testing.T, cfg RegistryConfig) *WindowRegistry {
@@ -22,7 +25,7 @@ func testRegistry(t *testing.T, cfg RegistryConfig) *WindowRegistry {
 }
 
 func TestRegistryLifecycle(t *testing.T) {
-	reg := testRegistry(t, RegistryConfig{Shards: 4})
+	reg := testRegistry(t, RegistryConfig{})
 
 	svc, err := reg.Create("tenant-a", ServiceConfig{})
 	if err != nil {
@@ -168,10 +171,10 @@ func TestMergeTemplatePerField(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent hammers create/get/drop across shards from many
-// goroutines; run under -race this checks the shard discipline.
+// TestRegistryConcurrent hammers create/get/drop from many goroutines; run
+// under -race this checks the copy-on-write table discipline.
 func TestRegistryConcurrent(t *testing.T) {
-	reg := testRegistry(t, RegistryConfig{Shards: 8})
+	reg := testRegistry(t, RegistryConfig{})
 	const workers = 8
 	const perWorker = 20
 	var wg sync.WaitGroup
@@ -231,5 +234,83 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if created != 1 || dup != workers-1 {
 		t.Fatalf("contended create: %d winners, %d dups", created, dup)
+	}
+}
+
+// TestRegistryCreateRacesClose: a Create racing Close either wins — its
+// window is registered (on a durable registry, in the manifest too) and
+// Close then closes it — or fails with ErrRegistryClosed and leaves
+// nothing behind. Close runs a little later each round, so that both
+// outcomes occur.
+func TestRegistryCreateRacesClose(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "in-memory", true: "durable"}[durable], func(t *testing.T) {
+			const creators = 8
+			won, lost := 0, 0
+			// At least 20 rounds, and more (each with a longer delay) until
+			// both outcomes have been seen.
+			for round := 0; round < 20 || (won == 0 || lost == 0) && round < 200; round++ {
+				cfg := RegistryConfig{Template: ServiceConfig{
+					Window: WindowConfig{N: 2000, Seed: 9, Monitors: []string{MonitorConn}},
+					Ingest: IngesterConfig{MaxBatch: 8, MaxDelay: time.Millisecond},
+				}}
+				dir := t.TempDir()
+				if durable {
+					cfg.Persistence = &PersistenceConfig{Dir: dir, Fsync: FsyncOff}
+				}
+				reg, _, err := OpenRegistry(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				svcs := make([]*Service, creators)
+				errs := make([]error, creators)
+				var wg sync.WaitGroup
+				for i := range svcs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						svcs[i], errs[i] = reg.Create(fmt.Sprintf("w%d", i), ServiceConfig{})
+					}()
+				}
+				time.Sleep(time.Duration(round) * 100 * time.Microsecond)
+				reg.Close()
+				wg.Wait()
+				if n := reg.Len(); n != 0 {
+					t.Fatalf("round %d: Len after Close = %d", round, n)
+				}
+				var winners []string
+				for i, svc := range svcs {
+					switch {
+					case errs[i] == nil:
+						winners = append(winners, fmt.Sprintf("w%d", i))
+						if err := svc.Submit([]Edge{{U: 0, V: 1}}); !errors.Is(err, ErrClosed) {
+							t.Fatalf("round %d: submit to w%d after Close: %v, want ErrClosed", round, i, err)
+						}
+					case !errors.Is(errs[i], ErrRegistryClosed):
+						t.Fatalf("round %d: create w%d: %v, want success or ErrRegistryClosed", round, i, errs[i])
+					}
+				}
+				won += len(winners)
+				lost += creators - len(winners)
+				if durable {
+					m, err := wal.LoadManifest(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var listed []string
+					for name := range m.Windows {
+						listed = append(listed, name)
+					}
+					slices.Sort(listed)
+					if !slices.Equal(listed, winners) {
+						t.Fatalf("round %d: manifest lists %v, winning creates %v", round, listed, winners)
+					}
+				}
+			}
+			if won == 0 || lost == 0 {
+				t.Fatalf("%d creates won and %d lost; want both outcomes", won, lost)
+			}
+			t.Logf("%d creates won, %d lost", won, lost)
+		})
 	}
 }

@@ -111,7 +111,6 @@ type createWindowRequest struct {
 	// Admission budgets and rate limit (see IngesterConfig); zero inherits
 	// the registry template.
 	MaxQueueEdges  int64 `json:"max_queue_edges,omitempty"`
-	MaxQueueBytes  int64 `json:"max_queue_bytes,omitempty"`
 	MaxEdgesPerSec int   `json:"max_edges_per_sec,omitempty"`
 	BurstEdges     int   `json:"burst_edges,omitempty"`
 	// SyncAck is tri-state: absent inherits the template's ack mode, an
@@ -135,8 +134,8 @@ type createWindowRequest struct {
 // a server whose owner never closes the registry; multi-tenant callers
 // use NewRegistryServer.
 func NewServer(svc *Service) *Server {
-	reg := NewRegistry(RegistryConfig{Shards: 1, MaxWindows: 1})
-	if err := reg.Attach(DefaultWindow, svc); err != nil {
+	reg := NewRegistry(RegistryConfig{MaxWindows: 1})
+	if err := reg.attachService(DefaultWindow, svc); err != nil {
 		panic(err) // fresh registry, valid constant name: unreachable
 	}
 	return NewRegistryServer(reg, ServerConfig{})
@@ -258,29 +257,24 @@ func buildHealth(reg *WindowRegistry, cfg ServerConfig) *telemetry.Health {
 	if cfg.QueueBudget >= 0 {
 		budget := cfg.QueueBudget
 		h.AddCheck("queue_budget", func() string {
-			for _, name := range reg.Names() {
-				svc, ok := reg.Get(name)
-				if !ok {
+			for name, win := range reg.windows() {
+				svc := win.svc
+				if svc == nil {
 					continue
 				}
-				// Budgeted windows flip readiness in the units admission
-				// enforces — queued edges/bytes against the configured
-				// budgets — so a queue of mega-batches cannot read healthy
-				// while memory grows. Submission count over QueueCap is
-				// only the fallback for unbudgeted windows.
-				maxEdges, maxBytes := svc.QueueBudget()
-				if maxEdges > 0 || maxBytes > 0 {
-					if _, qEdges := svc.QueueDepth(); maxEdges > 0 && float64(qEdges) > budget*float64(maxEdges) {
+				// Budgeted windows flip readiness in the unit admission
+				// enforces — queued edges against the configured budget — so
+				// a queue of mega-batches cannot read healthy while memory
+				// grows. Submission count over QueueCap is only the fallback
+				// for unbudgeted windows.
+				batches, qEdges := svc.QueueDepth()
+				if maxEdges := svc.QueueBudget(); maxEdges > 0 {
+					if float64(qEdges) > budget*float64(maxEdges) {
 						return fmt.Sprintf("window %q ingest queue at %d/%d edges (budget %.0f%%)",
 							name, qEdges, maxEdges, budget*100)
 					}
-					if qBytes := svc.QueueBytes(); maxBytes > 0 && float64(qBytes) > budget*float64(maxBytes) {
-						return fmt.Sprintf("window %q ingest queue at %d/%d bytes (budget %.0f%%)",
-							name, qBytes, maxBytes, budget*100)
-					}
 					continue
 				}
-				batches, _ := svc.QueueDepth()
 				if cap := svc.QueueCap(); cap > 0 && float64(batches) > budget*float64(cap) {
 					return fmt.Sprintf("window %q ingest queue at %d/%d submissions (budget %.0f%%)",
 						name, batches, cap, budget*100)
@@ -449,7 +443,6 @@ func (s *Server) handleCreateWindow(w http.ResponseWriter, r *http.Request) {
 			MaxBatch:       req.MaxBatch,
 			MaxDelay:       time.Duration(req.MaxDelayMS) * time.Millisecond,
 			MaxQueueEdges:  req.MaxQueueEdges,
-			MaxQueueBytes:  req.MaxQueueBytes,
 			MaxEdgesPerSec: req.MaxEdgesPerSec,
 			BurstEdges:     req.BurstEdges,
 		},
@@ -550,7 +543,6 @@ func (s *Server) handleListWindows(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"windows": s.reg.List(),
 		"count":   s.reg.Len(),
-		"shards":  s.reg.Shards(),
 	})
 }
 
@@ -848,19 +840,17 @@ func windowStatsBody(svc *Service, degraded bool) map[string]any {
 	ingest := map[string]any{
 		"edges_accepted": edges,
 		"batches":        batches,
-		// Queue depth in three units: queued submissions are the
+		// Queue depth in two units: queued submissions are the
 		// backpressure signal (the channel fills in submissions), queued
-		// edges and bytes the magnitude signals admission budgets bound — a
+		// edges the magnitude signal the admission budget bounds — a
 		// thousand singleton submissions and one thousand-edge submission
 		// are very different queues.
 		"queue_batches": qBatches,
 		"queue_edges":   qEdges,
-		"queue_bytes":   svc.QueueBytes(),
 		"queue_cap":     svc.QueueCap(),
 	}
-	if maxEdges, maxBytes := svc.QueueBudget(); maxEdges > 0 || maxBytes > 0 {
+	if maxEdges := svc.QueueBudget(); maxEdges > 0 {
 		ingest["queue_budget_edges"] = maxEdges
-		ingest["queue_budget_bytes"] = maxBytes
 	}
 	if rejSubs, rejEdges := svc.RejectStats(); rejSubs > 0 {
 		ingest["rejected_batches"] = rejSubs
@@ -919,7 +909,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"registry": map[string]any{
 			"windows": s.reg.Names(),
 			"count":   s.reg.Len(),
-			"shards":  s.reg.Shards(),
 		},
 	}
 	if ps, ok := s.reg.PersistenceStats(); ok {

@@ -257,7 +257,6 @@ func TestServerRejectsBadInput(t *testing.T) {
 func newRegistryTestServer(t *testing.T, n int, cfg ServerConfig) (*httptest.Server, *WindowRegistry) {
 	t.Helper()
 	reg := NewRegistry(RegistryConfig{
-		Shards: 4,
 		Template: ServiceConfig{
 			Window: WindowConfig{N: n, Seed: 5, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 10, K: 3}},
 			Ingest: IngesterConfig{MaxBatch: 64, MaxDelay: time.Millisecond},
@@ -314,9 +313,11 @@ func TestServerWindowsCRUD(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","monitors":["nope"]}`); code != http.StatusBadRequest {
 		t.Fatalf("bad monitor = %d, want 400", code)
 	}
-	code, resp = doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","sequential_fanout":true}`)
-	if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"sequential_fanout"`) {
-		t.Fatalf("removed key = %d (%v), want 400 naming sequential_fanout", code, resp)
+	for _, key := range []string{"sequential_fanout", "max_queue_bytes"} {
+		code, resp = doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","`+key+`":1}`)
+		if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"`+key+`"`) {
+			t.Fatalf("removed key = %d (%v), want 400 naming %s", code, resp, key)
+		}
 	}
 
 	var list struct {

@@ -151,12 +151,8 @@ func (s *Service) QueueDepth() (batches, edges int64) { return s.ing.QueueDepth(
 // QueueCap returns the ingest submission-queue capacity.
 func (s *Service) QueueCap() int { return s.ing.QueueCap() }
 
-// QueueBytes returns the in-memory bytes of queued edges.
-func (s *Service) QueueBytes() int64 { return s.ing.QueueBytes() }
-
-// QueueBudget returns the configured edge/byte admission budgets
-// (0 = unlimited).
-func (s *Service) QueueBudget() (maxEdges, maxBytes int64) { return s.ing.QueueBudget() }
+// QueueBudget returns the configured edge admission budget (0 = unlimited).
+func (s *Service) QueueBudget() int64 { return s.ing.QueueBudget() }
 
 // RejectStats returns submissions and edges turned away by admission
 // control.

@@ -7,8 +7,7 @@
 //	                ↑             ↑     ╚═ (parallel fork-join fan-out)
 //	          re-batching   uniform timestamps
 //
-// and a WindowRegistry owns many named windows at once, hash-sharded across
-// independent locks. The moving parts:
+// and a WindowRegistry owns many named windows at once. The moving parts:
 //
 //   - Ingester: accepts individual timestamped edges from many concurrent
 //     producers and coalesces them into batches by count threshold and time
@@ -29,10 +28,10 @@
 //     (internal/parallel fork-join): the write lock is held for the max of
 //     the slot apply costs, not the sum.
 //   - WindowRegistry: creates, lists and drops named windows at runtime.
-//     The name → window table is partitioned over independent lock shards,
-//     so tenants addressing different windows never contend on registry
-//     state, and each window keeps its own ingester, expiry ticker and
-//     RWMutex.
+//     The name → window table is one copy-on-write map that every request
+//     resolves its window in without a lock; only creates and drops take
+//     the registry's mutex, and each window keeps its own ingester, expiry
+//     ticker and locks.
 //   - Persistence (OpenRegistry + internal/wal): optionally, every applied
 //     batch is write-ahead logged and window configs + expiry watermarks
 //     live in an atomic manifest, so a crashed or restarted registry

@@ -40,7 +40,6 @@ type Metrics struct {
 	ingestEdges    *telemetry.Counter
 	queueBatches   *telemetry.Gauge
 	queueEdges     *telemetry.Gauge
-	queueBytes     *telemetry.Gauge
 	queueWait      *telemetry.Histogram
 	flushEdges     *telemetry.Histogram
 	flushThreshold *telemetry.Counter
@@ -49,7 +48,7 @@ type Metrics struct {
 	flushShutdown  *telemetry.Counter
 
 	// Admission control, indexed by admitReason (fixed label universe:
-	// edges, bytes, rate).
+	// edges, rate).
 	rejectedBatches [admitReasons]*telemetry.Counter
 	rejectedEdges   [admitReasons]*telemetry.Counter
 
@@ -110,8 +109,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Submitted batches waiting in ingest queues (all windows).")
 	m.queueEdges = reg.Gauge("sw_ingest_queue_edges",
 		"Edges inside queued submissions (all windows).")
-	m.queueBytes = reg.Gauge("sw_ingest_queue_bytes",
-		"In-memory bytes of queued edges (edges × sizeof(Edge), all windows).")
 	m.queueWait = reg.Histogram("sw_ingest_queue_wait_seconds",
 		"Time a submission waited in the ingest queue before the flush goroutine absorbed it.")
 	m.flushEdges = reg.ValueHistogram("sw_ingest_flush_edges",

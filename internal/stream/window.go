@@ -181,24 +181,16 @@ type WindowManager struct {
 
 	// live holds the unexpired arrivals in arrival order, oldest at
 	// live[head] — the canonical window content LiveEdges serves to the
-	// snapshot layer. Event times are the post-clamp values (when MaxAge >
-	// 0 they are clamped into [lastT, now] on insert so the sequence is
-	// monotone and prefix-expiry is sound against out-of-order or future
-	// timestamps); time-based expiry reads them back from here. The ring
-	// is a constant-factor memory overhead next to the monitors (which
-	// retain the whole window anyway), but it is still only maintained
-	// when something reads it: time-based expiry (MaxAge > 0) or the
-	// durability layer (retain, below) — a plain in-memory count-only
-	// window keeps no ring at all.
+	// snapshot layer and to quarantine rebuilds. Event times are the
+	// post-clamp values (when MaxAge > 0 they are clamped into [lastT,
+	// now] on insert so the sequence is monotone and prefix-expiry is
+	// sound against out-of-order or future timestamps); time-based expiry
+	// reads them back from here. Every window keeps it: at sizeof(Edge)
+	// per unexpired arrival it is a constant-factor overhead next to the
+	// monitors, which retain the whole window anyway.
 	live  []Edge
 	head  int
 	lastT int64
-	// retain marks the ring as maintained. Set at construction for
-	// MaxAge > 0, by enableLiveRetention (recovery, before replay applies
-	// anything), and by setRecorder (window creation, before the window is
-	// published) — always before the first arrival, so the ring is never
-	// missing a prefix.
-	retain bool
 
 	stats WindowStats
 
@@ -262,7 +254,7 @@ func NewWindowManager(cfg WindowConfig) (*WindowManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WindowManager{cfg: cfg, mux: mux, workers: workers, retain: cfg.MaxAge > 0, metrics: noMetrics}
+	w := &WindowManager{cfg: cfg, mux: mux, workers: workers, metrics: noMetrics}
 	mux.setOnQuarantine(func(q *QuarantineInfo) {
 		w.metrics.monQuarantines.Inc()
 		if w.logger != nil {
@@ -419,9 +411,7 @@ func (w *WindowManager) Apply(batch []Edge) error {
 		// Retain the arrivals (append copies the edge values; the batch
 		// slice goes back to the caller) so LiveEdges can serve the window
 		// content in arrival order under any expiry mode.
-		if w.retain {
-			w.live = append(w.live, valid...)
-		}
+		w.live = append(w.live, valid...)
 		if w.rec != nil {
 			durable = true
 			if ft != nil {
@@ -563,23 +553,10 @@ func (w *WindowManager) commitBatchTrace(ft *trace.Ring,
 // which becomes the batch's flight-recorder trace ID (stable across
 // restarts — replaying the log reproduces the same sequences).
 // Must be installed before any producer can reach Apply (the registry
-// attaches it while the window is still unpublished). A recorded window
-// is a durable one, so retention turns on: checkpoint snapshots will
-// read LiveEdges.
+// attaches it while the window is still unpublished).
 func (w *WindowManager) setRecorder(rec func([]Edge) (uint64, error)) {
 	w.coord.Lock()
 	w.rec = rec
-	w.retain = true
-	w.coord.Unlock()
-}
-
-// enableLiveRetention turns on live-edge retention ahead of the first
-// Apply. The recovery path calls it before replaying (the recorder —
-// which also enables retention — attaches only after replay, so it must
-// not be the thing that turns the ring on).
-func (w *WindowManager) enableLiveRetention() {
-	w.coord.Lock()
-	w.retain = true
 	w.coord.Unlock()
 }
 
@@ -604,17 +581,10 @@ func (w *WindowManager) Watermark() int64 {
 // pair is atomic because both are staging state — no arrival can land or
 // expire between the two. The pair is consistent with the write-ahead log
 // for the same reason: the recorder appends under the same coord hold
-// that updates both. fn must not retain the slice.
-//
-// Fails on a window that never enabled retention (in-memory, count-only
-// expiry): serving a partial ring as "the window" would be silent data
-// loss.
+// that updates both. fn must not retain the slice. The error is fn's.
 func (w *WindowManager) LiveEdges(fn func(expired int64, live []Edge) error) error {
 	w.coord.Lock()
 	defer w.coord.Unlock()
-	if !w.retain {
-		return errors.New("stream: window does not retain live edges (no durability layer and no time-based expiry)")
-	}
 	return fn(w.stats.Expired, w.live[w.head:])
 }
 
@@ -661,13 +631,11 @@ func (w *WindowManager) stageExpiryLocked(now time.Time) int {
 	if delta == 0 {
 		return 0
 	}
-	if w.retain {
-		w.head += delta
-		// Compact the ring once the dead prefix dominates.
-		if w.head > len(w.live)/2 && w.head > 1024 {
-			w.live = append(w.live[:0], w.live[w.head:]...)
-			w.head = 0
-		}
+	w.head += delta
+	// Compact the ring once the dead prefix dominates.
+	if w.head > len(w.live)/2 && w.head > 1024 {
+		w.live = append(w.live[:0], w.live[w.head:]...)
+		w.head = 0
 	}
 	w.stats.Expired += int64(delta)
 	return delta
@@ -947,6 +915,11 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		}
 	}()
 	start := time.Now()
+	// Fault rules on the slot's apply path reach its rebuild too: a panic
+	// here fails the rebuild like one in the replay below.
+	if w.mux.applyCheck != nil {
+		w.mux.applyCheck(s.name)
+	}
 	fresh := w.mux.newMonitor(s)
 	// fresh holds arrivals [fExp, fEnd) in absolute arrival indices; both
 	// are 0 until the first round seeds it.
@@ -968,10 +941,12 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		maxRounds   = 8    // offline rounds before forcing the locked finish
 		finalMaxLag = 4096 // captured-suffix size small enough to finish locked
 	)
+	// LiveEdges returns only its callback's error, and the callbacks
+	// below never fail.
 	var scratch []Edge
 	for r := 0; r < maxRounds; r++ {
 		var exp2, end2 int64
-		err := w.LiveEdges(func(expired int64, live []Edge) error {
+		_ = w.LiveEdges(func(expired int64, live []Edge) error {
 			exp2 = expired
 			end2 = expired + int64(len(live))
 			from := fEnd
@@ -982,12 +957,6 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 			scratch = append(scratch[:0], live[from-exp2:]...)
 			return nil
 		})
-		if err != nil {
-			// No retention (standalone in-memory window without time expiry):
-			// there is no canonical content to rebuild from.
-			w.mux.failRebuild(s, err.Error())
-			return
-		}
 		expire := int64(0)
 		if seeded {
 			expire = expireCount(exp2)
@@ -1008,7 +977,7 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 	// remaining delta is applied inside the coord hold (no copy) and the
 	// swap publishes a replacement that exactly matches its siblings.
 	w.writerMu.Lock()
-	err := w.LiveEdges(func(expired int64, live []Edge) error {
+	_ = w.LiveEdges(func(expired int64, live []Edge) error {
 		exp2 := expired
 		from := fEnd
 		if exp2 > from {
@@ -1022,11 +991,6 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		}
 		return nil
 	})
-	if err != nil {
-		w.writerMu.Unlock()
-		w.mux.failRebuild(s, err.Error())
-		return
-	}
 	w.mux.swapMonitor(s, fresh, func() { w.publish(w.epoch.Load(), s) })
 	w.writerMu.Unlock()
 	w.metrics.monRebuilds.Inc()

@@ -16,8 +16,7 @@
 //   - The incremental-model structures of Table 1 column 1 (internal/inc).
 //   - The streaming service layer (internal/stream): concurrent
 //     ingest/query pipelines over the sliding-window structures, many named
-//     windows managed by a lock-sharded registry with parallel monitor
-//     fan-out, served over HTTP by cmd/swserver and load-tested by
+//     windows managed by one registry with parallel monitor fan-out, served over HTTP by cmd/swserver and load-tested by
 //     cmd/swload.
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory and
@@ -142,12 +141,12 @@ type StreamServer = stream.Server
 // default window of a single-window registry.
 func NewStreamServer(svc *StreamService) *StreamServer { return stream.NewServer(svc) }
 
-// StreamWindowRegistry manages many named streaming windows, hash-sharded
-// across independent locks.
+// StreamWindowRegistry manages many named streaming windows, resolved by
+// name without a lock.
 type StreamWindowRegistry = stream.WindowRegistry
 
-// StreamRegistryConfig tunes a StreamWindowRegistry (lock shards, window
-// cap, template config new windows inherit from).
+// StreamRegistryConfig tunes a StreamWindowRegistry (window cap, template
+// config new windows inherit from, durability, telemetry).
 type StreamRegistryConfig = stream.RegistryConfig
 
 // StreamWindowInfo is a public snapshot of one registered window.

@@ -45,7 +45,6 @@ func TestStreamServiceReexports(t *testing.T) {
 // create two windows from a template, ingest into one, drop the other.
 func TestStreamRegistryReexports(t *testing.T) {
 	reg := NewStreamWindowRegistry(StreamRegistryConfig{
-		Shards: 4,
 		Template: StreamServiceConfig{
 			Window: StreamWindowConfig{N: 50, Seed: 2},
 			Ingest: StreamIngesterConfig{MaxBatch: 8, MaxDelay: time.Millisecond},
