@@ -302,7 +302,7 @@ func TestENOSPCDuringRotationDegradesAndHeals(t *testing.T) {
 // the held heal is still running (healing is not exported).
 func (r *faultRig) failDuringHeldHeal() *persistedWindow {
 	r.t.Helper()
-	pw := r.reg.persist.windows()["w"]
+	pw := r.reg.persist.wins.Load()["w"]
 	for _, rule := range []fault.Rule{
 		{ID: "hold", Op: fault.OpWrite, Path: wal.ManifestName + ".tmp", Kind: fault.KindLatency, LatencyMS: 1000, Count: 1},
 		{ID: "eio1", Op: fault.OpWrite, Path: ".seg", Kind: fault.KindEIO, Count: 1},
@@ -483,16 +483,17 @@ func TestKillWhileDegradedIsLoud(t *testing.T) {
 	}
 }
 
-// quarantineRig builds an in-memory registry of count-only windows (no
-// MaxAge, no durability layer) and two windows on it, arms a panic on w1's
-// forest-slot apply that fires count times, and submits one batch to both.
-func quarantineRig(t *testing.T, count int64) (reg *WindowRegistry, w1, w2 *Service) {
+// quarantineRig builds an in-memory registry of windows with no MaxAge and
+// no durability layer, capped at maxArrivals (0: unbounded), and two
+// windows on it, arms a panic on w1's forest-slot apply that fires count
+// times, and submits one batch to both.
+func quarantineRig(t *testing.T, count int64, maxArrivals int) (reg *WindowRegistry, w1, w2 *Service) {
 	t.Helper()
 	inj := fault.NewInjector(nil, 1)
 	reg = NewRegistry(RegistryConfig{
 		FaultInjector: inj,
 		Template: ServiceConfig{
-			Window: WindowConfig{N: 32, Seed: 7, MaxArrivals: 64, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 10, K: 3}},
+			Window: WindowConfig{N: 32, Seed: 7, MaxArrivals: maxArrivals, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 10, K: 3}},
 			Ingest: IngesterConfig{MaxBatch: 1 << 16, MaxDelay: time.Hour},
 		},
 	})
@@ -524,13 +525,14 @@ func quarantineRig(t *testing.T, count int64) (reg *WindowRegistry, w1, w2 *Serv
 
 // TestApplyPanicQuarantineIsolation pins the quarantine fault domain with
 // no rebuild escape hatch: the panic rule fires on the apply and again on
-// the rebuild's, so the slot is quarantined permanently — the queries of
-// every monitor it answers fail with ErrMonitorQuarantined (conn and
-// cyclefree read the one forest, and bipartite reads c(G) from it), the
-// msfweight slot of the same window and every other window keep
+// the rebuild's final round, so the slot is quarantined permanently — the
+// queries of every monitor it answers fail with ErrMonitorQuarantined
+// (conn and cyclefree read the one forest, and bipartite reads c(G) from
+// it), the msfweight slot of the same window and every other window keep
 // answering, and the quarantine is machine-readable in the query summary.
+// The failed rebuild releases the writer: the window keeps applying.
 func TestApplyPanicQuarantineIsolation(t *testing.T) {
-	reg, w1, w2 := quarantineRig(t, 2)
+	reg, w1, w2 := quarantineRig(t, 2, 64)
 
 	// The victim monitor is quarantined; its failed rebuild marks it
 	// permanent rather than retrying forever.
@@ -598,6 +600,42 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 	if conn, err := w2.Window().IsConnected(0, 2); err != nil || !conn {
 		t.Fatalf("w2 IsConnected(0,2) = %v, %v; want true", conn, err)
 	}
+
+	// The rebuild panicked with the writer held out; the window's next
+	// batch must still apply.
+	before, _ := w1.Window().MSFWeight()
+	if err := w1.Submit([]Edge{{U: 5, V: 6, W: 11}}); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan struct{})
+	go func() { w1.Flush(); close(flushed) }()
+	select {
+	case <-flushed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("w1 stopped applying after its rebuild panicked")
+	}
+	if after, err := w1.Window().MSFWeight(); err != nil || after <= before {
+		t.Fatalf("msfweight on w1 after one more edge = %v, %v; want above %v", after, err, before)
+	}
+}
+
+// TestApplyPanicUnboundedWindowStaysQuarantined: an in-memory window with
+// no expiry keeps no live ring, so a slot whose apply panicked once has
+// nothing to rebuild from and stays quarantined, marked permanent.
+func TestApplyPanicUnboundedWindowStaysQuarantined(t *testing.T) {
+	_, w1, _ := quarantineRig(t, 1, 0)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		q := w1.Window().Quarantined()
+		if len(q) == 1 && q[0].Permanent {
+			if q[0].RebuildErr != errNoRing.Error() {
+				t.Fatalf("rebuild error %q, want %q", q[0].RebuildErr, errNoRing.Error())
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("quarantine not permanent after 5s: %+v", q)
+		}
+	}
 }
 
 // TestApplyPanicRebuildCountOnlyWindow: an in-memory window with
@@ -605,7 +643,7 @@ func TestApplyPanicQuarantineIsolation(t *testing.T) {
 // panicked once is rebuilt from it while the stream flows on, and the
 // window then answers like w2, the same stream without the fault.
 func TestApplyPanicRebuildCountOnlyWindow(t *testing.T) {
-	_, w1, w2 := quarantineRig(t, 1)
+	_, w1, w2 := quarantineRig(t, 1, 64)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
 		batch := randomEdges(r, 32, 8)

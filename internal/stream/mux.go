@@ -94,9 +94,9 @@ type QuarantineInfo struct {
 	Reason  string    `json:"reason"`
 	Stack   string    `json:"stack,omitempty"`
 	At      time.Time `json:"at"`
-	// Permanent means the rebuild failed (RebuildErr says why) and no
-	// further rebuild will be attempted; only a process restart recovers
-	// the monitor.
+	// Permanent means the rebuild failed (RebuildErr says why), at once
+	// on a window that keeps no live ring, and no further rebuild will be
+	// attempted; only a process restart recovers the monitor.
 	Permanent  bool   `json:"permanent,omitempty"`
 	RebuildErr string `json:"rebuild_error,omitempty"`
 }
@@ -360,10 +360,10 @@ func (m *Multiplexer) claimRebuilds() []*monitorSlot {
 // once the quarantine is gone already come from the replacement.
 func (m *Multiplexer) swapMonitor(s *monitorSlot, mon Monitor, publish func()) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.mon = mon
 	publish()
 	s.quar.Store(nil)
-	s.mu.Unlock()
 	m.quarTotal.Add(-1)
 	s.rebuilding.Store(false)
 }

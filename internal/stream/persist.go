@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -334,7 +333,7 @@ type persister struct {
 	// new map under mu, and a stored map is never modified. Reading the
 	// degraded flags (/stats, /readyz, sw_window_health) loads it without
 	// mu, so it never waits out a manifest write or a checkpoint's syncs.
-	wins   atomic.Pointer[map[string]*persistedWindow]
+	wins   cowMap[persistedWindow]
 	closed bool // set by closeAll: no further manifest writes
 
 	// ckptMu serializes whole checkpoint passes (ticker, manual trigger,
@@ -396,7 +395,6 @@ func newPersister(cfg PersistenceConfig, m *Metrics, logger *slog.Logger) (*pers
 		},
 		stopHeal: make(chan struct{}),
 	}
-	p.clearWindows()
 	p.lastCheckpointAt.Store(time.Now().UnixNano())
 	if p.m.on() {
 		// The wal package stays metrics-free: the persister injects these
@@ -428,7 +426,7 @@ func (p *persister) registerDurabilityGauges(reg *telemetry.Registry) {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			total := 0
-			for _, pw := range p.windows() {
+			for _, pw := range p.wins.Load() {
 				total += pw.log.Segments()
 			}
 			return float64(total)
@@ -487,34 +485,12 @@ func (p *persister) windowDir(name string) string {
 	return filepath.Join(p.cfg.Dir, "windows", name)
 }
 
-// windows returns the window table, which callers must not modify.
-func (p *persister) windows() map[string]*persistedWindow { return *p.wins.Load() }
-
-// putWindow publishes a copy of the window table with name bound to pw,
-// or without name when pw is nil. Callers hold p.mu.
-func (p *persister) putWindow(name string, pw *persistedWindow) {
-	m := maps.Clone(p.windows())
-	if pw == nil {
-		delete(m, name)
-	} else {
-		m[name] = pw
-	}
-	p.wins.Store(&m)
-}
-
-// clearWindows publishes an empty window table. Callers hold p.mu, except
-// at construction.
-func (p *persister) clearWindows() {
-	m := map[string]*persistedWindow{}
-	p.wins.Store(&m)
-}
-
 // windowGone reports whether pw no longer backs name — dropped, replaced
 // by a newer window that re-won the name, or the persister closed.
 func (p *persister) windowGone(name string, pw *persistedWindow) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.closed || p.windows()[name] != pw
+	return p.closed || p.wins.Load()[name] != pw
 }
 
 func (p *persister) noteErr(err error) {
@@ -733,7 +709,7 @@ func (p *persister) healWindow(pw *persistedWindow) error {
 		slog.Int("snapshot_edges", len(edges)))
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.windows()[pw.name] != pw {
+	if p.closed || p.wins.Load()[pw.name] != pw {
 		return nil
 	}
 	pw.snapName = snapName
@@ -816,7 +792,7 @@ func (p *persister) addWindow(name string, cfg ServiceConfig, svc *Service) erro
 		log.Close()
 		return ErrRegistryClosed
 	}
-	p.putWindow(name, pw)
+	p.wins.Put(name, pw)
 	return nil
 }
 
@@ -829,7 +805,7 @@ func (p *persister) addWindow(name string, cfg ServiceConfig, svc *Service) erro
 func (p *persister) commitWindow(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pw, ok := p.windows()[name]
+	pw, ok := p.wins.Load()[name]
 	if !ok || p.closed {
 		return ErrRegistryClosed
 	}
@@ -851,12 +827,12 @@ func (p *persister) commitWindow(name string) error {
 // dropped window, which a restart resurrects empty-handed but consistent.
 func (p *persister) removeWindow(name string, svc *Service) error {
 	p.mu.Lock()
-	pw, ok := p.windows()[name]
+	pw, ok := p.wins.Load()[name]
 	if !ok || p.closed || (svc != nil && pw.svc != svc) {
 		p.mu.Unlock()
 		return nil
 	}
-	p.putWindow(name, nil)
+	p.wins.Put(name, nil)
 	var err error
 	if pw.committed {
 		_, err = p.saveManifestLocked()
@@ -885,7 +861,7 @@ func (p *persister) removeWindow(name string, svc *Service) error {
 // snapshot (or watermark) the manifest does not yet know about cannot
 // justify deleting log records a crash would still replay.
 func (p *persister) saveManifestLocked() (map[string]uint64, error) {
-	wins := p.windows()
+	wins := p.wins.Load()
 	watermarks := make(map[string]uint64, len(wins))
 	horizons := make(map[string]uint64, len(wins))
 	for name, pw := range wins {
@@ -1021,7 +997,7 @@ func (p *persister) maybeSnapshot(name string, pw *persistedWindow, threshold in
 	// as a harmless orphan a future recovery may still validly use.
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || p.windows()[name] != pw {
+	if p.closed || p.wins.Load()[name] != pw {
 		return -1, nil
 	}
 	pw.snapName = snapName
@@ -1085,7 +1061,7 @@ func (p *persister) checkpointPass() (CheckpointStats, error) {
 		return st, ErrRegistryClosed
 	}
 	if threshold = p.cfg.snapshotThreshold(); threshold >= 0 {
-		for name, pw := range p.windows() {
+		for name, pw := range p.wins.Load() {
 			if pw.committed {
 				cands = append(cands, candidate{name, pw})
 			}
@@ -1126,7 +1102,7 @@ func (p *persister) checkpointPass() (CheckpointStats, error) {
 		p.noteCkptErr(err)
 		return st, err
 	}
-	for name, pw := range p.windows() {
+	for name, pw := range p.wins.Load() {
 		pruned, err := pw.log.Prune(horizons[name])
 		if err != nil {
 			p.noteCkptErr(err)
@@ -1186,10 +1162,10 @@ func (p *persister) closeAll() {
 	p.mu.Lock()
 	p.closed = true               // later checkpoints/creates/drops must not touch the manifest
 	_, _ = p.saveManifestLocked() // captures watermarks, syncs, renames
-	for _, pw := range p.windows() {
+	for _, pw := range p.wins.Load() {
 		_ = pw.log.Close()
 	}
-	p.clearWindows()
+	p.wins.Clear()
 	p.mu.Unlock()
 	p.stopOnce.Do(func() { close(p.stopHeal) })
 	p.healWG.Wait()
@@ -1198,7 +1174,7 @@ func (p *persister) closeAll() {
 func (p *persister) stats() PersistenceStats {
 	var degraded []string
 	var gap int64
-	for name, pw := range p.windows() {
+	for name, pw := range p.wins.Load() {
 		if pw.degraded.Load() {
 			degraded = append(degraded, name)
 			gap += pw.gap.Load()
@@ -1233,7 +1209,7 @@ func (p *persister) stats() PersistenceStats {
 // a working WAL (readiness and /stats feed).
 func (p *persister) degradedWindows() []string {
 	var out []string
-	for name, pw := range p.windows() {
+	for name, pw := range p.wins.Load() {
 		if pw.degraded.Load() {
 			out = append(out, name)
 		}
@@ -1283,6 +1259,7 @@ func (p *persister) recoverWindow(name string, ws wal.WindowState, tpl ServiceCo
 	}
 	cfg := configFromMeta(meta, tpl)
 	cfg.Window.Name = name
+	cfg.Window.durable = true
 	// The bundle attaches to the pipeline only in newServiceWith, AFTER
 	// the replay below — recovery mega-batches must not pollute the
 	// live-traffic histograms (the recovery counters cover them instead).
@@ -1431,7 +1408,7 @@ func (p *persister) recoverWindow(name string, ws wal.WindowState, tpl ServiceCo
 	}
 	p.attachRecorder(pw)
 	p.mu.Lock()
-	p.putWindow(name, pw)
+	p.wins.Put(name, pw)
 	p.mu.Unlock()
 	p.m.recoveryRecords.Add(st.Records)
 	p.m.recoveryEdges.Add(st.Edges)
@@ -1509,10 +1486,10 @@ func OpenRegistry(cfg RegistryConfig) (*WindowRegistry, *RecoveryReport, error) 
 	// window table.
 	abort := func() {
 		p.mu.Lock()
-		for _, pw := range p.windows() {
+		for _, pw := range p.wins.Load() {
 			_ = pw.log.Close()
 		}
-		p.clearWindows()
+		p.wins.Clear()
 		p.mu.Unlock()
 		r.persist = nil
 		r.Close()

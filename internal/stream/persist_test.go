@@ -481,6 +481,96 @@ func recoverWithManifestKey(t *testing.T, key string, val any) *Service {
 	return svc2
 }
 
+// TestLiveRingKeptOnlyWhenRead: the live ring serves expiry, checkpoint
+// snapshots and quarantine rebuilds. An in-memory window with no expiry
+// keeps none, since it would hold every arrival ever, and LiveEdges says
+// so; a count-bounded window keeps exactly its unexpired arrivals; a
+// durable window with no expiry keeps every arrival, the ones recovery
+// replays before the recorder attaches included.
+func TestLiveRingKeptOnlyWhenRead(t *testing.T) {
+	const n, bound, batch = 40, 100, 16
+	r := rand.New(rand.NewSource(11))
+	ringLen := func(wm *WindowManager) int {
+		t.Helper()
+		got := -1
+		if err := wm.LiveEdges(func(_ int64, live []Edge) error {
+			got = len(live)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	winCfg := WindowConfig{N: n, Seed: 9, Monitors: []string{MonitorConn}}
+	unbounded, err := NewWindowManager(winCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	winCfg.MaxArrivals = bound
+	bounded, err := NewWindowManager(winCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		b := randomEdges(r, n, batch)
+		unbounded.Apply(append([]Edge(nil), b...))
+		bounded.Apply(b)
+	}
+	if cap(unbounded.live) != 0 {
+		t.Fatalf("unbounded in-memory window holds a ring of capacity %d", cap(unbounded.live))
+	}
+	if err := unbounded.LiveEdges(func(int64, []Edge) error { return nil }); !errors.Is(err, errNoRing) {
+		t.Fatalf("LiveEdges on an unbounded in-memory window: err=%v, want errNoRing", err)
+	}
+	if got := ringLen(bounded); got != bound {
+		t.Fatalf("count-bounded ring serves %d edges, want %d", got, bound)
+	}
+	// The dead prefix is compacted once it passes half the ring and 1024.
+	if len(bounded.live) > bound+1024+batch {
+		t.Fatalf("count-bounded ring is %d edges long for a window of %d", len(bounded.live), bound)
+	}
+
+	dir := t.TempDir()
+	regCfg := RegistryConfig{
+		Template: ServiceConfig{
+			Window: WindowConfig{N: n, Seed: 9, Monitors: []string{MonitorConn}},
+			Ingest: IngesterConfig{MaxBatch: 64, MaxDelay: time.Hour},
+		},
+		Persistence: &PersistenceConfig{Dir: dir, Fsync: FsyncOff},
+	}
+	reg, _, err := OpenRegistry(regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := reg.Create("w", reg.Template())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := svc.Submit(randomEdges(r, n, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Flush()
+	if got := ringLen(svc.Window()); got != 400 {
+		t.Fatalf("durable unbounded ring serves %d edges, want 400", got)
+	}
+	reg.Close()
+	reg2, _, err := OpenRegistry(regCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	svc2, ok := reg2.Get("w")
+	if !ok {
+		t.Fatal("window w not recovered")
+	}
+	if got := ringLen(svc2.Window()); got != 400 {
+		t.Fatalf("recovered durable unbounded ring serves %d edges, want 400", got)
+	}
+}
+
 // TestDropDeletesDurableState: a dropped window's log directory and
 // manifest entry are gone, and a restart does not resurrect it.
 func TestDropDeletesDurableState(t *testing.T) {

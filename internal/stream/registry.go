@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"maps"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -103,7 +101,7 @@ type WindowRegistry struct {
 	// lookup (Get on each request, the listings, the gauges) loads it
 	// without a lock.
 	mu     sync.Mutex
-	wins   atomic.Pointer[map[string]*windowHandle]
+	wins   cowMap[windowHandle]
 	closed bool
 
 	// persist is the durability layer, set only by OpenRegistry; nil
@@ -143,7 +141,6 @@ func NewRegistry(cfg RegistryConfig) *WindowRegistry {
 		logger: cfg.Logger,
 		flight: trace.New(cfg.Flight),
 	}
-	r.wins.Store(&map[string]*windowHandle{})
 	if r.logger == nil {
 		r.logger = slog.New(slog.DiscardHandler)
 	}
@@ -198,21 +195,6 @@ func (r *WindowRegistry) Logger() *slog.Logger { return r.logger }
 // Template returns the config new windows inherit defaults from.
 func (r *WindowRegistry) Template() ServiceConfig { return r.cfg.Template }
 
-// windows returns the window table, which callers must not modify.
-func (r *WindowRegistry) windows() map[string]*windowHandle { return *r.wins.Load() }
-
-// putWindow publishes a copy of the window table with name bound to h, or
-// without name when h is nil. Callers hold r.mu.
-func (r *WindowRegistry) putWindow(name string, h *windowHandle) {
-	m := maps.Clone(r.windows())
-	if h == nil {
-		delete(m, name)
-	} else {
-		m[name] = h
-	}
-	r.wins.Store(&m)
-}
-
 // admitLocked checks a window-to-be against the closed flag, MaxWindows
 // (the table's size, placeholders included) and the names taken. Callers
 // hold r.mu.
@@ -220,7 +202,7 @@ func (r *WindowRegistry) admitLocked(name string) error {
 	if r.closed {
 		return ErrRegistryClosed
 	}
-	wins := r.windows()
+	wins := r.wins.Load()
 	if r.cfg.MaxWindows > 0 && len(wins) >= r.cfg.MaxWindows {
 		return fmt.Errorf("%w (max %d)", ErrTooManyWindows, r.cfg.MaxWindows)
 	}
@@ -321,6 +303,7 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 	cfg = mergeTemplate(cfg, r.cfg.Template)
 	cfg.Window.Name = name
 	cfg.Window.workers = r.workers
+	cfg.Window.durable = r.persist != nil
 	cfg.Telemetry = r.metrics
 	cfg.flight = r.flight
 	// Publish a placeholder and construct outside the lock: building
@@ -334,7 +317,7 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 		return nil, err
 	}
 	created := time.Now()
-	r.putWindow(name, &windowHandle{name: name, created: created})
+	r.wins.Put(name, &windowHandle{name: name, created: created})
 	r.mu.Unlock()
 
 	svc, err := NewService(cfg)
@@ -366,7 +349,7 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 		err = r.persist.commitWindow(name)
 	}
 	if err != nil {
-		r.putWindow(name, nil)
+		r.wins.Put(name, nil)
 		r.mu.Unlock()
 		if svc != nil {
 			svc.Close()
@@ -376,7 +359,7 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 		}
 		return nil, err
 	}
-	r.putWindow(name, &windowHandle{name: name, svc: svc, created: created})
+	r.wins.Put(name, &windowHandle{name: name, svc: svc, created: created})
 	r.mu.Unlock()
 	return svc, nil
 }
@@ -394,14 +377,14 @@ func (r *WindowRegistry) attachService(name string, svc *Service) error {
 	if err := r.admitLocked(name); err != nil {
 		return err
 	}
-	r.putWindow(name, &windowHandle{name: name, svc: svc, created: time.Now()})
+	r.wins.Put(name, &windowHandle{name: name, svc: svc, created: time.Now()})
 	return nil
 }
 
 // Get returns the named window's service. A window whose Create is still
 // constructing does not resolve yet.
 func (r *WindowRegistry) Get(name string) (*Service, bool) {
-	h := r.windows()[name]
+	h := r.wins.Load()[name]
 	if h == nil || h.svc == nil {
 		return nil, false
 	}
@@ -416,10 +399,10 @@ func (r *WindowRegistry) Get(name string) (*Service, bool) {
 // deleted — a dropped window does not come back at restart.
 func (r *WindowRegistry) Drop(name string) error {
 	r.mu.Lock()
-	h := r.windows()[name]
+	h := r.wins.Load()[name]
 	ok := h != nil && h.svc != nil // a mid-construction placeholder is not droppable
 	if ok {
-		r.putWindow(name, nil)
+		r.wins.Put(name, nil)
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -460,7 +443,7 @@ func (r *WindowRegistry) healthCounts() (healthy, degraded, quarantined int) {
 			degradedSet[n] = true
 		}
 	}
-	for name, h := range r.windows() {
+	for name, h := range r.wins.Load() {
 		if h.svc == nil {
 			continue
 		}
@@ -481,7 +464,7 @@ func (r *WindowRegistry) healthCounts() (healthy, degraded, quarantined int) {
 // takes no monitor lock.
 func (r *WindowRegistry) msfLevelsLive() int64 {
 	var total int64
-	for _, h := range r.windows() {
+	for _, h := range r.wins.Load() {
 		if h.svc != nil {
 			total += h.svc.Window().mux.msfLevels.Load()
 		}
@@ -581,12 +564,12 @@ func (r *WindowRegistry) startCheckpointLoop(period time.Duration) {
 
 // Len returns the number of live windows, counting ones whose Create is
 // still building them — the number MaxWindows admits against.
-func (r *WindowRegistry) Len() int { return len(r.windows()) }
+func (r *WindowRegistry) Len() int { return len(r.wins.Load()) }
 
 // Names lists the registered window names, sorted.
 func (r *WindowRegistry) Names() []string {
 	var out []string
-	for name, h := range r.windows() {
+	for name, h := range r.wins.Load() {
 		if h.svc != nil {
 			out = append(out, name)
 		}
@@ -598,7 +581,7 @@ func (r *WindowRegistry) Names() []string {
 // List snapshots every window's info, sorted by name.
 func (r *WindowRegistry) List() []WindowInfo {
 	var handles []*windowHandle
-	for _, h := range r.windows() {
+	for _, h := range r.wins.Load() {
 		if h.svc != nil {
 			handles = append(handles, h)
 		}
@@ -628,8 +611,7 @@ func (r *WindowRegistry) Close() {
 	r.mu.Lock()
 	already := r.closed
 	r.closed = true
-	wins := r.windows()
-	r.wins.Store(&map[string]*windowHandle{})
+	wins := r.wins.Clear()
 	r.mu.Unlock()
 	if !already && r.ckptStop != nil {
 		close(r.ckptStop)

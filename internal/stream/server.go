@@ -257,9 +257,9 @@ func buildHealth(reg *WindowRegistry, cfg ServerConfig) *telemetry.Health {
 	if cfg.QueueBudget >= 0 {
 		budget := cfg.QueueBudget
 		h.AddCheck("queue_budget", func() string {
-			for name, win := range reg.windows() {
-				svc := win.svc
-				if svc == nil {
+			for _, name := range reg.Names() {
+				svc, ok := reg.Get(name)
+				if !ok {
 					continue
 				}
 				// Budgeted windows flip readiness in the unit admission

@@ -71,6 +71,11 @@ type WindowConfig struct {
 	// the windows it creates; nil on standalone windows. A per-window
 	// ApplyParallelism of 1 still overrides it with an empty budget.
 	workers *parallel.Limiter
+	// durable marks a window whose checkpoints snapshot its live ring. A
+	// durable registry sets it on every window it creates or recovers,
+	// before the first arrival (recovery replays before the write-ahead
+	// recorder attaches).
+	durable bool
 }
 
 // WindowStats is a point-in-time snapshot of a window's counters.
@@ -185,9 +190,7 @@ type WindowManager struct {
 	// post-clamp values (when MaxAge > 0 they are clamped into [lastT,
 	// now] on insert so the sequence is monotone and prefix-expiry is
 	// sound against out-of-order or future timestamps); time-based expiry
-	// reads them back from here. Every window keeps it: at sizeof(Edge)
-	// per unexpired arrival it is a constant-factor overhead next to the
-	// monitors, which retain the whole window anyway.
+	// reads them back from here. Kept only when keepsRing says so.
 	live  []Edge
 	head  int
 	lastT int64
@@ -411,7 +414,9 @@ func (w *WindowManager) Apply(batch []Edge) error {
 		// Retain the arrivals (append copies the edge values; the batch
 		// slice goes back to the caller) so LiveEdges can serve the window
 		// content in arrival order under any expiry mode.
-		w.live = append(w.live, valid...)
+		if w.keepsRing() {
+			w.live = append(w.live, valid...)
+		}
 		if w.rec != nil {
 			durable = true
 			if ft != nil {
@@ -581,11 +586,30 @@ func (w *WindowManager) Watermark() int64 {
 // pair is atomic because both are staging state — no arrival can land or
 // expire between the two. The pair is consistent with the write-ahead log
 // for the same reason: the recorder appends under the same coord hold
-// that updates both. fn must not retain the slice. The error is fn's.
+// that updates both. fn must not retain the slice.
+//
+// Fails with errNoRing on a window that keeps no ring: serving a partial
+// ring as "the window" would be silent data loss.
 func (w *WindowManager) LiveEdges(fn func(expired int64, live []Edge) error) error {
+	if !w.keepsRing() {
+		return errNoRing
+	}
 	w.coord.Lock()
 	defer w.coord.Unlock()
 	return fn(w.stats.Expired, w.live[w.head:])
+}
+
+var errNoRing = errors.New("stream: window keeps no live ring (in memory, with no expiry)")
+
+// keepsRing reports whether the window keeps its live ring. A window
+// that expires arrivals keeps it (time-based expiry reads event times
+// back from it), at sizeof(Edge) per unexpired arrival plus up to as much
+// again in dead prefix before a compaction; a durable one keeps it for
+// its checkpoint snapshots. An in-memory window with no expiry keeps
+// none: its ring would hold every arrival ever, where its monitors hold
+// only their forests. Such a window cannot rebuild a quarantined slot.
+func (w *WindowManager) keepsRing() bool {
+	return w.cfg.MaxArrivals > 0 || w.cfg.MaxAge > 0 || w.cfg.durable
 }
 
 // ExpireByAge runs the time-based expiry policy without inserting anything;
@@ -914,12 +938,12 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 			}
 		}
 	}()
-	start := time.Now()
-	// Fault rules on the slot's apply path reach its rebuild too: a panic
-	// here fails the rebuild like one in the replay below.
-	if w.mux.applyCheck != nil {
-		w.mux.applyCheck(s.name)
+	if !w.keepsRing() {
+		// No canonical content to rebuild from.
+		w.mux.failRebuild(s, errNoRing.Error())
+		return
 	}
+	start := time.Now()
 	fresh := w.mux.newMonitor(s)
 	// fresh holds arrivals [fExp, fEnd) in absolute arrival indices; both
 	// are 0 until the first round seeds it.
@@ -941,8 +965,8 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		maxRounds   = 8    // offline rounds before forcing the locked finish
 		finalMaxLag = 4096 // captured-suffix size small enough to finish locked
 	)
-	// LiveEdges returns only its callback's error, and the callbacks
-	// below never fail.
+	// LiveEdges fails only without a ring (ruled out above) or when its
+	// callback does, and the callbacks below never fail.
 	var scratch []Edge
 	for r := 0; r < maxRounds; r++ {
 		var exp2, end2 int64
@@ -975,24 +999,33 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 	}
 	// Final round: with the writer held out the content is frozen, so the
 	// remaining delta is applied inside the coord hold (no copy) and the
-	// swap publishes a replacement that exactly matches its siblings.
-	w.writerMu.Lock()
-	_ = w.LiveEdges(func(expired int64, live []Edge) error {
-		exp2 := expired
-		from := fEnd
-		if exp2 > from {
-			from = exp2
+	// swap publishes a replacement that exactly matches its siblings. The
+	// deferred unlock lets a panic here fail the rebuild (see the recover
+	// above) without wedging the writer.
+	func() {
+		w.writerMu.Lock()
+		defer w.writerMu.Unlock()
+		// Fault rules on the slot's apply path reach its rebuild too, here
+		// where the apply path checks them: with the writer held out.
+		if w.mux.applyCheck != nil {
+			w.mux.applyCheck(s.name)
 		}
-		if batch := live[from-exp2:]; len(batch) > 0 {
-			fresh.BatchInsert(batch)
-		}
-		if expire := expireCount(exp2); expire > 0 {
-			fresh.BatchExpire(int(expire))
-		}
-		return nil
-	})
-	w.mux.swapMonitor(s, fresh, func() { w.publish(w.epoch.Load(), s) })
-	w.writerMu.Unlock()
+		_ = w.LiveEdges(func(expired int64, live []Edge) error {
+			exp2 := expired
+			from := fEnd
+			if exp2 > from {
+				from = exp2
+			}
+			if batch := live[from-exp2:]; len(batch) > 0 {
+				fresh.BatchInsert(batch)
+			}
+			if expire := expireCount(exp2); expire > 0 {
+				fresh.BatchExpire(int(expire))
+			}
+			return nil
+		})
+		w.mux.swapMonitor(s, fresh, func() { w.publish(w.epoch.Load(), s) })
+	}()
 	w.metrics.monRebuilds.Inc()
 	if w.logger != nil {
 		w.logger.Info("quarantined monitor rebuilt",
