@@ -2,8 +2,10 @@
 // a multi-window HTTP JSON service: timestamped edges stream in over
 // POST /edges (or POST /windows/{name}/edges), get re-batched by the
 // internal/stream ingester (recovering the paper's O(ℓ·lg(1+n/ℓ)) batch
-// economics), fan out to the window's monitors in parallel, and queries
-// are answered concurrently from the shared windows.
+// economics), fan out to the window's monitors in parallel (msfweight's
+// levels fork-join over one process-wide budget of GOMAXPROCS goroutines,
+// which every window shares), and queries are answered concurrently from
+// the shared windows.
 //
 // Windows are created at runtime against the template the flags describe;
 // a "default" window is pre-created so the single-window routes work out
@@ -108,8 +110,6 @@ func main() {
 	seed := flag.Uint64("seed", 0xC0FFEE, "structure seed")
 	maxWindows := flag.Int("maxwindows", 0, "cap on live windows (0 = unlimited)")
 	windows := flag.String("windows", "", "comma-separated extra windows to pre-create from the template")
-	applyPar := flag.Int("apply-parallelism", 0,
-		"intra-monitor batch-apply worker budget shared by all windows (msfweight level fork-join): 0 = GOMAXPROCS, 1 = sequential levels")
 	maxBody := flag.Int64("maxbody", stream.DefaultMaxBodyBytes, "request body size cap in bytes")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	dataDir := flag.String("data-dir", "", "durability directory (WAL + manifest); empty = in-memory only")
@@ -159,14 +159,13 @@ func main() {
 
 	template := stream.ServiceConfig{
 		Window: stream.WindowConfig{
-			N:                *n,
-			Seed:             *seed,
-			Monitors:         stream.SplitMonitors(*monitors),
-			Monitor:          stream.MonitorConfig{Eps: *eps, MaxWeight: *maxW, K: *k},
-			MaxArrivals:      *window,
-			MaxAge:           *maxAge,
-			ApplyParallelism: *applyPar,
-			SyncAck:          *syncAck,
+			N:           *n,
+			Seed:        *seed,
+			Monitors:    stream.SplitMonitors(*monitors),
+			Monitor:     stream.MonitorConfig{Eps: *eps, MaxWeight: *maxW, K: *k},
+			MaxArrivals: *window,
+			MaxAge:      *maxAge,
+			SyncAck:     *syncAck,
 		},
 		Ingest: stream.IngesterConfig{
 			MaxBatch:       *batch,
@@ -280,7 +279,6 @@ func main() {
 		"addr", *addr, "windows", strings.Join(reg.Names(), ","),
 		"n", *n, "monitors", *monitors, "window", *window, "maxage", *maxAge,
 		"batch", *batch, "delay", *delay,
-		"apply_parallelism", *applyPar,
 		"max_queue_edges", *maxQueueEdges,
 		"rate_limit", *rateLimit, "sync_ack", *syncAck,
 		"durability", durability, "metrics", *metricsOn, "pprof", *pprofOn)

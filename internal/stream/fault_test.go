@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -680,7 +681,9 @@ func TestApplyPanicRebuildCountOnlyWindow(t *testing.T) {
 // It panics msfweight, and then the forest slot, whose rebuild must come
 // back at the same order (K = 3 here) for cycle and kcert to match. The
 // forest case streams a bipartite graph: bipartite reads c(G) from the
-// forest, so it must come back true with the rebuilt forest's count.
+// forest, so it must come back true with the rebuilt forest's count. The
+// rebuilt msfweight monitor must time its levels for the flight recorder
+// as the original did.
 func TestApplyPanicRebuildRestores(t *testing.T) {
 	for _, slot := range []string{MonitorMSFWeight, SlotForest} {
 		t.Run(slot, func(t *testing.T) { testApplyPanicRebuildRestores(t, slot) })
@@ -717,6 +720,7 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	bipartite := slot == SlotForest
+	topOnly := false // every weight MaxWeight: only msfweight's top level admits the batch
 	step := func() {
 		k := 1 + rng.Intn(24)
 		batch := make([]Edge, k)
@@ -727,6 +731,9 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 				v = int32(rng.Intn(n))
 			}
 			batch[i] = Edge{U: u, V: v, W: 1 + rng.Int63n(1<<10), T: clock.Now()}
+			if topOnly {
+				batch[i].W = 1 << 10
+			}
 		}
 		ref.Apply(append([]Edge(nil), batch...))
 		if err := svc.Submit(batch); err != nil {
@@ -781,6 +788,25 @@ func testApplyPanicRebuildRestores(t *testing.T, slot string) {
 	diffAnswers(t, "post-rebuild", answersOf(t, ref, pairs), got)
 	if bipartite && !got.bipartite {
 		t.Fatal("post-rebuild: a window of even-odd edges reads non-bipartite")
+	}
+	if slot == MonitorMSFWeight {
+		topOnly = true
+		step()
+		topOnly = false
+		top := int32(svc.Window().mux.byName[MonitorMSFWeight].mon.(*msfWeightMonitor).a.Levels() - 1)
+		views := reg.Flight().Traces(trace.Filter{Window: "w", Kind: "batch", Limit: 1})
+		if len(views) != 1 {
+			t.Fatalf("%d batch traces after a flushed batch", len(views))
+		}
+		var levels []int32
+		for _, sp := range views[0].Spans {
+			if sp.Name == "level" {
+				levels = append(levels, *sp.Level)
+			}
+		}
+		if len(levels) != 1 || levels[0] != top {
+			t.Fatalf("post-rebuild: a batch only level %d admits traced level spans %v, want [%d]", top, levels, top)
+		}
 	}
 
 	// And the window stays live: more stream, still reference-equal.

@@ -1,6 +1,9 @@
 package stream
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +162,29 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	// Windows come and go meanwhile, so rings join and leave the recorder
+	// under the readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			name := "churn" + strconv.Itoa(i%3)
+			cs, err := reg.Create(name, ServiceConfig{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := cs.Submit([]Edge{{U: 1, V: 2}}); err != nil {
+				t.Error(err)
+				return
+			}
+			cs.Flush()
+			if err := reg.Drop(name); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 
 	views := rec.Traces(trace.Filter{Kind: "batch"})
@@ -197,5 +223,64 @@ func TestExemplarLinksToTrace(t *testing.T) {
 	}
 	if v.TraceID != trace.FormatID(ex.TraceID) {
 		t.Errorf("lookup returned trace %s, want %s", v.TraceID, trace.FormatID(ex.TraceID))
+	}
+}
+
+// TestFlightDropReleasesRings: dropping a window releases its flight
+// rings, so /debug/flight serves none of a dropped incarnation's traces,
+// and a window re-created under the same name serves only its own.
+func TestFlightDropReleasesRings(t *testing.T) {
+	reg := NewRegistry(RegistryConfig{Template: ServiceConfig{
+		Window: WindowConfig{N: 64, Monitors: []string{MonitorConn}},
+	}})
+	defer reg.Close()
+	ts := httptest.NewServer(NewRegistryServer(reg, ServerConfig{}).Handler())
+	defer ts.Close()
+	flight := func() []trace.View {
+		t.Helper()
+		var fr trace.Response
+		if code := getJSON(t, ts.URL+"/debug/flight?window=w", &fr); code != http.StatusOK {
+			t.Fatalf("flight status %d", code)
+		}
+		return fr.Traces
+	}
+	for inc := 1; inc <= 4; inc++ {
+		svc, err := reg.Create("w", ServiceConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Incarnation inc applies one batch of inc edges, so a batch
+		// trace's edge count names its incarnation.
+		batch := make([]Edge, inc)
+		for i := range batch {
+			batch[i] = Edge{U: int32(i), V: int32(i + 1)}
+		}
+		if err := svc.Submit(batch); err != nil {
+			t.Fatal(err)
+		}
+		svc.Flush()
+		if _, err := svc.Window().IsConnected(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		batches, queries := 0, 0
+		for _, v := range flight() {
+			switch {
+			case v.Kind == "query":
+				queries++
+			case v.Edges == int32(inc):
+				batches++
+			default:
+				t.Fatalf("incarnation %d: /debug/flight serves a %d-edge batch of a dropped incarnation", inc, v.Edges)
+			}
+		}
+		if batches != 1 || queries != 1 {
+			t.Fatalf("incarnation %d: %d batch and %d query traces, want 1 and 1", inc, batches, queries)
+		}
+		if err := reg.Drop("w"); err != nil {
+			t.Fatal(err)
+		}
+		if views := flight(); len(views) != 0 {
+			t.Fatalf("after drop %d: /debug/flight still serves %d traces", inc, len(views))
+		}
 	}
 }

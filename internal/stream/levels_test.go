@@ -4,12 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // TestLevelsParallelMatchesSequential is the intra-monitor differential:
 // two identically-seeded windows — one fork-joining the msfweight
 // connectivity levels with a real worker budget, one forced to sequential
-// level application (ApplyParallelism: 1) — must answer every query
+// level application (an empty budget set on its structure, as
+// BenchmarkApproxMSFLevels does) — must answer every query
 // identically at every point of a randomized weighted insert/expire
 // schedule. Recency weights make each level's forest canonical in the
 // arrival sequence, so any divergence means the level fan-out leaked state
@@ -32,8 +35,6 @@ func TestLevelsParallelMatchesSequential(t *testing.T) {
 	fc := NewFakeClock(time.Unix(0, 0))
 	parCfg, seqCfg := base, base
 	parCfg.Clock, seqCfg.Clock = fc, fc
-	parCfg.ApplyParallelism = 4 // caller + 3 aux: real cross-goroutine level application
-	seqCfg.ApplyParallelism = 1
 	par, err := NewWindowManager(parCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +43,11 @@ func TestLevelsParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.ApplyParallelism() != 4 || seq.ApplyParallelism() != 1 {
-		t.Fatalf("parallelism not wired through: %d / %d",
-			par.ApplyParallelism(), seq.ApplyParallelism())
+	levels := func(w *WindowManager) *msfWeightMonitor {
+		return w.mux.byName[MonitorMSFWeight].mon.(*msfWeightMonitor)
 	}
+	levels(par).a.SetWorkers(parallel.NewLimiter(3)) // caller + 3 aux: real cross-goroutine level application
+	levels(seq).a.SetWorkers(parallel.NewLimiter(0))
 
 	r := rand.New(rand.NewSource(31))
 	for round := 0; round < rounds; round++ {

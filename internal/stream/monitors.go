@@ -61,11 +61,10 @@ func (m *Multiplexer) newMonitor(s *monitorSlot) Monitor {
 	case MonitorBipartite:
 		return &coverMonitor{d: sw.NewDoubleCover(m.n, s.seed^0x5bd1e995)}
 	default:
+		// The level fork-join borrows from the process-wide
+		// parallel.Default budget, so N windows × levels stay bounded.
 		a := sw.NewApproxMSF(m.n, m.cfg.Eps, m.cfg.MaxWeight, s.seed)
-		// The level fork-join borrows from the window's (or registry's)
-		// shared budget, so nested parallelism — monitor fan-out × level
-		// fan-out × N windows — stays bounded by one configured number.
-		a.SetWorkers(m.workers)
+		a.SetLevelTiming(m.levelTiming)
 		return &msfWeightMonitor{a: a, maxW: m.cfg.MaxWeight, levels: &m.msfLevels}
 	}
 }

@@ -61,9 +61,13 @@ type Multiplexer struct {
 	// Construction parameters, retained so a quarantined slot can be
 	// rebuilt bit-identically (same defaulted config and monitor names, so
 	// the same forest order; same per-slot seed).
-	n       int
-	cfg     MonitorConfig
-	workers *parallel.Limiter
+	n   int
+	cfg MonitorConfig
+
+	// levelTiming makes the msfweight monitor time its levels for the
+	// flight recorder, in every replacement newMonitor builds too. Set
+	// by timeLevels during wiring.
+	levelTiming bool
 
 	// applyCheck, when set, runs at the top of every per-slot apply — the
 	// fault injector's hook for inducing panics and latency at the fan-out
@@ -138,20 +142,16 @@ type monitorSlot struct {
 }
 
 // NewMultiplexer builds a multiplexer over the named monitors, one slot
-// per structure they need, in order of each slot's first monitor. workers
-// is the budget monitors with internal fork-joins (msfweight's per-level
-// apply) borrow auxiliary goroutines from; nil uses the process-wide
-// default budget.
-func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64, workers *parallel.Limiter) (*Multiplexer, error) {
+// per structure they need, in order of each slot's first monitor.
+func NewMultiplexer(names []string, n int, cfg MonitorConfig, seed uint64) (*Multiplexer, error) {
 	if len(names) == 0 {
 		names = AllMonitors()
 	}
 	cfg = cfg.withDefaults()
 	m := &Multiplexer{
-		byName:  make(map[string]*monitorSlot, len(names)),
-		n:       n,
-		cfg:     cfg,
-		workers: workers,
+		byName: make(map[string]*monitorSlot, len(names)),
+		n:      n,
+		cfg:    cfg,
 	}
 	bySlot := make(map[string]*monitorSlot, len(slotOf))
 	slotFor := func(slot string, i int) *monitorSlot {
@@ -197,6 +197,16 @@ func (m *Multiplexer) setApplyCheck(fn func(slot string)) { m.applyCheck = fn }
 // setOnQuarantine installs the new-quarantine callback. Called during
 // wiring, before the window is published.
 func (m *Multiplexer) setOnQuarantine(fn func(q *QuarantineInfo)) { m.onQuarantine = fn }
+
+// timeLevels turns on per-level span timing in the msfweight monitor and
+// in every replacement newMonitor builds for it. Called during wiring,
+// before the window is published.
+func (m *Multiplexer) timeLevels() {
+	m.levelTiming = true
+	if s := m.byName[MonitorMSFWeight]; s != nil {
+		s.mon.(*msfWeightMonitor).a.SetLevelTiming(true)
+	}
+}
 
 // describePanic extracts a reason and stack from a recovered panic value,
 // unwrapping the fork-join capture wrapper when the panic crossed a
@@ -387,6 +397,20 @@ func (m *Multiplexer) forEachLastTiming(fn func(idx int, waitNS, applyNS int64))
 	for _, s := range m.slots {
 		fn(s.idx, s.lastWaitNS, s.lastApplyNS)
 	}
+}
+
+// forEachLevelSpan reads the level spans of the msfweight slot's last op,
+// offset from the slot's lock request, from its current monitor (a rebuild
+// swaps it under the writer lock). Valid where forEachLastTiming is; a
+// quarantined slot has none, since its last op did not complete.
+func (m *Multiplexer) forEachLevelSpan(fn func(level int, startNS, durNS int64)) {
+	s := m.byName[MonitorMSFWeight]
+	if s == nil || s.quar.Load() != nil {
+		return
+	}
+	s.mon.(*msfWeightMonitor).a.LevelSpans(func(level int, startNS, durNS int64) {
+		fn(level, s.lastWaitNS+startNS, durNS)
+	})
 }
 
 // Names lists the configured monitors, deduplicated, in config order.

@@ -221,23 +221,18 @@ func metaFromConfig(cfg ServiceConfig) windowMeta {
 
 // configFromMeta rebuilds a ServiceConfig, borrowing clocks from the
 // template (tests inject FakeClock through it; production leaves it nil
-// and gets the real clock). ApplyParallelism is a deployment knob like the
-// clocks, not window identity, so it too comes from the template rather
-// than the manifest — recovery replay mega-batches fork-join levels under
-// whatever budget THIS boot configured.
+// and gets the real clock).
 func configFromMeta(m windowMeta, tpl ServiceConfig) ServiceConfig {
 	return ServiceConfig{
 		Window: WindowConfig{
-			N:                m.N,
-			Seed:             m.Seed,
-			Monitors:         m.Monitors,
-			Monitor:          MonitorConfig{Eps: m.Eps, MaxWeight: m.MaxWeight, K: m.K},
-			MaxArrivals:      m.MaxArrivals,
-			MaxAge:           time.Duration(m.MaxAgeNS),
-			Clock:            tpl.Window.Clock,
-			SyncAck:          m.SyncAck,
-			ApplyParallelism: tpl.Window.ApplyParallelism,
-			workers:          tpl.Window.workers,
+			N:           m.N,
+			Seed:        m.Seed,
+			Monitors:    m.Monitors,
+			Monitor:     MonitorConfig{Eps: m.Eps, MaxWeight: m.MaxWeight, K: m.K},
+			MaxArrivals: m.MaxArrivals,
+			MaxAge:      time.Duration(m.MaxAgeNS),
+			Clock:       tpl.Window.Clock,
+			SyncAck:     m.SyncAck,
 		},
 		Ingest: IngesterConfig{
 			MaxBatch:       m.MaxBatch,
@@ -331,8 +326,9 @@ type persister struct {
 	mu sync.Mutex
 	// wins is the window table, copy-on-write: add, drop and close store a
 	// new map under mu, and a stored map is never modified. Reading the
-	// degraded flags (/stats, /readyz, sw_window_health) loads it without
-	// mu, so it never waits out a manifest write or a checkpoint's syncs.
+	// degraded flags (/stats, /readyz, sw_window_health) and the segment
+	// count (sw_wal_segments) loads it without mu, so it never waits out a
+	// manifest write or a checkpoint's syncs.
 	wins   cowMap[persistedWindow]
 	closed bool // set by closeAll: no further manifest writes
 
@@ -423,8 +419,6 @@ func newPersister(cfg PersistenceConfig, m *Metrics, logger *slog.Logger) (*pers
 func (p *persister) registerDurabilityGauges(reg *telemetry.Registry) {
 	reg.GaugeFunc("sw_wal_segments",
 		"WAL segment files across all windows.", func() float64 {
-			p.mu.Lock()
-			defer p.mu.Unlock()
 			total := 0
 			for _, pw := range p.wins.Load() {
 				total += pw.log.Segments()
@@ -1475,9 +1469,6 @@ func OpenRegistry(cfg RegistryConfig) (*WindowRegistry, *RecoveryReport, error) 
 	}
 	sort.Strings(names)
 	tpl := r.cfg.Template.withClockDefaults()
-	// Recovered windows share the registry's fork-join budget exactly like
-	// created ones (configFromMeta forwards it from the template).
-	tpl.Window.workers = r.workers
 	// abort unwinds a partial recovery WITHOUT touching the on-disk
 	// manifest: one window's corruption must not erase the durable
 	// registration of windows not yet (or already) recovered. The logs

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -117,15 +116,6 @@ type WindowRegistry struct {
 	metrics *Metrics
 	logger  *slog.Logger
 
-	// workers is the intra-monitor fork-join budget shared by every window
-	// the registry creates or recovers, sized once from the template's
-	// ApplyParallelism (see WindowConfig). One budget across all windows
-	// keeps total auxiliary parallelism at the configured number no matter
-	// how many windows apply batches at once. applyParallelism is the
-	// effective total (callers + auxiliaries) the gauge reports.
-	workers          *parallel.Limiter
-	applyParallelism int
-
 	// flight is the batch flight recorder every owned pipeline traces
 	// into — always on (recording is 0 allocs/op; cost is a handful of
 	// clock reads per batch). flightSink is the slow-trace JSONL file on
@@ -144,20 +134,13 @@ func NewRegistry(cfg RegistryConfig) *WindowRegistry {
 	if r.logger == nil {
 		r.logger = slog.New(slog.DiscardHandler)
 	}
-	if p := cfg.Template.Window.ApplyParallelism; p > 0 {
-		r.workers = parallel.NewLimiter(p - 1)
-		r.applyParallelism = p
-	} else {
-		r.workers = parallel.Default()
-		r.applyParallelism = runtime.GOMAXPROCS(0)
-	}
 	if cfg.Telemetry != nil {
 		r.metrics = NewMetrics(cfg.Telemetry)
 		cfg.Telemetry.GaugeFunc("sw_windows_live",
 			"Live windows registered.", func() float64 { return float64(r.Len()) })
 		cfg.Telemetry.GaugeFunc("sw_apply_parallelism",
-			"Shared intra-monitor batch-apply worker budget (caller + auxiliaries).",
-			func() float64 { return float64(r.applyParallelism) })
+			"Process-wide msfweight level fork-join width (caller + auxiliaries).",
+			func() float64 { return float64(parallel.Default().Aux() + 1) })
 		// Window health by state — registry-level counts, not per-window
 		// labels (windows are tenant-controlled; names would be unbounded
 		// cardinality). Per-window detail lives in /stats.
@@ -258,9 +241,6 @@ func mergeTemplate(cfg, tpl ServiceConfig) ServiceConfig {
 	if cfg.Window.MaxAge == 0 {
 		cfg.Window.MaxAge = tpl.Window.MaxAge
 	}
-	if cfg.Window.ApplyParallelism == 0 {
-		cfg.Window.ApplyParallelism = tpl.Window.ApplyParallelism
-	}
 	if cfg.Window.Clock == nil {
 		cfg.Window.Clock = tpl.Window.Clock
 	}
@@ -302,7 +282,6 @@ func (r *WindowRegistry) Create(name string, cfg ServiceConfig) (*Service, error
 	}
 	cfg = mergeTemplate(cfg, r.cfg.Template)
 	cfg.Window.Name = name
-	cfg.Window.workers = r.workers
 	cfg.Window.durable = r.persist != nil
 	cfg.Telemetry = r.metrics
 	cfg.flight = r.flight

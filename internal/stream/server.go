@@ -118,12 +118,6 @@ type createWindowRequest struct {
 	// window block for durability by default (per-request ?sync= still
 	// overrides).
 	SyncAck *bool `json:"sync_ack,omitempty"`
-	// ApplyParallelism tunes the intra-monitor fork-join of the batch
-	// apply: 0/absent inherits the registry's shared budget, 1 forces
-	// sequential level application for this window (values above 1 are
-	// registry-level — the shared budget is sized from the server's
-	// template, so a per-window >1 still draws from it).
-	ApplyParallelism int `json:"apply_parallelism,omitempty"`
 }
 
 // NewServer wraps one Service in the HTTP front-end as the default window
@@ -430,14 +424,13 @@ func (s *Server) handleCreateWindow(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg := ServiceConfig{
 		Window: WindowConfig{
-			N:                req.N,
-			Seed:             req.Seed,
-			Monitors:         req.Monitors,
-			Monitor:          MonitorConfig{Eps: req.Eps, MaxWeight: req.MaxWeight, K: req.K},
-			MaxArrivals:      req.MaxArrivals,
-			MaxAge:           time.Duration(req.MaxAgeMS) * time.Millisecond,
-			SyncAck:          syncAck,
-			ApplyParallelism: req.ApplyParallelism,
+			N:           req.N,
+			Seed:        req.Seed,
+			Monitors:    req.Monitors,
+			Monitor:     MonitorConfig{Eps: req.Eps, MaxWeight: req.MaxWeight, K: req.K},
+			MaxArrivals: req.MaxArrivals,
+			MaxAge:      time.Duration(req.MaxAgeMS) * time.Millisecond,
+			SyncAck:     syncAck,
 		},
 		Ingest: IngesterConfig{
 			MaxBatch:       req.MaxBatch,
@@ -883,9 +876,9 @@ func windowStatsBody(svc *Service, degraded bool) map[string]any {
 		health["quarantined"] = quar
 	}
 	body["health"] = health
-	// Effective intra-monitor fork-join width (caller + auxiliaries; 1 =
-	// sequential levels) — shared across windows in a registry. Apply
-	// timings are per batch and per slot in the window's flight traces.
+	// The msfweight level fork-join width (caller + auxiliaries), one
+	// process-wide budget. Apply timings are per batch and per slot in
+	// the window's flight traces.
 	body["apply"] = map[string]any{"parallelism": svc.Window().ApplyParallelism()}
 	return body
 }

@@ -313,7 +313,7 @@ func TestServerWindowsCRUD(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","monitors":["nope"]}`); code != http.StatusBadRequest {
 		t.Fatalf("bad monitor = %d, want 400", code)
 	}
-	for _, key := range []string{"sequential_fanout", "max_queue_bytes"} {
+	for _, key := range []string{"sequential_fanout", "max_queue_bytes", "apply_parallelism"} {
 		code, resp = doJSON(t, "POST", ts.URL+"/windows", `{"name":"t2","`+key+`":1}`)
 		if msg, _ := resp["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"`+key+`"`) {
 			t.Fatalf("removed key = %d (%v), want 400 naming %s", code, resp, key)
@@ -498,8 +498,7 @@ func TestServerQuerySummary(t *testing.T) {
 func TestServerFlightSlotSpans(t *testing.T) {
 	const n = 500
 	reg := NewRegistry(RegistryConfig{Template: ServiceConfig{
-		// Parallelism 2 turns on msfweight's level spans.
-		Window: WindowConfig{N: n, Seed: 5, ApplyParallelism: 2, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 20, K: 3}},
+		Window: WindowConfig{N: n, Seed: 5, Monitor: MonitorConfig{Eps: 0.25, MaxWeight: 1 << 20, K: 3}},
 	}})
 	defer reg.Close()
 	ts := httptest.NewServer(NewRegistryServer(reg, ServerConfig{}).Handler())

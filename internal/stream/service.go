@@ -158,11 +158,14 @@ func (s *Service) QueueBudget() int64 { return s.ing.QueueBudget() }
 // control.
 func (s *Service) RejectStats() (subs, edges int64) { return s.ing.RejectStats() }
 
-// Close drains the ingester and stops the pipeline.
+// Close drains the ingester, stops the pipeline and releases the window's
+// flight rings.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
 		s.ing.Close()
 		close(s.stopTicker)
 		s.tickerWG.Wait()
+		s.wm.flight.Release()
+		s.wm.qflight.Release()
 	})
 }

@@ -165,6 +165,63 @@ func TestMetricNameLint(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeSkipsPersisterLock: a /metrics scrape reads the
+// durability gauges without the persister's mutex, which a checkpoint
+// holds through every log's fsync and the manifest's write and rename.
+func TestMetricsScrapeSkipsPersisterLock(t *testing.T) {
+	reg, _, err := OpenRegistry(RegistryConfig{
+		Telemetry:   telemetry.NewRegistry(),
+		Template:    ServiceConfig{Window: WindowConfig{N: 32}},
+		Persistence: &PersistenceConfig{Dir: t.TempDir(), Fsync: FsyncOff},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	svc, err := reg.Create("w", ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Submit([]Edge{{U: 1, V: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Flush()
+	ts := httptest.NewServer(NewRegistryServer(reg, ServerConfig{}).Handler())
+	defer ts.Close()
+
+	type scrape struct {
+		exp *telemetry.Exposition
+		err error
+	}
+	done := make(chan scrape, 1)
+	reg.persist.mu.Lock()
+	go func() {
+		res, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			done <- scrape{err: err}
+			return
+		}
+		defer res.Body.Close()
+		exp, err := telemetry.ParseExposition(res.Body)
+		done <- scrape{exp, err}
+	}()
+	var got scrape
+	select {
+	case got = <-done:
+		reg.persist.mu.Unlock()
+	case <-time.After(2 * time.Second):
+		reg.persist.mu.Unlock()
+		<-done
+		t.Fatal("GET /metrics still waiting on the persister's lock after 2s")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if segs, ok := got.exp.Value("sw_wal_segments", nil); !ok || segs < 1 {
+		t.Fatalf("sw_wal_segments = %v (present %v), want at least the window's one segment", segs, ok)
+	}
+}
+
 // TestReadyzFlipsOnWALFailure pins the readiness semantics: ready on a
 // healthy durable registry, 503 with a wal_writable failure while a
 // window is in the degraded durability state — and back to 200 once the

@@ -54,23 +54,7 @@ type WindowConfig struct {
 	// Requests can override per-call with ?sync=0/1. Meaningless without
 	// a durability layer.
 	SyncAck bool
-	// ApplyParallelism budgets the intra-monitor fork-join of the batch
-	// apply — today the msfweight monitor's per-level fan-out, which also
-	// covers expiry and recovery replay since they run through the same
-	// entry points. 0 inherits: the registry's shared budget when the
-	// window belongs to one, the process-wide GOMAXPROCS-sized budget
-	// otherwise. 1 forces sequential level application (the reference
-	// TestLevelsParallelMatchesSequential compares against). p > 1 sizes a
-	// private budget of the caller plus p-1 auxiliary workers — honoured
-	// on standalone windows; inside a registry the budget is shared and
-	// sized from the registry template, so N windows × R levels cannot
-	// stampede goroutines multiplicatively.
-	ApplyParallelism int
 
-	// workers is the resolved shared worker budget a registry injects into
-	// the windows it creates; nil on standalone windows. A per-window
-	// ApplyParallelism of 1 still overrides it with an empty budget.
-	workers *parallel.Limiter
 	// durable marks a window whose checkpoints snapshot its live ring. A
 	// durable registry sets it on every window it creates or recovers,
 	// before the first arrival (recovery replays before the write-ahead
@@ -163,10 +147,6 @@ type WindowManager struct {
 	cfg WindowConfig
 	mux *Multiplexer
 
-	// workers is the resolved intra-monitor fork-join budget the monitors
-	// were built with (never nil; see resolveApplyWorkers).
-	workers *parallel.Limiter
-
 	// writerMu serializes Apply and ExpireByAge (see above).
 	writerMu sync.Mutex
 
@@ -213,13 +193,10 @@ type WindowManager struct {
 	// flight receives one batch trace per applied op; qflight receives
 	// query traces. ftrace is the reusable batch-trace scratch — only the
 	// writer (under writerMu) touches it, so recording is lock-free and
-	// 0 allocs. levelMon caches the msfweight monitor when per-level span
-	// timing is enabled (flight on and ApplyParallelism > 1).
-	flight      *trace.Ring
-	qflight     *trace.Ring
-	ftrace      trace.Trace
-	levelMon    *msfWeightMonitor
-	levelMonIdx int // msfweight's fan-out slot index (valid iff levelMon != nil)
+	// 0 allocs.
+	flight  *trace.Ring
+	qflight *trace.Ring
+	ftrace  trace.Trace
 
 	// pendingEnqNS is the enqueue wall time (unix ns) of the oldest
 	// submission in the batch the ingester is about to Apply — the queue
@@ -252,12 +229,11 @@ func NewWindowManager(cfg WindowConfig) (*WindowManager, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = RealClock()
 	}
-	workers := resolveApplyWorkers(cfg)
-	mux, err := NewMultiplexer(cfg.Monitors, cfg.N, cfg.Monitor, cfg.Seed, workers)
+	mux, err := NewMultiplexer(cfg.Monitors, cfg.N, cfg.Monitor, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	w := &WindowManager{cfg: cfg, mux: mux, workers: workers, metrics: noMetrics}
+	w := &WindowManager{cfg: cfg, mux: mux, metrics: noMetrics}
 	mux.setOnQuarantine(func(q *QuarantineInfo) {
 		w.metrics.monQuarantines.Inc()
 		if w.logger != nil {
@@ -277,21 +253,6 @@ func (w *WindowManager) setLogger(l *slog.Logger) { w.logger = l }
 // Wiring time only.
 func (w *WindowManager) setApplyCheck(fn func(monitor string)) { w.mux.setApplyCheck(fn) }
 
-// resolveApplyWorkers picks the intra-monitor fork-join budget the window's
-// monitors apply batches with (see WindowConfig.ApplyParallelism).
-func resolveApplyWorkers(cfg WindowConfig) *parallel.Limiter {
-	switch {
-	case cfg.ApplyParallelism == 1:
-		return parallel.NewLimiter(0) // sequential: a budget that never grants
-	case cfg.workers != nil:
-		return cfg.workers
-	case cfg.ApplyParallelism > 1:
-		return parallel.NewLimiter(cfg.ApplyParallelism - 1)
-	default:
-		return parallel.Default()
-	}
-}
-
 // setTelemetry installs the telemetry bundle on the window and its fan-out
 // slots. Called during wiring, after recovery replay (so replay
 // mega-batches don't pollute the live histograms) and before the window is
@@ -301,21 +262,14 @@ func (w *WindowManager) setTelemetry(m *Metrics) {
 	w.mux.setTelemetry(w.metrics)
 }
 
-// setFlight installs the flight-recorder rings (batch and query). Wiring
-// time only, before the window is published. When the window's effective
-// apply parallelism exceeds 1, the msfweight monitor's per-level timing
-// turns on so batch traces carry the fork-join detail.
+// setFlight installs the flight-recorder rings (batch and query) and turns
+// on msfweight's level timing, so batch traces carry the fork-join detail.
+// Wiring time only, before the window is published.
 func (w *WindowManager) setFlight(batch, query *trace.Ring) {
 	w.flight = batch
 	w.qflight = query
-	if batch != nil && w.ApplyParallelism() > 1 {
-		if s := w.mux.byName[MonitorMSFWeight]; s != nil {
-			if mon, ok := s.mon.(*msfWeightMonitor); ok {
-				mon.a.SetLevelTiming(true)
-				w.levelMon = mon
-				w.levelMonIdx = s.idx
-			}
-		}
+	if batch != nil {
+		w.mux.timeLevels()
 	}
 }
 
@@ -526,13 +480,9 @@ func (w *WindowManager) commitBatchTrace(ft *trace.Ring,
 		}
 	}
 	applyOff := pre + applyStart.Sub(stageStart).Nanoseconds()
-	var levelOff int64
 	w.mux.forEachLastTiming(func(idx int, waitNS, monApplyNS int64) {
 		t.Add(trace.SpanMonitorWait, int32(idx), applyOff, waitNS)
 		t.Add(trace.SpanMonitorApply, int32(idx), applyOff+waitNS, monApplyNS)
-		if idx == w.levelMonIdx {
-			levelOff = applyOff + waitNS
-		}
 	})
 	pubOff := applyOff + applyNS
 	pubNS := time.Since(stageStart).Nanoseconds() + pre - pubOff
@@ -544,9 +494,9 @@ func (w *WindowManager) commitBatchTrace(ft *trace.Ring,
 	// levels, so when a trace runs out of its trace.MaxSpans the spans
 	// dropped are levels, never a slot's wait or apply or the publish,
 	// whatever the slot order.
-	if w.levelMon != nil && edges > 0 {
-		w.levelMon.a.LevelSpans(func(level int, startNS, durNS int64) {
-			t.Add(trace.SpanLevel, int32(level), levelOff+startNS, durNS)
+	if edges > 0 {
+		w.mux.forEachLevelSpan(func(level int, startNS, durNS int64) {
+			t.Add(trace.SpanLevel, int32(level), applyOff+startNS, durNS)
 		})
 	}
 	t.TotalNS = pubOff + pubNS
@@ -690,11 +640,11 @@ func (w *WindowManager) Stats() WindowStats {
 	return s
 }
 
-// ApplyParallelism reports the effective intra-monitor fork-join width of
+// ApplyParallelism reports the width of the msfweight level fork-join in
 // this window's batch applies: the calling goroutine plus the auxiliary
-// budget it borrows from (1 = sequential levels). For a registry window
-// the budget — and hence the number — is shared across windows.
-func (w *WindowManager) ApplyParallelism() int { return w.workers.Aux() + 1 }
+// workers of the process-wide parallel.Default budget, which the levels
+// of every window share.
+func (w *WindowManager) ApplyParallelism() int { return parallel.Default().Aux() + 1 }
 
 // publish builds the scalar answers of every healthy slot, stamped with
 // epoch, and stores them for readers. Writer-only (under writerMu, or

@@ -47,11 +47,11 @@ type ApproxMSF struct {
 	eps    float64
 	maxW   int64
 	seed   uint64
-	thresh []int64      // thresh[i] = floor((1+eps)^i), last >= maxW
-	inst   []*ConnEager // inst[i] is nil while level i is not materialised
-	kept   []int        // materialised levels, highest first (the fork order)
-	live   []int32      // live arrivals per bucket; inst[i] != nil iff live[i] > 0
-	fifo   bucketRing   // bucket of every live arrival, oldest first
+	thresh []int64    // thresh[i] = floor((1+eps)^i), last >= maxW
+	inst   []*KCert   // inst[i] is nil while level i is not materialised
+	kept   []int      // materialised levels, highest first (the fork order)
+	live   []int32    // live arrivals per bucket; inst[i] != nil iff live[i] > 0
+	fifo   bucketRing // bucket of every live arrival, oldest first
 	tau    int64
 	tw     int64
 	guard  writerGuard
@@ -103,7 +103,7 @@ func NewApproxMSF(n int, eps float64, maxWeight int64, seed uint64) *ApproxMSF {
 		}
 	}
 	r := len(a.thresh)
-	a.inst = make([]*ConnEager, r)
+	a.inst = make([]*KCert, r)
 	a.live = make([]int32, r)
 	a.cum = make([]int, r)
 	a.insertK = func(k int) { a.insertLevel(a.kept[k]) }

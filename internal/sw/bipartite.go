@@ -5,7 +5,7 @@ package sw
 // bipartite iff its double cover D(G) has exactly twice as many connected
 // components as G.
 type Bipartite struct {
-	g *ConnEager   // the window graph on n vertices
+	g *KCert       // the window graph on n vertices
 	d *DoubleCover // its double cover on 2n vertices
 }
 
@@ -45,7 +45,7 @@ func (b *Bipartite) IsConnected(u, v int32) bool { return b.g.IsConnected(u, v) 
 // same window keeps, it answers bipartiteness (Theorem 5.3).
 type DoubleCover struct {
 	n       int
-	d       *ConnEager // on 2n vertices
+	d       *KCert // on 2n vertices
 	guard   writerGuard
 	scratch []StreamEdge // cover buffer, reused across batches
 }

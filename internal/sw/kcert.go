@@ -61,6 +61,9 @@ func (c *KCert) BatchInsert(edges []StreamEdge) {
 	c.cascade(o)
 }
 
+// batchInsertAt inserts arrivals at caller-assigned global timestamps, for
+// an msfweight level that receives a subset of the shared stream. The taus
+// need not be sorted; the window advances to the largest one.
 func (c *KCert) batchInsertAt(edges []StreamEdge, taus []int64) {
 	if len(edges) == 0 {
 		return
@@ -72,6 +75,18 @@ func (c *KCert) batchInsertAt(edges []StreamEdge, taus []int64) {
 		}
 		o = append(o, windowEdge(e.U, e.V, taus[i]))
 	}
+	c.cascade(o)
+}
+
+// seedFrom inserts src's live F_1 at its original timestamps. With recency
+// weights an order-1 certificate's F_1 is all of its live state (Lemma
+// 5.1), so an order-1 c then holds exactly the forest an order-1 src holds.
+func (c *KCert) seedFrom(src *KCert) {
+	o := c.scratch[:0]
+	src.ForestEdges(func(e wgraph.Edge) bool {
+		o = append(o, e)
+		return true
+	})
 	c.cascade(o)
 }
 
@@ -167,6 +182,15 @@ func (c *KCert) SizeUpTo(j int) int {
 	}
 	return s
 }
+
+// ForestEdges visits the unexpired edges of F_1, the window's most recent
+// spanning forest, in arrival order.
+func (c *KCert) ForestEdges(fn func(e wgraph.Edge) bool) {
+	c.d[0].ForEach(func(_ int64, e wgraph.Edge) bool { return fn(e) })
+}
+
+// WindowLen returns the number of unexpired arrivals.
+func (c *KCert) WindowLen() int64 { return c.tau - c.tw }
 
 // LevelSize returns the number of unexpired edges in forest F_{i+1}.
 func (c *KCert) LevelSize(i int) int { return c.d[i].Len() }

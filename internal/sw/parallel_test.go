@@ -22,7 +22,7 @@ type allLevels struct {
 	eps     float64
 	maxW    int64
 	thresh  []int64
-	inst    []*ConnEager
+	inst    []*KCert
 	weights []int64 // every arrival's weight; the live ones are weights[tw:]
 	tau, tw int64
 }
@@ -108,7 +108,7 @@ func (r *allLevels) occupied() int {
 	return len(seen)
 }
 
-func levelForest(c *ConnEager) []wgraph.Edge {
+func levelForest(c *KCert) []wgraph.Edge {
 	var out []wgraph.Edge
 	if c == nil {
 		return out
@@ -122,7 +122,7 @@ func levelForest(c *ConnEager) []wgraph.Edge {
 
 // resolvedLevel is the structure that answers for level i: the nearest
 // materialised level at or below it, or nil for an empty graph.
-func resolvedLevel(a *ApproxMSF, i int) *ConnEager {
+func resolvedLevel(a *ApproxMSF, i int) *KCert {
 	for ; i >= 0; i-- {
 		if a.inst[i] != nil {
 			return a.inst[i]

@@ -1,7 +1,8 @@
 // Package sw implements the paper's batch sliding-window graph algorithms
-// (Section 5, Theorem 1.2): connectivity (lazy SW-Conn and eager
-// SW-Conn-Eager), bipartiteness, (1+ε)-approximate MSF weight,
-// k-certificates, cycle-freeness, and ε-cut-sparsifiers.
+// (Section 5, Theorem 1.2): connectivity (lazy SW-Conn, and eager
+// SW-Conn-Eager, the order-1 k-certificate), bipartiteness,
+// (1+ε)-approximate MSF weight, k-certificates, cycle-freeness (order 2),
+// and ε-cut-sparsifiers.
 //
 // All structures share the same windowing discipline: edges arrive in
 // batches and receive consecutive global timestamps τ = 1, 2, ...;

@@ -103,6 +103,9 @@ const MaxSpans = 32
 const (
 	idShift = 48
 	seqMask = 1<<idShift - 1
+	// maxRings is how many rings can be live at once: ring IDs 1..maxRings
+	// fit the 16 bits above idShift.
+	maxRings = 1<<(64-idShift) - 1
 )
 
 // Span is one timed region of a trace. StartNS is the offset from the
@@ -281,9 +284,13 @@ func (o Options) withDefaults() Options {
 // Recorder owns the per-window rings, the slow ring, and the optional
 // JSONL sink for slow traces.
 type Recorder struct {
-	opt       Options
+	opt Options
+	// mu guards rings and free. rings[id-1] is the live ring with that
+	// ID, nil once it is released; free holds the released IDs, which
+	// later rings reuse before the table grows.
 	mu        sync.RWMutex
 	rings     []*Ring
+	free      []uint64
 	slow      *Ring
 	sinkMu    sync.Mutex
 	sink      io.Writer
@@ -353,7 +360,9 @@ func (rec *Recorder) noteSinkErr(err error) {
 
 // Ring allocates a new ring for window name. monitors maps the Arg of
 // monitor-scoped spans to a monitor name at render time; it is retained,
-// not copied. kind selects the batch or query span vocabulary.
+// not copied. kind selects the batch or query span vocabulary. The ring
+// takes an ID no live ring holds; with every ID live it returns nil (a
+// nil ring records nothing) rather than alias another ring's trace IDs.
 func (rec *Recorder) Ring(name string, kind uint8, monitors []string) *Ring {
 	if rec == nil {
 		return nil
@@ -364,10 +373,37 @@ func (rec *Recorder) Ring(name string, kind uint8, monitors []string) *Ring {
 	}
 	r := &Ring{name: name, kind: kind, monitors: monitors, rec: rec, slots: make([]slot, n)}
 	rec.mu.Lock()
-	rec.rings = append(rec.rings, r)
-	r.id = uint64(len(rec.rings)) // 1-based; ID 0 means "never committed"
-	rec.mu.Unlock()
+	defer rec.mu.Unlock()
+	switch {
+	case len(rec.free) > 0:
+		r.id = rec.free[len(rec.free)-1]
+		rec.free = rec.free[:len(rec.free)-1]
+		rec.rings[r.id-1] = r
+	case len(rec.rings) < maxRings:
+		rec.rings = append(rec.rings, r)
+		r.id = uint64(len(rec.rings)) // 1-based; ID 0 means "never committed"
+	default:
+		return nil
+	}
 	return r
+}
+
+// Release takes the ring out of its recorder when its window closes:
+// Traces and Lookup stop serving its traces, its ID goes to a later ring,
+// and its slots are freed once nothing else references the ring. Copies
+// of its traces in the slow ring stay there. A commit after Release is
+// harmless and unseen. Idempotent; nil-safe.
+func (r *Ring) Release() {
+	if r == nil || r.rec == nil || r.id == 0 {
+		return
+	}
+	rec := r.rec
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.rings[r.id-1] == r {
+		rec.rings[r.id-1] = nil
+		rec.free = append(rec.free, r.id)
+	}
 }
 
 // commitSlow retains a copy of t in the slow ring and appends it to the
@@ -423,10 +459,8 @@ func (rec *Recorder) Traces(f Filter) []View {
 		refs = rec.slow.snapshot(refs)
 	} else {
 		rec.mu.RLock()
-		rings := rec.rings
-		rec.mu.RUnlock()
-		for _, r := range rings {
-			if f.Window != "" && r.name != f.Window {
+		for _, r := range rec.rings {
+			if r == nil || f.Window != "" && r.name != f.Window {
 				continue
 			}
 			if f.Kind == "batch" && r.kind != KindBatch {
@@ -437,6 +471,7 @@ func (rec *Recorder) Traces(f Filter) []View {
 			}
 			refs = r.snapshot(refs)
 		}
+		rec.mu.RUnlock()
 	}
 	views := make([]View, 0, len(refs))
 	for i := range refs {
@@ -462,8 +497,9 @@ func (rec *Recorder) Traces(f Filter) []View {
 }
 
 // Lookup resolves a packed trace ID (as carried by histogram exemplars)
-// to its trace, searching the owning ring first and the slow ring as a
-// fallback for traces the live ring has already overwritten.
+// to its trace, searching the owning ring first, while it is live, and
+// the slow ring as a fallback for traces the live ring has already
+// overwritten.
 func (rec *Recorder) Lookup(id uint64) (View, bool) {
 	if rec == nil || id == 0 {
 		return View{}, false

@@ -50,6 +50,55 @@ func TestRingCommitAndTraces(t *testing.T) {
 	}
 }
 
+// TestReleasedRingLeavesTheRecorder: a released ring's traces leave
+// Traces and Lookup, except the copies in the slow ring, and its ID goes
+// to the next ring while the live IDs stay distinct.
+func TestReleasedRingLeavesTheRecorder(t *testing.T) {
+	rec := New(Options{RingSlots: 4, SlowThreshold: 10 * time.Millisecond})
+	a := rec.Ring("a", KindBatch, nil)
+	b := rec.Ring("b", KindBatch, nil)
+	fast, slow := mkTrace(1, int64(time.Millisecond), false), mkTrace(2, int64(time.Second), false)
+	a.Commit(fast)
+	a.Commit(slow)
+	b.Commit(mkTrace(1, int64(time.Millisecond), false))
+	a.Release()
+	a.Release() // idempotent
+	if got := rec.Traces(Filter{Window: "a"}); len(got) != 0 {
+		t.Fatalf("released ring still serves %d traces", len(got))
+	}
+	if _, ok := rec.Lookup(fast.ID); ok {
+		t.Fatal("Lookup found a released ring's trace")
+	}
+	if v, ok := rec.Lookup(slow.ID); !ok || v.Window != "a" {
+		t.Fatalf("slow copy of a released ring's trace: %+v, %v", v, ok)
+	}
+	if got := rec.Traces(Filter{Window: "a", Slow: true}); len(got) != 1 {
+		t.Fatalf("slow ring kept %d traces of the released ring, want 1", len(got))
+	}
+	c := rec.Ring("c", KindBatch, nil)
+	if c.id != a.id || c.id == b.id || len(rec.rings) != 2 {
+		t.Fatalf("ring IDs a=%d b=%d c=%d over %d table entries; c must reuse a's", a.id, b.id, c.id, len(rec.rings))
+	}
+	a.Release() // a no longer owns its old ID
+	if got := rec.Traces(Filter{}); len(got) != 1 || got[0].Window != "b" {
+		t.Fatalf("traces after reuse: %+v", got)
+	}
+	c.Commit(mkTrace(3, int64(time.Millisecond), false))
+	if got := rec.Traces(Filter{Window: "c"}); len(got) != 1 {
+		t.Fatalf("reused ID: ring c serves %d traces, want 1", len(got))
+	}
+
+	// With every 16-bit ID live, a new ring would alias one: none is made.
+	full := New(Options{})
+	full.rings = make([]*Ring, maxRings)
+	for i := range full.rings {
+		full.rings[i] = b
+	}
+	if r := full.Ring("d", KindBatch, nil); r != nil {
+		t.Fatalf("ring made with %d rings live, ID %d", maxRings, r.id)
+	}
+}
+
 func TestTraceSpanOverflowCountsDropped(t *testing.T) {
 	var tr Trace
 	for i := 0; i < MaxSpans+5; i++ {

@@ -62,8 +62,8 @@ type SWConn = sw.Conn
 func NewSWConn(n int, seed uint64) *SWConn { return sw.NewConn(n, seed) }
 
 // SWConnEager is sliding-window connectivity with O(1) component counting
-// (Theorem 5.2).
-type SWConnEager = sw.ConnEager
+// (Theorem 5.2): an order-1 k-certificate.
+type SWConnEager = sw.KCert
 
 // NewSWConnEager returns an eager sliding-window connectivity structure.
 func NewSWConnEager(n int, seed uint64) *SWConnEager { return sw.NewConnEager(n, seed) }
