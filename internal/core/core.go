@@ -86,8 +86,9 @@ func (m *BatchMSF) EdgeByID(id wgraph.EdgeID) (wgraph.Edge, bool) { return m.f.E
 func (m *BatchMSF) WaveWork() int64 { return m.f.RC().WaveWork() }
 
 // TreeVertices returns the number of rake-compress tree vertices in use:
-// the n vertices plus the chain nodes that the degree-3 adapter (package
-// ternary) adds for vertices of forest degree above 3.
+// one per vertex with a forest edge plus the chain nodes that the degree-3
+// adapter (package ternary) adds for vertices of forest degree above 3.
+// Isolated vertices hold none.
 func (m *BatchMSF) TreeVertices() int { return m.f.Vertices() }
 
 // HistoryRounds returns the rake-compress tree's contraction history in
@@ -126,9 +127,8 @@ func (m *BatchMSF) BatchInsert(edges []wgraph.Edge) (added, removed, rejected []
 		return nil, nil, nil
 	}
 	// Line 2: K <- endpoints of the batch; loops can never enter a forest.
-	// The marking stamps deduplicate K, so endpoints are listed as they come.
 	added, removed, rejected = m.added[:0], m.removed[:0], m.rejected[:0]
-	work, marked := m.work[:0], m.marked[:0]
+	work := m.work[:0]
 	for _, e := range edges {
 		if e.IsLoop() {
 			rejected = append(rejected, e)
@@ -138,12 +138,21 @@ func (m *BatchMSF) BatchInsert(edges []wgraph.Edge) (added, removed, rejected []
 			panic(fmt.Sprintf("core: weight %d out of range", e.W))
 		}
 		work = append(work, e)
-		marked = append(marked, e.U, e.V)
 	}
-	m.work, m.marked, m.rejected = work, marked, rejected
+	m.work, m.rejected = work, rejected
 	if len(work) == 0 {
 		return nil, nil, rejected
 	}
+	// K is marked through the tree vertices heading the endpoints' gadgets:
+	// marked[2i] and marked[2i+1] are work[i]'s. An isolated endpoint gets
+	// one reserved, and keeps it: Kruskal spans it, so it ends the batch
+	// with an edge. The marking stamps deduplicate K, so endpoints are
+	// listed as they come.
+	marked := m.marked[:0]
+	for _, e := range work {
+		marked = append(marked, m.f.Reserve(e.U), m.f.Reserve(e.V))
+	}
+	m.marked = marked
 	// Line 3: compressed path trees of the touched components.
 	cptEdges := m.cpt.Build(marked)
 	// Line 4: static MSF of C ∪ E+ on the builder's dense vertex labels.
@@ -154,8 +163,8 @@ func (m *BatchMSF) BatchInsert(edges []wgraph.Edge) (added, removed, rejected []
 		})
 	}
 	numCPT := len(small)
-	for _, e := range work {
-		small = append(small, wgraph.Edge{ID: e.ID, U: m.cpt.Label(e.U), V: m.cpt.Label(e.V), W: e.W})
+	for i, e := range work {
+		small = append(small, wgraph.Edge{ID: e.ID, U: m.cpt.Label(marked[2*i]), V: m.cpt.Label(marked[2*i+1]), W: e.W})
 	}
 	m.small = small
 	inM := slices.Grow(m.inM[:0], len(small))[:len(small)]
@@ -226,9 +235,16 @@ func (m *BatchMSF) ForestEdges() []wgraph.Edge {
 // the current forest with respect to the marked vertices, expressed over
 // the original vertices: each returned edge summarizes a forest path
 // segment, carrying the heaviest (W, ID) key on it. Unmarked vertices in
-// the result are Steiner vertices of degree at least 3.
+// the result are Steiner vertices of degree at least 3. An isolated marked
+// vertex lies on no forest path, so it adds nothing.
 func (m *BatchMSF) CompressedPaths(marked []int32) []cpt.Edge {
-	res := cpt.Build(m.f.RC(), marked)
+	nodes := make([]int32, 0, len(marked))
+	for _, v := range marked {
+		if x := m.f.Node(v); x >= 0 {
+			nodes = append(nodes, x)
+		}
+	}
+	res := cpt.Build(m.f.RC(), nodes)
 	out := make([]cpt.Edge, 0, len(res.Edges))
 	for _, e := range res.Edges {
 		u, v := m.f.OwnerOf(e.U), m.f.OwnerOf(e.V)

@@ -115,3 +115,37 @@ func TestVsBruteForceRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeConnectivityUpToMatchesStoerWagner checks the bridge search
+// behind k <= 2, and the dispatch above it, against Stoer–Wagner on random
+// sparse multigraphs: paths and cycles with chords, pendant paths and
+// parallel copies, connected or not.
+func TestEdgeConnectivityUpToMatchesStoerWagner(t *testing.T) {
+	r := parallel.NewRNG(41)
+	for trial := range 400 {
+		n := 1 + r.Intn(12)
+		var edges []wgraph.Edge
+		add := func(u, v int32) {
+			edges = append(edges, wgraph.Edge{ID: wgraph.EdgeID(len(edges)), U: u, V: v, W: 1})
+		}
+		for v := int32(1); v < int32(n); v++ {
+			if r.Intn(8) > 0 {
+				add(v-1, v) // a path, with a few gaps
+			}
+		}
+		for range r.Intn(n + 1) {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n))
+			add(u, v) // chords, parallel copies and loops
+		}
+		if r.Intn(3) == 0 && len(edges) > 0 {
+			e := edges[r.Intn(len(edges))]
+			add(e.U, e.V)
+		}
+		want := EdgeConnectivity(n, edges)
+		for k := 1; k <= 4; k++ {
+			if got := EdgeConnectivityUpTo(n, edges, k); int64(got) != min(int64(k), want) {
+				t.Fatalf("trial %d, k = %d: got %d, Stoer–Wagner λ = %d on n = %d, %v", trial, k, got, want, n, edges)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -22,10 +23,12 @@ import (
 // The oracles never run the engine: union-find for connectivity and
 // components, the edge count for cycles, BFS 2-colouring for
 // bipartiteness, Stoer–Wagner on the raw live edges for min(K, λ), and a
-// newest-first greedy decomposition for the certificate's size. It also
-// pins the fan-out layout: slot names in order, the forest's order, and
-// the core.BatchMSF instances outside msfweight's levels (one per forest
-// level, one for the double cover).
+// newest-first greedy decomposition for the certificate's size. The
+// K <= 2 kcert cases then replay bridge-heavy connected windows
+// (bridgeWindows), where min(K, λ) comes from a bridge search over F_1 ∪
+// F_2. It also pins the fan-out layout: slot names in order, the forest's
+// order, and the core.BatchMSF instances outside msfweight's levels (one
+// per forest level, one for the double cover).
 func TestForestViewsMatchOracles(t *testing.T) {
 	const (
 		n      = 10
@@ -56,13 +59,17 @@ func TestForestViewsMatchOracles(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		t.Run(fmt.Sprintf("%v/K=%d", tc.monitors, tc.k), func(t *testing.T) {
-			wm, err := NewWindowManager(WindowConfig{
-				N: n, Seed: uint64(ci + 1), Monitors: tc.monitors, MaxArrivals: window,
-				Monitor: MonitorConfig{K: tc.k},
-			})
-			if err != nil {
-				t.Fatal(err)
+			newWindow := func() *WindowManager {
+				wm, err := NewWindowManager(WindowConfig{
+					N: n, Seed: uint64(ci + 1), Monitors: tc.monitors, MaxArrivals: window,
+					Monitor: MonitorConfig{K: tc.k},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return wm
 			}
+			wm := newWindow()
 			if got := wm.mux.slotNames(); !slices.Equal(got, tc.slots) {
 				t.Fatalf("slots %v, want %v", got, tc.slots)
 			}
@@ -89,7 +96,49 @@ func TestForestViewsMatchOracles(t *testing.T) {
 				}
 				checkForestViews(t, fmt.Sprintf("op %d", op), wm, has, tc.k, n, live)
 			}
+			if !has(MonitorKCert) || tc.k > 2 {
+				return
+			}
+			for _, bw := range bridgeWindows(n) {
+				wm := newWindow()
+				if err := wm.Apply(slices.Clone(bw.edges)); err != nil {
+					t.Fatal(err)
+				}
+				checkForestViews(t, bw.name, wm, has, tc.k, n, bw.edges)
+			}
 		})
+	}
+}
+
+// bridgeWindows returns connected windows on n >= 6 vertices, at most 16
+// edges each, whose edge connectivity turns on bridges: a path (every edge
+// a bridge); two cycles joined by one edge (λ = 1); and two cycles joined
+// by two parallel edges, the newer of which F_1 keeps while F_2 keeps its
+// copy (λ = 2, though F_1 alone is a tree, all bridges, and a search keyed
+// by endpoints would merge the pair into one bridge).
+func bridgeWindows(n int) []struct {
+	name  string
+	edges []Edge
+} {
+	path := func(from, to int) (es []Edge) {
+		for v := from; v < to; v++ {
+			es = append(es, Edge{U: int32(v), V: int32(v + 1)})
+		}
+		return es
+	}
+	cycle := func(from, to int) []Edge {
+		return append(path(from, to), Edge{U: int32(to), V: int32(from)})
+	}
+	mid := n / 2
+	twoCycles := append(cycle(0, mid-1), cycle(mid, n-1)...)
+	join := Edge{U: int32(mid - 1), V: int32(mid)}
+	return []struct {
+		name  string
+		edges []Edge
+	}{
+		{"path", path(0, n-1)},
+		{"two cycles joined by one edge", append(slices.Clone(twoCycles), join)},
+		{"two cycles joined by parallel edges", append(slices.Clone(twoCycles), join, join)},
 	}
 }
 
@@ -312,12 +361,12 @@ func forestOrder(wm *WindowManager) int {
 // min(K, λ) of the window it copied, from before that apply.
 func TestKCertMinCutLeavesForestUnlocked(t *testing.T) {
 	inCut, release := make(chan struct{}), make(chan struct{})
-	edgeConnectivity = func(n int, edges []wgraph.Edge) int64 {
+	edgeConnectivity = func(n int, edges []wgraph.Edge, k int) int {
 		close(inCut)
 		<-release
-		return mincut.EdgeConnectivity(n, edges)
+		return mincut.EdgeConnectivityUpTo(n, edges, k)
 	}
-	defer func() { edgeConnectivity = mincut.EdgeConnectivity }()
+	defer func() { edgeConnectivity = mincut.EdgeConnectivityUpTo }()
 	unblock := sync.OnceFunc(func() { close(release) })
 	defer unblock()
 
@@ -371,5 +420,54 @@ func TestKCertMinCutLeavesForestUnlocked(t *testing.T) {
 	<-done
 	if want := greedyCertificateSize(n, k, ring); kerr != nil || size != want || conn != 2 {
 		t.Fatalf("held KCertInfo = (%d, %d, %v), want the ring's (%d, 2)", size, conn, kerr, want)
+	}
+}
+
+// TestKCertConnectedAtScale pins a kcert query on a connected window at
+// swserver's default N = 10⁵ and K = 2: F_1 ∪ F_2 copied under the read
+// lock and a bridge search outside it answer within a second and allocate
+// O(N) bytes. The dense min-cut it replaces asked for an N × N matrix of
+// 8·10¹⁰ bytes.
+func TestKCertConnectedAtScale(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector slows the query past its time bound")
+	}
+	const n, k, batch = 100_000, 2, 4096
+	wm, err := NewWindowManager(WindowConfig{N: n, Seed: 7, Monitors: []string{MonitorKCert}, Monitor: MonitorConfig{K: k}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cycle through every vertex, in random order, plus as many random
+	// chords: connected, with λ = 2 and no bridge.
+	r := rand.New(rand.NewSource(7))
+	perm := r.Perm(n)
+	var edges []Edge
+	for i, v := range perm {
+		edges = append(edges, Edge{U: int32(v), V: int32(perm[(i+1)%n])})
+	}
+	edges = append(edges, randomEdges(r, n, n)...)
+	for rest := edges; len(rest) > 0; {
+		b := slices.Clone(rest[:min(batch, len(rest))])
+		rest = rest[len(b):]
+		if err := wm.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	size, conn, err := wm.KCertInfo()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("N = %d: kcert answered (%d, %d) in %v, allocating %.1f MB", n, size, conn, elapsed, float64(allocated)/(1<<20))
+	if want := greedyCertificateSize(n, k, edges); err != nil || conn != k || size != want {
+		t.Fatalf("KCertInfo = (%d, %d, %v), want (%d, %d)", size, conn, err, want, k)
+	}
+	if elapsed > time.Second {
+		t.Errorf("kcert query took %v at N = %d", elapsed, n)
+	}
+	if allocated > 1000*n {
+		t.Errorf("kcert query allocated %d bytes at N = %d", allocated, n)
 	}
 }

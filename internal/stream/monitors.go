@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"sync/atomic"
-
-	"repro/internal/sw"
-)
+import "repro/internal/sw"
 
 // MonitorConfig carries the per-monitor tuning knobs.
 type MonitorConfig struct {
@@ -65,7 +61,7 @@ func (m *Multiplexer) newMonitor(s *monitorSlot) Monitor {
 		// parallel.Default budget, so N windows × levels stay bounded.
 		a := sw.NewApproxMSF(m.n, m.cfg.Eps, m.cfg.MaxWeight, s.seed)
 		a.SetLevelTiming(m.levelTiming)
-		return &msfWeightMonitor{a: a, maxW: m.cfg.MaxWeight, levels: &m.msfLevels}
+		return &msfWeightMonitor{a: a, maxW: m.cfg.MaxWeight}
 	}
 }
 
@@ -126,6 +122,8 @@ func (m *forestMonitor) summarize(a *answers) {
 	}
 }
 
+func (m *forestMonitor) treeVertices() int { return m.kc.TreeVertices() }
+
 // coverMonitor is the bipartite slot: the window graph's double cover. The
 // bipartite answer compares its count with the forest slot's (Theorem 5.3),
 // so the forest keeps the other half of the test.
@@ -142,13 +140,14 @@ func (m *coverMonitor) BatchExpire(delta int) { m.d.BatchExpire(delta) }
 
 func (m *coverMonitor) summarize(a *answers) { a.coverComponents = m.d.NumComponents() }
 
+func (m *coverMonitor) treeVertices() int { return m.d.TreeVertices() }
+
 // msfWeightMonitor wraps the (1+ε)-approximate MSF weight structure
 // (Theorem 5.4). Weights are clamped into [1, MaxWeight] so arbitrary
 // client input cannot panic the structure.
 type msfWeightMonitor struct {
 	a       *sw.ApproxMSF
 	maxW    int64
-	levels  *atomic.Int64 // published LiveLevels (sw_msfweight_levels_live reads it lock-free)
 	scratch []sw.WeightedStreamEdge
 }
 
@@ -165,12 +164,13 @@ func (m *msfWeightMonitor) BatchInsert(edges []Edge) {
 	}
 	m.scratch = batch
 	m.a.BatchInsert(batch)
-	m.levels.Store(int64(m.a.LiveLevels()))
 }
 
-func (m *msfWeightMonitor) BatchExpire(delta int) {
-	m.a.BatchExpire(delta)
-	m.levels.Store(int64(m.a.LiveLevels()))
+func (m *msfWeightMonitor) BatchExpire(delta int) { m.a.BatchExpire(delta) }
+
+func (m *msfWeightMonitor) summarize(a *answers) {
+	a.weight = m.a.Weight()
+	a.levels = m.a.LiveLevels()
 }
 
-func (m *msfWeightMonitor) summarize(a *answers) { a.weight = m.a.Weight() }
+func (m *msfWeightMonitor) treeVertices() int { return m.a.TreeVertices() }

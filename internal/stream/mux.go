@@ -81,11 +81,6 @@ type Multiplexer struct {
 	// quarTotal counts slots currently quarantined; the post-apply rebuild
 	// scan is gated on it so the healthy hot path pays one atomic load.
 	quarTotal atomic.Int32
-
-	// msfLevels is the msfweight monitor's materialised level count, which
-	// the monitor publishes after every mutation so a metrics scrape reads
-	// it without taking the monitor's lock. Shared with rebuilt monitors.
-	msfLevels atomic.Int64
 }
 
 // QuarantineInfo describes one quarantined slot: why it was isolated and

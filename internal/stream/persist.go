@@ -501,6 +501,17 @@ func (p *persister) noteCkptErr(err error) {
 	p.errMu.Unlock()
 }
 
+// appendWALEdges appends the log records of the edge slices, in order, to
+// dst.
+func appendWALEdges(dst []wal.Edge, parts ...[]Edge) []wal.Edge {
+	for _, part := range parts {
+		for _, e := range part {
+			dst = append(dst, wal.Edge{U: e.U, V: e.V, W: e.W, T: e.T.UnixNano()})
+		}
+	}
+	return dst
+}
+
 // attachRecorder wires the window's write-ahead hook to the log. On an
 // append failure the window keeps serving (availability over durability)
 // but transitions to the explicit DEGRADED state: the error is tallied,
@@ -519,10 +530,7 @@ func (p *persister) attachRecorder(pw *persistedWindow) {
 			gapEnd := pw.gap.Add(int64(len(edges)))
 			return pw.log.NextSeq() + uint64(gapEnd) - uint64(len(edges)), ErrWindowDegraded
 		}
-		pw.scratch = pw.scratch[:0]
-		for _, e := range edges {
-			pw.scratch = append(pw.scratch, wal.Edge{U: e.U, V: e.V, W: e.W, T: e.T.UnixNano()})
-		}
+		pw.scratch = appendWALEdges(pw.scratch[:0], edges)
 		seq, err := pw.log.Append(pw.scratch)
 		if err != nil {
 			p.noteErr(err)
@@ -639,13 +647,10 @@ func (p *persister) healWindow(pw *persistedWindow) error {
 	}
 	var edges []wal.Edge
 	var absW, end uint64
-	if err := pw.svc.Window().LiveEdges(func(expired int64, live []Edge) error {
+	if err := pw.svc.Window().LiveEdges(func(expired int64, older, newer []Edge) error {
 		absW = pw.base + uint64(expired)
-		end = absW + uint64(len(live))
-		edges = make([]wal.Edge, len(live))
-		for i, e := range live {
-			edges[i] = wal.Edge{U: e.U, V: e.V, W: e.W, T: e.T.UnixNano()}
-		}
+		edges = appendWALEdges(make([]wal.Edge, 0, len(older)+len(newer)), older, newer)
+		end = absW + uint64(len(edges))
 		return nil
 	}); err != nil {
 		return err
@@ -662,7 +667,7 @@ func (p *persister) healWindow(pw *persistedWindow) error {
 		return err
 	}
 	var closedGap int64
-	if err := pw.svc.Window().LiveEdges(func(expired int64, live []Edge) error {
+	if err := pw.svc.Window().LiveEdges(func(expired int64, older, newer []Edge) error {
 		// The snapshot covers [absW, end); the log must cover [end, …).
 		// Arrivals in [end, base+expired) — if expiry lapped the capture —
 		// are expired, and the manifest watermark covers them; the live
@@ -673,11 +678,8 @@ func (p *persister) healWindow(pw *persistedWindow) error {
 			from = absW2
 		}
 		pw.log.AdvanceTo(from)
-		if tail := live[from-absW2:]; len(tail) > 0 {
-			pw.scratch = pw.scratch[:0]
-			for _, e := range tail {
-				pw.scratch = append(pw.scratch, wal.Edge{U: e.U, V: e.V, W: e.W, T: e.T.UnixNano()})
-			}
+		older, newer = skipEdges(older, newer, int64(from-absW2))
+		if pw.scratch = appendWALEdges(pw.scratch[:0], older, newer); len(pw.scratch) > 0 {
 			if _, err := pw.log.Append(pw.scratch); err != nil {
 				return err
 			}
@@ -943,20 +945,18 @@ func (p *persister) maybeSnapshot(name string, pw *persistedWindow, threshold in
 	// pw.base is immutable after construction, and pw.snapEnd is written
 	// only by this function (all callers hold ckptMu), so both reads are
 	// ordered without p.mu.
-	if err := pw.svc.Window().LiveEdges(func(expired int64, live []Edge) error {
+	if err := pw.svc.Window().LiveEdges(func(expired int64, older, newer []Edge) error {
 		absW = pw.base + uint64(expired)
 		start := absW
 		if pw.snapEnd > start {
 			start = pw.snapEnd
 		}
-		if absW+uint64(len(live)) <= start+uint64(threshold) {
+		live := len(older) + len(newer)
+		if absW+uint64(live) <= start+uint64(threshold) {
 			return nil // suffix still cheap to replay: skip
 		}
 		skipped = false
-		edges = make([]wal.Edge, len(live))
-		for i, e := range live {
-			edges[i] = wal.Edge{U: e.U, V: e.V, W: e.W, T: e.T.UnixNano()}
-		}
+		edges = appendWALEdges(make([]wal.Edge, 0, live), older, newer)
 		return nil
 	}); err != nil {
 		return -1, err

@@ -493,8 +493,8 @@ func TestLiveRingKeptOnlyWhenRead(t *testing.T) {
 	ringLen := func(wm *WindowManager) int {
 		t.Helper()
 		got := -1
-		if err := wm.LiveEdges(func(_ int64, live []Edge) error {
-			got = len(live)
+		if err := wm.LiveEdges(func(_ int64, older, newer []Edge) error {
+			got = len(older) + len(newer)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -517,18 +517,17 @@ func TestLiveRingKeptOnlyWhenRead(t *testing.T) {
 		unbounded.Apply(append([]Edge(nil), b...))
 		bounded.Apply(b)
 	}
-	if cap(unbounded.live) != 0 {
-		t.Fatalf("unbounded in-memory window holds a ring of capacity %d", cap(unbounded.live))
+	if unbounded.live.Cap() != 0 {
+		t.Fatalf("unbounded in-memory window holds a ring of capacity %d", unbounded.live.Cap())
 	}
-	if err := unbounded.LiveEdges(func(int64, []Edge) error { return nil }); !errors.Is(err, errNoRing) {
+	if err := unbounded.LiveEdges(func(int64, []Edge, []Edge) error { return nil }); !errors.Is(err, errNoRing) {
 		t.Fatalf("LiveEdges on an unbounded in-memory window: err=%v, want errNoRing", err)
 	}
 	if got := ringLen(bounded); got != bound {
 		t.Fatalf("count-bounded ring serves %d edges, want %d", got, bound)
 	}
-	// The dead prefix is compacted once it passes half the ring and 1024.
-	if len(bounded.live) > bound+1024+batch {
-		t.Fatalf("count-bounded ring is %d edges long for a window of %d", len(bounded.live), bound)
+	if bounded.live.Cap() != bound {
+		t.Fatalf("count-bounded ring holds %d slots for a window of %d", bounded.live.Cap(), bound)
 	}
 
 	dir := t.TempDir()
@@ -1083,9 +1082,9 @@ func TestLiveEdgesSnapshotEquivalence(t *testing.T) {
 				// manager with it in ONE batch — what snapshot recovery does.
 				var seedEdges []Edge
 				var capturedWM int64
-				if err := ref.LiveEdges(func(expired int64, live []Edge) error {
+				if err := ref.LiveEdges(func(expired int64, older, newer []Edge) error {
 					capturedWM = expired
-					seedEdges = append([]Edge(nil), live...)
+					seedEdges = append(append([]Edge(nil), older...), newer...)
 					return nil
 				}); err != nil {
 					t.Fatal(err)

@@ -153,10 +153,28 @@ func NewRegistry(cfg RegistryConfig) *WindowRegistry {
 		health("healthy", func(h, _, _ int) int { return h })
 		health("degraded", func(_, d, _ int) int { return d })
 		health("quarantined", func(_, _, q int) int { return q })
-		// Same rule: one registry-wide sum, no per-window label.
+		// Same rule: registry-wide sums, labelled at most by slot (a fixed
+		// set), read from each window's published answers.
 		cfg.Telemetry.GaugeFunc("sw_msfweight_levels_live",
 			"Materialised msfweight weight levels (buckets holding a live edge), summed over windows.",
-			func() float64 { return float64(r.msfLevelsLive()) })
+			func() float64 {
+				return float64(r.sumAnswers(func(_ *WindowManager, a *answers) int { return a.levels }))
+			})
+		for _, slot := range AllSlots() {
+			cfg.Telemetry.GaugeFunc("sw_engine_vertices",
+				"Rake-compress tree vertices in use over the slot's engines, summed over windows.",
+				func() float64 {
+					return float64(r.sumAnswers(func(w *WindowManager, a *answers) int {
+						for _, s := range w.mux.slots {
+							if s.name == slot {
+								return a.vertices[s.idx]
+							}
+						}
+						return 0
+					}))
+				},
+				telemetry.L("slot", slot))
+		}
 	} else {
 		r.metrics = noMetrics
 	}
@@ -438,14 +456,14 @@ func (r *WindowRegistry) healthCounts() (healthy, degraded, quarantined int) {
 	return healthy, degraded, quarantined
 }
 
-// msfLevelsLive sums the materialised msfweight levels over the live
-// windows. Each window's count is an atomic its writer publishes, so this
-// takes no monitor lock.
-func (r *WindowRegistry) msfLevelsLive() int64 {
-	var total int64
+// sumAnswers sums fn over the live windows' published answers: one atomic
+// load per window, no monitor lock.
+func (r *WindowRegistry) sumAnswers(fn func(w *WindowManager, a *answers) int) int {
+	total := 0
 	for _, h := range r.wins.Load() {
 		if h.svc != nil {
-			total += h.svc.Window().mux.msfLevels.Load()
+			w := h.svc.Window()
+			total += fn(w, w.ans.Load())
 		}
 	}
 	return total

@@ -81,6 +81,9 @@ type Monitor interface {
 	BatchExpire(delta int)
 	// summarize fills this slot's fields of an epoch's published answers.
 	summarize(a *answers)
+	// treeVertices returns the rake-compress tree vertices in use over the
+	// slot's engines.
+	treeVertices() int
 }
 
 // Monitor names accepted in Config.Monitors.

@@ -87,6 +87,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wantValue("sw_windows_live", nil, 1)
 	// The three unweighted edges clamp to weight 1: one occupied bucket.
 	wantValue("sw_msfweight_levels_live", nil, 1)
+	// The path 1-2-3-4 touches 4 of the 64 vertices: F_1 holds them and
+	// F_2 none, the double cover holds their 8 copies, and msfweight's one
+	// level 4 again. Isolated vertices hold no rctree vertex.
+	wantValue("sw_engine_vertices", map[string]string{"slot": SlotForest}, 4)
+	wantValue("sw_engine_vertices", map[string]string{"slot": MonitorBipartite}, 8)
+	wantValue("sw_engine_vertices", map[string]string{"slot": MonitorMSFWeight}, 4)
 	wantValue("sw_ingest_queue_batches", nil, 0)
 	wantValue("sw_ingest_queue_edges", nil, 0)
 

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/mincut"
 	"repro/internal/parallel"
 	"repro/internal/trace"
@@ -87,7 +88,11 @@ type answers struct {
 	kcertSize       int
 	coverComponents int // bipartite slot: c(D(G))
 	weight          float64
+	levels          int  // msfweight slot: its kept levels
 	bipartite       bool // c(D(G)) == 2·c(G), Theorem 5.3
+	// vertices is each slot's rctree vertices in use, over its engines, by
+	// fan-out index (sw_engine_vertices).
+	vertices [3]int
 	// quar is each slot's quarantine record by fan-out index (one entry per
 	// AllSlots name), nil while healthy. A quarantined slot's answers are
 	// absent, and bipartite's when either of its two slots is.
@@ -164,15 +169,17 @@ type WindowManager struct {
 	// counters.
 	rec func([]Edge) (uint64, error)
 
-	// live holds the unexpired arrivals in arrival order, oldest at
-	// live[head] — the canonical window content LiveEdges serves to the
-	// snapshot layer and to quarantine rebuilds. Event times are the
-	// post-clamp values (when MaxAge > 0 they are clamped into [lastT,
-	// now] on insert so the sequence is monotone and prefix-expiry is
-	// sound against out-of-order or future timestamps); time-based expiry
-	// reads them back from here. Kept only when keepsRing says so.
-	live  []Edge
-	head  int
+	// live holds the unexpired arrivals in arrival order, oldest first —
+	// the canonical window content LiveEdges serves to the snapshot layer
+	// and to quarantine rebuilds. Event times are the post-clamp values
+	// (when MaxAge > 0 they are clamped into [lastT, now] on insert so the
+	// sequence is monotone and prefix-expiry is sound against out-of-order
+	// or future timestamps); time-based expiry reads them back from here.
+	// A count-bounded window caps the ring at MaxArrivals slots: staging
+	// pushes a batch before it expires the excess, so a full ring drops
+	// the oldest arrivals itself, and those are exactly the ones the count
+	// cap expires. Kept only when keepsRing says so.
+	live  fifo.Ring[Edge]
 	lastT int64
 
 	stats WindowStats
@@ -233,7 +240,7 @@ func NewWindowManager(cfg WindowConfig) (*WindowManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WindowManager{cfg: cfg, mux: mux, metrics: noMetrics}
+	w := &WindowManager{cfg: cfg, mux: mux, metrics: noMetrics, live: fifo.WithLimit[Edge](cfg.MaxArrivals)}
 	mux.setOnQuarantine(func(q *QuarantineInfo) {
 		w.metrics.monQuarantines.Inc()
 		if w.logger != nil {
@@ -369,7 +376,7 @@ func (w *WindowManager) Apply(batch []Edge) error {
 		// slice goes back to the caller) so LiveEdges can serve the window
 		// content in arrival order under any expiry mode.
 		if w.keepsRing() {
-			w.live = append(w.live, valid...)
+			w.live.Push(valid...)
 		}
 		if w.rec != nil {
 			durable = true
@@ -526,38 +533,50 @@ func (w *WindowManager) Watermark() int64 {
 }
 
 // LiveEdges calls fn exactly once with the expiry watermark (arrivals
-// expired so far) and the unexpired arrivals in arrival order — the
-// canonical window content: count/time/both expiry have already trimmed
-// the prefix, and event times are the post-clamp values the WAL logged,
-// so re-applying the slice as one batch reproduces the window state
-// exactly (recency weights make the forests canonical in the arrival
+// expired so far) and the unexpired arrivals in arrival order, as two
+// slices of the live ring: older holds the oldest arrivals and newer the
+// rest. That is the canonical window content: count/time/both expiry have
+// already trimmed the prefix, and event times are the post-clamp values
+// the WAL logged, so re-applying older then newer reproduces the window
+// state exactly (recency weights make the forests canonical in the arrival
 // sequence). fn runs under the coordinator lock — NOT the monitor locks:
 // queries proceed untouched, staging waits, and the (watermark, edges)
 // pair is atomic because both are staging state — no arrival can land or
 // expire between the two. The pair is consistent with the write-ahead log
 // for the same reason: the recorder appends under the same coord hold
-// that updates both. fn must not retain the slice.
+// that updates both. fn must not retain the slices.
 //
 // Fails with errNoRing on a window that keeps no ring: serving a partial
 // ring as "the window" would be silent data loss.
-func (w *WindowManager) LiveEdges(fn func(expired int64, live []Edge) error) error {
+func (w *WindowManager) LiveEdges(fn func(expired int64, older, newer []Edge) error) error {
 	if !w.keepsRing() {
 		return errNoRing
 	}
 	w.coord.Lock()
 	defer w.coord.Unlock()
-	return fn(w.stats.Expired, w.live[w.head:])
+	older, newer := w.live.Slices()
+	return fn(w.stats.Expired, older, newer)
+}
+
+// skipEdges drops the first k arrivals of the sequence older, newer that
+// LiveEdges serves, 0 <= k <= len(older)+len(newer).
+func skipEdges(older, newer []Edge, k int64) ([]Edge, []Edge) {
+	if k <= int64(len(older)) {
+		return older[k:], newer
+	}
+	return nil, newer[k-int64(len(older)):]
 }
 
 var errNoRing = errors.New("stream: window keeps no live ring (in memory, with no expiry)")
 
 // keepsRing reports whether the window keeps its live ring. A window
 // that expires arrivals keeps it (time-based expiry reads event times
-// back from it), at sizeof(Edge) per unexpired arrival plus up to as much
-// again in dead prefix before a compaction; a durable one keeps it for
-// its checkpoint snapshots. An in-memory window with no expiry keeps
-// none: its ring would hold every arrival ever, where its monitors hold
-// only their forests. Such a window cannot rebuild a quarantined slot.
+// back from it), at sizeof(Edge) per slot: MaxArrivals slots under a
+// count cap, and under time expiry alone up to twice the peak number of
+// unexpired arrivals; a durable one keeps it for its checkpoint
+// snapshots. An in-memory window with no expiry keeps none: its ring
+// would hold every arrival ever, where its monitors hold only their
+// forests. Such a window cannot rebuild a quarantined slot.
 func (w *WindowManager) keepsRing() bool {
 	return w.cfg.MaxArrivals > 0 || w.cfg.MaxAge > 0 || w.cfg.durable
 }
@@ -586,14 +605,20 @@ func (w *WindowManager) ExpireByAge(now time.Time) int {
 }
 
 // stageExpiryLocked computes and stages the expiry delta under coord:
-// ring prefix by age, then the count cap, then the ring head and the
-// Expired counter advance. The monitors have NOT seen the delta yet —
-// the caller applies it through the fan-out.
+// ring prefix by age, then the count cap, then the ring and the Expired
+// counter advance. The monitors have NOT seen the delta yet — the caller
+// applies it through the fan-out.
 func (w *WindowManager) stageExpiryLocked(now time.Time) int {
-	delta := 0
+	if !w.keepsRing() {
+		return 0 // such a window has no expiry
+	}
+	// The arrivals a full count-capped ring dropped are older than all it
+	// holds, so they lead both the age prefix and the count excess.
+	dropped := int(w.windowLenLocked()) - w.live.Len()
+	delta := dropped
 	if w.cfg.MaxAge > 0 {
 		cutoff := now.Add(-w.cfg.MaxAge).UnixNano()
-		for w.head+delta < len(w.live) && w.live[w.head+delta].T.UnixNano() <= cutoff {
+		for i := 0; i < w.live.Len() && w.live.At(i).T.UnixNano() <= cutoff; i++ {
 			delta++
 		}
 	}
@@ -605,12 +630,7 @@ func (w *WindowManager) stageExpiryLocked(now time.Time) int {
 	if delta == 0 {
 		return 0
 	}
-	w.head += delta
-	// Compact the ring once the dead prefix dominates.
-	if w.head > len(w.live)/2 && w.head > 1024 {
-		w.live = append(w.live[:0], w.live[w.head:]...)
-		w.head = 0
-	}
+	w.live.Discard(delta - dropped)
 	w.stats.Expired += int64(delta)
 	return delta
 }
@@ -659,6 +679,7 @@ func (w *WindowManager) publish(epoch uint64, lifting *monitorSlot) {
 			continue
 		}
 		s.mon.summarize(a)
+		a.vertices[s.idx] = s.mon.treeVertices()
 	}
 	a.bipartite = a.coverComponents == 2*a.components
 	w.ans.Store(a)
@@ -782,13 +803,21 @@ func (w *WindowManager) MSFWeight() (float64, error) {
 }
 
 // edgeConnectivity is KCertInfo's min-cut, a variable for tests to hold.
-var edgeConnectivity = mincut.EdgeConnectivity
+var edgeConnectivity = mincut.EdgeConnectivityUpTo
 
-// KCertInfo returns the k-certificate size and min(K, edge connectivity),
-// both from one copy of F_1, ..., F_K taken under ONE read-lock hold. The
+// KCertInfo returns the k-certificate size and min(K, edge connectivity).
+// A disconnected window (c(G) > 1) has edge connectivity 0, so both come
+// from the published answers, with no lock and no copy. Otherwise both come
+// from one copy of F_1, ..., F_K taken under ONE read-lock hold, and the
 // min-cut runs on the copy after the lock is released, so neither the
-// forest's apply nor the conn reads behind it wait it out.
+// forest's apply nor the conn reads behind it wait it out: O(n) for K <= 2,
+// a dense Stoer–Wagner above (mincut.EdgeConnectivityUpTo).
 func (w *WindowManager) KCertInfo() (size, conn int, err error) {
+	if w.ans.Load().components > 1 {
+		if a, err := w.published(MonitorKCert); err != nil || a.components > 1 {
+			return a.kcertSize, 0, err
+		}
+	}
 	k := w.mux.cfg.K
 	var cert []wgraph.Edge
 	err = w.readMonitor(MonitorKCert, func(m Monitor) {
@@ -797,7 +826,7 @@ func (w *WindowManager) KCertInfo() (size, conn int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return len(cert), int(min(int64(k), edgeConnectivity(w.cfg.N, cert))), nil
+	return len(cert), edgeConnectivity(w.cfg.N, cert, k), nil
 }
 
 // HasCycle reports whether the window graph contains a cycle (cyclefree
@@ -920,15 +949,16 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 	var scratch []Edge
 	for r := 0; r < maxRounds; r++ {
 		var exp2, end2 int64
-		_ = w.LiveEdges(func(expired int64, live []Edge) error {
+		_ = w.LiveEdges(func(expired int64, older, newer []Edge) error {
 			exp2 = expired
-			end2 = expired + int64(len(live))
+			end2 = expired + int64(len(older)+len(newer))
 			from := fEnd
 			if exp2 > from {
 				from = exp2
 			}
 			// Copy: the batch is applied after coord is released.
-			scratch = append(scratch[:0], live[from-exp2:]...)
+			older, newer = skipEdges(older, newer, from-exp2)
+			scratch = append(append(scratch[:0], older...), newer...)
 			return nil
 		})
 		expire := int64(0)
@@ -960,14 +990,17 @@ func (w *WindowManager) rebuildSlot(s *monitorSlot) {
 		if w.mux.applyCheck != nil {
 			w.mux.applyCheck(s.name)
 		}
-		_ = w.LiveEdges(func(expired int64, live []Edge) error {
+		_ = w.LiveEdges(func(expired int64, older, newer []Edge) error {
 			exp2 := expired
 			from := fEnd
 			if exp2 > from {
 				from = exp2
 			}
-			if batch := live[from-exp2:]; len(batch) > 0 {
-				fresh.BatchInsert(batch)
+			older, newer = skipEdges(older, newer, from-exp2)
+			for _, batch := range [2][]Edge{older, newer} {
+				if len(batch) > 0 {
+					fresh.BatchInsert(batch)
+				}
 			}
 			if expire := expireCount(exp2); expire > 0 {
 				fresh.BatchExpire(int(expire))

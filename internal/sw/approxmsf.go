@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/parallel"
 )
 
@@ -47,11 +48,11 @@ type ApproxMSF struct {
 	eps    float64
 	maxW   int64
 	seed   uint64
-	thresh []int64    // thresh[i] = floor((1+eps)^i), last >= maxW
-	inst   []*KCert   // inst[i] is nil while level i is not materialised
-	kept   []int      // materialised levels, highest first (the fork order)
-	live   []int32    // live arrivals per bucket; inst[i] != nil iff live[i] > 0
-	fifo   bucketRing // bucket of every live arrival, oldest first
+	thresh []int64          // thresh[i] = floor((1+eps)^i), last >= maxW
+	inst   []*KCert         // inst[i] is nil while level i is not materialised
+	kept   []int            // materialised levels, highest first (the fork order)
+	live   []int32          // live arrivals per bucket; inst[i] != nil iff live[i] > 0
+	fifo   fifo.Ring[int32] // bucket of every live arrival, oldest first
 	tau    int64
 	tw     int64
 	guard  writerGuard
@@ -233,9 +234,7 @@ func (a *ApproxMSF) BatchInsert(edges []WeightedStreamEdge) {
 		a.live[i] += int32(c)
 	}
 	a.relist()
-	for _, l := range lvls {
-		a.fifo.push(l)
-	}
+	a.fifo.Push(lvls...)
 
 	// Bucket offsets: after the scatter below, cum[i] = #edges with bucket
 	// <= i — exactly the length of level i's prefix.
@@ -312,7 +311,7 @@ func (a *ApproxMSF) BatchExpire(delta int) {
 		tw = a.tau
 	}
 	for ; a.tw < tw; a.tw++ {
-		l := a.fifo.pop()
+		l := a.fifo.Pop()
 		if a.live[l]--; a.live[l] == 0 {
 			a.inst[l] = nil
 		}
@@ -352,6 +351,16 @@ func (a *ApproxMSF) Weight() float64 {
 	return w
 }
 
+// TreeVertices returns the rake-compress tree vertices in use over the
+// materialised levels' engines.
+func (a *ApproxMSF) TreeVertices() int {
+	total := 0
+	for _, i := range a.kept {
+		total += a.inst[i].TreeVertices()
+	}
+	return total
+}
+
 // NumComponents returns the number of connected components of the window
 // graph: the highest materialised level sees every live edge.
 func (a *ApproxMSF) NumComponents() int {
@@ -359,29 +368,4 @@ func (a *ApproxMSF) NumComponents() int {
 		return a.n
 	}
 	return a.inst[a.kept[0]].NumComponents()
-}
-
-// bucketRing is a growable FIFO ring of bucket ids.
-type bucketRing struct {
-	buf  []int32
-	head int // index of the oldest entry
-	size int
-}
-
-func (r *bucketRing) push(b int32) {
-	if r.size == len(r.buf) {
-		grown := make([]int32, max(64, 2*len(r.buf)))
-		k := copy(grown, r.buf[r.head:])
-		copy(grown[k:], r.buf[:r.head])
-		r.buf, r.head = grown, 0
-	}
-	r.buf[(r.head+r.size)%len(r.buf)] = b
-	r.size++
-}
-
-func (r *bucketRing) pop() int32 {
-	b := r.buf[r.head]
-	r.head = (r.head + 1) % len(r.buf)
-	r.size--
-	return b
 }

@@ -84,3 +84,7 @@ func (c *DoubleCover) BatchExpire(delta int) {
 // NumComponents returns c(D(G)), the number of connected components of the
 // double cover, in O(1).
 func (c *DoubleCover) NumComponents() int { return c.d.NumComponents() }
+
+// TreeVertices returns the rake-compress tree vertices in use by the
+// cover's engine.
+func (c *DoubleCover) TreeVertices() int { return c.d.TreeVertices() }

@@ -192,6 +192,16 @@ func (c *KCert) ForestEdges(fn func(e wgraph.Edge) bool) {
 // WindowLen returns the number of unexpired arrivals.
 func (c *KCert) WindowLen() int64 { return c.tau - c.tw }
 
+// TreeVertices returns the rake-compress tree vertices in use over the k
+// forests' engines (core.BatchMSF.TreeVertices).
+func (c *KCert) TreeVertices() int {
+	total := 0
+	for _, f := range c.f {
+		total += f.TreeVertices()
+	}
+	return total
+}
+
 // LevelSize returns the number of unexpired edges in forest F_{i+1}.
 func (c *KCert) LevelSize(i int) int { return c.d[i].Len() }
 
@@ -218,14 +228,11 @@ func (c *KCert) HasCycle() bool {
 // EdgeConnectivityUpToK returns min(k, edge connectivity of the window
 // graph), the k-connectivity test of Section 5.4: by property P3 the
 // certificate preserves all cuts of size at most k, so a global min-cut
-// over its O(kn) edges (Stoer–Wagner, standing in for the parallel min-cut
-// of [27, 28]) answers exactly.
+// over its O(kn) edges answers exactly. For k <= 2 that is a bridge search
+// in O(n); above, Stoer–Wagner stands in for the parallel min-cut of
+// [27, 28] (mincut.EdgeConnectivityUpTo).
 func (c *KCert) EdgeConnectivityUpToK() int {
-	cut := mincut.EdgeConnectivity(c.n, c.Certificate())
-	if cut > int64(c.k) {
-		return c.k
-	}
-	return int(cut)
+	return mincut.EdgeConnectivityUpTo(c.n, c.Certificate(), c.k)
 }
 
 // NewCycleFree returns the cycle-freeness monitor of Theorem 5.6 over n

@@ -2,14 +2,15 @@
 // required by the rake-compress tree (the "bounded-degree equivalent" of
 // Section 2.2 of the paper, maintained dynamically as in reference [2]).
 //
-// Every real vertex v owns a gadget, a path v = g0 — g1 — ... — gk of
-// rctree vertices joined by chain links of weight math.MinInt64+1 (above
-// the rctree's MinKey identity, below every real key, so they never win a
-// path-max query). A gadget node anchors edges of v up to its capacity, 3
-// minus its chain links; the real edge (u, v) is one rctree edge between
-// its anchors in u's and v's gadgets, carrying the real key.
+// Every real vertex v with a forest edge owns a gadget, a path g0 — g1 —
+// ... — gk of rctree vertices joined by chain links of weight
+// math.MinInt64+1 (above the rctree's MinKey identity, below every real
+// key, so they never win a path-max query). A gadget node anchors edges of
+// v up to its capacity, 3 minus its chain links; the real edge (u, v) is
+// one rctree edge between its anchors in u's and v's gadgets, carrying the
+// real key.
 //
-// Layout: v anchors its first three edges itself (k = 0). The fourth grows
+// Layout: g0 anchors v's first three edges itself (k = 0). The fourth grows
 // the chain; from then on g0 anchors 2 edges, every interior node 1 and the
 // tail gk 1 or 2, so only the tail may have spare capacity. An insert at v
 // anchors the edge on the tail if it has room; otherwise it appends a node
@@ -17,7 +18,15 @@
 // the new edge there. A removal from a non-tail node refills the hole with
 // one tail edge, and a tail other than g0 left empty is retired. A degree-d
 // vertex thus holds d-3 chain nodes after growth and at most d-2 after
-// removals, so the rctree has at most n + 2m vertices.
+// removals.
+//
+// Real vertex v is not rctree vertex v. An isolated vertex holds no node:
+// v takes its g0 on its first attach (or Reserve) and gives it back when a
+// batch leaves it with degree 0. Retired chain nodes and g0s share one pool
+// of rctree vertices, isolated in the rctree, and the rctree grows only
+// when the pool is empty. So the rctree holds at most the peak number of
+// touched vertices plus 2m, however large n is, and a real vertex costs 4
+// bytes (its entry in the g0 map) until it gets an edge.
 //
 // Moving an edge cuts its rctree edge and re-links it at its new anchor. A
 // batch's rctree changes go through one pending list into one rctree batch:
@@ -45,16 +54,16 @@ const (
 	maxDeg   = 3 // rctree degree bound
 )
 
-// node is a gadget node, indexed by its rctree vertex id. Real vertex v is
-// the g0 of its own gadget and also holds the gadget's tail and degree.
+// node is a gadget node, indexed by its rctree vertex id. A gadget's g0
+// also holds the gadget's tail and its real vertex's degree.
 type node struct {
-	owner   int32         // real vertex whose gadget holds the node
-	prev    int32         // neighbour towards g0; nilNode for g0 and spares
+	owner   int32         // real vertex whose gadget holds the node; nilNode in the pool
+	prev    int32         // neighbour towards g0; nilNode for g0 and the pool
 	link    rctree.Handle // chain link to prev; noHandle until emitted
 	queued  bool          // link waits in the batch's pending list
 	nAnch   int8          // anchors in use
 	anchors [maxDeg]*edgeInfo
-	tail    int32 // g0 only: last gadget node, v itself while k = 0
+	tail    int32 // g0 only: last gadget node, g0 itself while k = 0
 	deg     int   // g0 only: real degree
 }
 
@@ -77,10 +86,16 @@ func (ei *edgeInfo) side(v int32) int {
 type Forest struct {
 	t       *rctree.Tree
 	n       int
+	g0      []int32 // by real vertex: its gadget's head node, nilNode while isolated
+	touched int     // real vertices holding a g0
 	nodes   []node  // by rctree vertex id
-	free    []int32 // retired chain nodes, isolated in the rctree
+	free    []int32 // the pool: nodes in no gadget, isolated in the rctree
 	edges   map[wgraph.EdgeID]*edgeInfo
 	nextVID int64
+
+	// Real vertices reserved or left with degree 0 by the current batch;
+	// those still at degree 0 when it ends give their g0 back.
+	idle []int32
 
 	// Per-batch pending list and rctree scratch.
 	pendNodes []int32
@@ -95,11 +110,12 @@ type Forest struct {
 	freeInfos []*edgeInfo
 }
 
-// New creates a forest over n real vertices (rctree vertices 0..n-1).
+// New creates a forest over n isolated real vertices, 0..n-1. The rctree
+// starts empty.
 func New(n int, seed uint64) *Forest {
-	f := &Forest{t: rctree.New(n, seed), n: n, nodes: make([]node, n), edges: make(map[wgraph.EdgeID]*edgeInfo), nextVID: -2}
-	for v := range int32(n) {
-		f.nodes[v] = node{owner: v, prev: nilNode, link: noHandle, tail: v}
+	f := &Forest{t: rctree.New(0, seed), n: n, g0: make([]int32, n), edges: make(map[wgraph.EdgeID]*edgeInfo), nextVID: -2}
+	for v := range f.g0 {
+		f.g0[v] = nilNode
 	}
 	return f
 }
@@ -108,9 +124,47 @@ func New(n int, seed uint64) *Forest {
 // construction and queries over the virtual topology.
 func (f *Forest) RC() *rctree.Tree { return f.t }
 
-// Vertices returns the number of rctree vertices in use: the n real
-// vertices plus every gadget's chain nodes (retired spares excluded).
+// Vertices returns the number of rctree vertices in use: the g0 of every
+// touched real vertex plus every gadget's chain nodes (the pool excluded).
 func (f *Forest) Vertices() int { return len(f.nodes) - len(f.free) }
+
+// Node returns the rctree vertex heading v's gadget, or -1 when v has no
+// forest edge.
+func (f *Forest) Node(v int32) int32 { return f.g0[v] }
+
+// Reserve returns the rctree vertex heading v's gadget, taking one from the
+// pool when v has none. A reserved vertex that holds no edge when the next
+// BatchUpdate ends gives the node back, so a caller may reserve a batch's
+// endpoints before it knows which of them the batch will link.
+func (f *Forest) Reserve(v int32) int32 {
+	if x := f.g0[v]; x != nilNode {
+		return x
+	}
+	x := f.newNode()
+	f.nodes[x] = node{owner: v, prev: nilNode, link: noHandle, tail: x}
+	f.g0[v] = x
+	f.touched++
+	f.idle = append(f.idle, v)
+	return x
+}
+
+// newNode takes a node from the pool, growing the rctree when it is empty.
+func (f *Forest) newNode() int32 {
+	if k := len(f.free); k > 0 {
+		x := f.free[k-1]
+		f.free = f.free[:k-1]
+		return x
+	}
+	f.nodes = append(f.nodes, node{}) // moves f.nodes: hold no pointers across
+	return f.t.AddVertices(1)
+}
+
+// release returns node x, isolated in the rctree by the end of the batch,
+// to the pool.
+func (f *Forest) release(x int32) {
+	f.nodes[x] = node{owner: nilNode, prev: nilNode, link: noHandle}
+	f.free = append(f.free, x)
+}
 
 // NumEdges returns the number of live real edges.
 func (f *Forest) NumEdges() int { return len(f.edges) }
@@ -137,25 +191,42 @@ func (f *Forest) RangeEdges(fn func(wgraph.Edge) bool) {
 }
 
 // OwnerOf maps any rctree vertex of a gadget back to the real vertex owning
-// the gadget (real vertices map to themselves).
+// the gadget.
 func (f *Forest) OwnerOf(rcID int32) int32 { return f.nodes[rcID].owner }
 
 // Degree returns the real degree of vertex v.
-func (f *Forest) Degree(v int32) int { return f.nodes[v].deg }
+func (f *Forest) Degree(v int32) int {
+	if x := f.g0[v]; x != nilNode {
+		return f.nodes[x].deg
+	}
+	return 0
+}
 
 // Connected reports whether real vertices u and v are connected.
-func (f *Forest) Connected(u, v int32) bool { return f.t.Connected(u, v) }
+func (f *Forest) Connected(u, v int32) bool {
+	if u == v {
+		return true
+	}
+	x, y := f.g0[u], f.g0[v]
+	return x != nilNode && y != nilNode && f.t.Connected(x, y)
+}
 
-// NumComponents returns the number of components among the real vertices.
-// Chain nodes hang off their owner; retired spares linger as isolated
-// rctree vertices and are subtracted.
-func (f *Forest) NumComponents() int { return f.t.NumComponents() - len(f.free) }
+// NumComponents returns the number of components among the real vertices:
+// the rctree's, less the pool's isolated nodes, plus one per untouched
+// vertex. Chain nodes hang off their owner.
+func (f *Forest) NumComponents() int {
+	return f.t.NumComponents() - len(f.free) + f.n - f.touched
+}
 
 // PathMax returns the heaviest real edge key on the real path between u and
 // v, or false when disconnected or equal. Virtual links can never be the
 // maximum because a nonempty real path contains at least one real edge.
 func (f *Forest) PathMax(u, v int32) (wgraph.Key, bool) {
-	k, ok := f.t.PathMax(u, v) // false when u == v
+	x, y := f.g0[u], f.g0[v]
+	if x == nilNode || y == nilNode {
+		return wgraph.Key{}, false
+	}
+	k, ok := f.t.PathMax(x, y) // false when u == v
 	if !ok {
 		return wgraph.Key{}, false
 	}
@@ -170,7 +241,7 @@ func (f *Forest) chainLinks(x int32) (l int8) {
 	if f.nodes[x].prev != nilNode {
 		l++
 	}
-	if f.nodes[f.nodes[x].owner].tail != x {
+	if f.nodes[f.g0[f.nodes[x].owner]].tail != x {
 		l++
 	}
 	return l
@@ -225,42 +296,42 @@ func (f *Forest) move(v, from, to int32) {
 	f.queueEdge(ei)
 }
 
-// attach anchors ei's end at v in v's gadget.
+// attach anchors ei's end at v in v's gadget, reserving v's g0 first.
 func (f *Forest) attach(ei *edgeInfo, v int32) {
-	f.nodes[v].deg++
-	t := f.nodes[v].tail
+	h := f.Reserve(v)
+	f.nodes[h].deg++
+	t := f.nodes[h].tail
 	if f.nodes[t].nAnch+f.chainLinks(t) < maxDeg {
 		f.anchor(ei, v, t)
 		return
 	}
-	var x int32
-	if k := len(f.free); k > 0 {
-		x, f.free = f.free[k-1], f.free[:k-1]
-	} else {
-		x = f.t.AddVertices(1)
-		f.nodes = append(f.nodes, node{}) // moves f.nodes: hold no pointers across
-	}
+	x := f.newNode()
 	f.nodes[x] = node{owner: v, prev: t, link: noHandle, queued: true}
-	f.nodes[v].tail = x
+	f.nodes[h].tail = x
 	f.pendNodes = append(f.pendNodes, x)
 	f.move(v, t, x)
 	f.anchor(ei, v, x)
 }
 
-// detach removes ei's end at v from v's gadget.
+// detach removes ei's end at v from v's gadget. A retired chain node goes
+// back to the pool at once, since the batch's cuts isolate it; g0 waits for
+// the batch's end, where v keeps it unless its degree is still 0.
 func (f *Forest) detach(ei *edgeInfo, v int32) {
-	g := &f.nodes[v]
+	h := f.g0[v]
+	g := &f.nodes[h]
 	g.deg--
 	x := ei.at[ei.side(v)]
 	f.unanchor(ei, x)
 	if x != g.tail {
 		f.move(v, g.tail, x)
 	}
-	if t := g.tail; t != v && f.nodes[t].nAnch == 0 {
+	if t := g.tail; t != h && f.nodes[t].nAnch == 0 {
 		f.cut(&f.nodes[t].link)
 		g.tail = f.nodes[t].prev
-		f.nodes[t] = node{prev: nilNode, link: noHandle}
-		f.free = append(f.free, t)
+		f.release(t)
+	}
+	if g.deg == 0 {
+		f.idle = append(f.idle, v)
 	}
 }
 
@@ -329,12 +400,22 @@ func (f *Forest) BatchUpdate(ins []wgraph.Edge, cuts []wgraph.EdgeID) {
 	f.rcIns, f.pendNodes, f.pendEdges = rcIns, links[:0], reals[:0]
 	f.freeInfos = append(f.freeInfos, f.cutInfos...)
 	f.cutInfos = f.cutInfos[:0]
+	for _, v := range f.idle {
+		if x := f.g0[v]; x != nilNode && f.nodes[x].deg == 0 {
+			f.g0[v] = nilNode
+			f.touched--
+			f.release(x)
+		}
+	}
+	f.idle = f.idle[:0]
 }
 
 // Validate checks the gadget layout and the underlying rctree's invariants:
-// each gadget node's rctree degree is its chain links plus its anchors,
-// every node but the tail is saturated, no tail other than g0 is empty, and
-// each anchor agrees with its edge record. Test use only.
+// a real vertex holds a g0 exactly when it has an edge, each gadget node's
+// rctree degree is its chain links plus its anchors, every node but the
+// tail is saturated, no tail other than g0 is empty, each anchor agrees
+// with its edge record, and the pool's nodes are isolated. Call it between
+// batches. Test use only.
 func (f *Forest) Validate() error {
 	if err := f.t.Validate(); err != nil {
 		return err
@@ -346,12 +427,20 @@ func (f *Forest) Validate() error {
 		u, w := f.t.EdgeEndpoints(h)
 		return u == a && w == b
 	}
-	chain, anchors := 0, 0
+	chain, anchors, touched := 0, 0, 0
 	for v := int32(0); v < int32(f.n); v++ {
-		g := &f.nodes[v]
+		h := f.g0[v]
+		if h == nilNode {
+			continue
+		}
+		touched++
+		g := &f.nodes[h]
+		if g.deg == 0 {
+			return fmt.Errorf("vertex %d: holds node %d with no edge", v, h)
+		}
 		deg := 0
 		for x := g.tail; ; x = f.nodes[x].prev {
-			if x < 0 || (x < int32(f.n)) != (x == v) || chain > len(f.nodes) {
+			if x < 0 || int(x) >= len(f.nodes) || (f.nodes[x].prev == nilNode) != (x == h) || chain > len(f.nodes) {
 				return fmt.Errorf("vertex %d: gadget chain reaches %d", v, x)
 			}
 			nd := &f.nodes[x]
@@ -363,9 +452,9 @@ func (f *Forest) Validate() error {
 				return fmt.Errorf("vertex %d: node %d has rctree degree %d, want %d links + %d anchors", v, x, f.t.Degree(x), links, nd.nAnch)
 			case x != g.tail && links+nd.nAnch != maxDeg:
 				return fmt.Errorf("vertex %d: non-tail node %d holds %d links + %d anchors", v, x, links, nd.nAnch)
-			case x != v && nd.nAnch == 0 && x == g.tail:
+			case x != h && nd.nAnch == 0 && x == g.tail:
 				return fmt.Errorf("vertex %d: empty tail %d", v, x)
-			case x != v && (nd.queued || !joins(nd.link, nd.prev, x)):
+			case x != h && (nd.queued || !joins(nd.link, nd.prev, x)):
 				return fmt.Errorf("vertex %d: chain link of node %d is pending or misplaced", v, x)
 			}
 			for _, ei := range nd.anchors[:nd.nAnch] {
@@ -374,7 +463,7 @@ func (f *Forest) Validate() error {
 				}
 			}
 			deg += int(nd.nAnch)
-			if x == v {
+			if x == h {
 				break
 			}
 			chain++
@@ -384,12 +473,17 @@ func (f *Forest) Validate() error {
 		}
 		anchors += deg
 	}
+	for _, x := range f.free {
+		if nd := &f.nodes[x]; nd.owner != nilNode || f.t.Degree(x) != 0 {
+			return fmt.Errorf("pool node %d: owned by %d, rctree degree %d", x, nd.owner, f.t.Degree(x))
+		}
+	}
 	if anchors != 2*len(f.edges) {
 		return fmt.Errorf("anchors %d != 2*edges %d", anchors, 2*len(f.edges))
 	}
-	if f.n+chain+len(f.free) != f.t.NumVertices() || len(f.edges)+chain != f.t.NumBaseEdges() {
-		return fmt.Errorf("n=%d + %d chain nodes + %d spares, %d real edges: rctree has %d vertices, %d edges",
-			f.n, chain, len(f.free), len(f.edges), f.t.NumVertices(), f.t.NumBaseEdges())
+	if touched != f.touched || touched+chain+len(f.free) != f.t.NumVertices() || len(f.edges)+chain != f.t.NumBaseEdges() {
+		return fmt.Errorf("%d touched vertices (counted %d) + %d chain nodes + %d in the pool, %d real edges: rctree has %d vertices, %d edges",
+			touched, f.touched, chain, len(f.free), len(f.edges), f.t.NumVertices(), f.t.NumBaseEdges())
 	}
 	return nil
 }

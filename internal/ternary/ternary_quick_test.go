@@ -84,18 +84,20 @@ func TestOwnerOfMapping(t *testing.T) {
 		{ID: 3, U: 0, V: 3, W: 30},
 		{ID: 4, U: 0, V: 4, W: 40},
 	}, nil)
-	// Real vertices map to themselves.
+	// Each real vertex's g0 maps back to it.
 	for v := int32(0); v < n; v++ {
-		if fo.OwnerOf(v) != v {
-			t.Fatalf("OwnerOf(%d)=%d", v, fo.OwnerOf(v))
+		if x := fo.Node(v); x < 0 || fo.OwnerOf(x) != v {
+			t.Fatalf("Node(%d)=%d, owned by %d", v, x, fo.OwnerOf(x))
 		}
 	}
 	// Every chain node maps to its gadget's real vertex. The degree-4 hub
 	// anchors two edges itself and grows one chain node for the other two;
 	// the degree-1 leaves anchor their edge themselves.
 	counts := map[int32]int{}
-	for id := n; id < fo.RC().NumVertices(); id++ {
-		counts[fo.OwnerOf(int32(id))]++
+	for id := range int32(fo.RC().NumVertices()) {
+		if v := fo.OwnerOf(id); v >= 0 && fo.Node(v) != id {
+			counts[v]++
+		}
 	}
 	if counts[0] != 1 {
 		t.Fatalf("hub chain nodes=%d want 1", counts[0])

@@ -1,6 +1,7 @@
 package ternary
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/linkcut"
@@ -250,7 +251,7 @@ func TestWeightBelowVirtualPanics(t *testing.T) {
 // TestDegreeTransitions grows one vertex from degree 0 to 8 and drains it
 // back to 0, once one edge per batch and once all in one batch, validating
 // the layout after every step: no chain up to degree 3, d-3 chain nodes
-// after growth, at most d-2 while draining, and every chain node retired
+// after growth, at most d-2 while draining, and every node back in the pool
 // once the hub is isolated again.
 func TestDegreeTransitions(t *testing.T) {
 	const n, d = 9, 8
@@ -262,7 +263,7 @@ func TestDegreeTransitions(t *testing.T) {
 	}
 	for _, step := range []int{1, d} {
 		f := New(n, 5)
-		chain := func() int { return f.RC().NumVertices() - len(f.free) - n }
+		chain := func() int { return f.Vertices() - f.touched }
 		for i := 0; i < d; i += step {
 			f.BatchUpdate(star[i:i+step], nil)
 			mustValidate(t, f)
@@ -283,8 +284,123 @@ func TestDegreeTransitions(t *testing.T) {
 				}
 			}
 		}
-		if got := f.RC().NumVertices() - len(f.free); got != n {
-			t.Fatalf("step %d: %d rctree vertices in use after draining, want %d", step, got, n)
+		if got := f.Vertices(); got != 0 {
+			t.Fatalf("step %d: %d rctree vertices in use after draining, want 0", step, got)
 		}
+	}
+}
+
+// TestNodePoolReuse takes real vertices through attach, isolation and the
+// reuse of their nodes by other real vertices. Stars of degree 8, whose
+// hubs grow chains past degree 3, are built on disjoint vertex sets, cut
+// down to nothing and rebuilt elsewhere: edge by edge or whole, and in
+// separate batches or one. After every batch it validates the layout,
+// checks that a vertex holds a node exactly when it has an edge and that
+// the rctree vertices in use are the touched vertices plus the chain
+// nodes, and that a batch that only cuts or only inserts grows the rctree
+// only past the nodes in use: the nodes one star frees serve the next.
+func TestNodePoolReuse(t *testing.T) {
+	const slots, d = 4, 8
+	const n = slots * (d + 1)
+	f := New(n, 3)
+	next := wgraph.EdgeID(1)
+	check := func(tag string) {
+		t.Helper()
+		mustValidate(t, f)
+		touched, chain := 0, 0
+		for v := range int32(n) {
+			if (f.Degree(v) > 0) != (f.Node(v) >= 0) {
+				t.Fatalf("%s: vertex %d has degree %d and node %d", tag, v, f.Degree(v), f.Node(v))
+			}
+			if f.Degree(v) > 0 {
+				touched++
+			}
+		}
+		for x := range int32(f.RC().NumVertices()) {
+			if v := f.OwnerOf(x); v >= 0 && f.Node(v) != x {
+				chain++
+			}
+		}
+		if got := f.Vertices(); got != touched+chain {
+			t.Fatalf("%s: %d rctree vertices in use, want %d touched + %d chain nodes", tag, got, touched, chain)
+		}
+	}
+	star := func(slot int) []wgraph.Edge {
+		hub := int32(slot * (d + 1))
+		es := make([]wgraph.Edge, d)
+		for i := range es {
+			es[i] = wgraph.Edge{ID: next, U: hub, V: hub + 1 + int32(i), W: int64(next)}
+			next++
+		}
+		return es
+	}
+	ids := func(es []wgraph.Edge) (out []wgraph.EdgeID) {
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return out
+	}
+	owners := func() []int32 {
+		out := make([]int32, f.RC().NumVertices())
+		for x := range out {
+			out[x] = f.OwnerOf(int32(x))
+		}
+		return out
+	}
+	// update applies one batch; a batch that only cuts or only inserts
+	// may grow the rctree only while the pool is empty.
+	update := func(tag string, ins []wgraph.Edge, cuts []wgraph.EdgeID) {
+		t.Helper()
+		before, pool := f.RC().NumVertices(), len(f.free)
+		f.BatchUpdate(ins, cuts)
+		if len(ins) == 0 || len(cuts) == 0 {
+			if grown := f.RC().NumVertices() - before; grown > 0 && grown+pool > f.Vertices() {
+				t.Fatalf("%s: rctree grew by %d with %d nodes in the pool", tag, grown, pool)
+			}
+		}
+		check(tag)
+	}
+
+	live := star(0)
+	update("first star", live, nil)
+	if got, want := f.Vertices(), (d+1)+(d-3); got != want {
+		t.Fatalf("a star of degree %d holds %d rctree vertices, want %d", d, got, want)
+	}
+	for round := 1; round <= 9; round++ {
+		was := owners()
+		nv := f.RC().NumVertices()
+		built := star(round % slots)
+		tag := fmt.Sprintf("round %d", round)
+		switch round % 3 {
+		case 0: // cut edge by edge, oldest first, then build whole
+			for i, id := range ids(live) {
+				update(fmt.Sprintf("%s, cut %d", tag, i), nil, []wgraph.EdgeID{id})
+			}
+			update(tag+", build", built, nil)
+		case 1: // cut whole, then build edge by edge
+			update(tag+", cut", nil, ids(live))
+			for i := range built {
+				update(fmt.Sprintf("%s, build %d", tag, i), built[i:i+1], nil)
+			}
+		case 2: // cut and build in one batch
+			update(tag, built, ids(live))
+		}
+		live = built
+		if round%3 != 2 && f.RC().NumVertices() != nv {
+			t.Fatalf("%s: rctree went from %d to %d vertices for stars of one size", tag, nv, f.RC().NumVertices())
+		}
+		reused := 0
+		for x, v := range owners()[:len(was)] {
+			if was[x] >= 0 && v >= 0 && was[x] != v {
+				reused++
+			}
+		}
+		if reused == 0 {
+			t.Fatalf("%s: no node of the old star serves the new one", tag)
+		}
+	}
+	update("drain", nil, ids(live))
+	if f.Vertices() != 0 || len(f.free) != f.RC().NumVertices() {
+		t.Fatalf("drained forest: %d rctree vertices in use, %d in the pool of %d", f.Vertices(), len(f.free), f.RC().NumVertices())
 	}
 }

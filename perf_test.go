@@ -142,17 +142,20 @@ func (rp *recencyReplay) stepLinkCut(m *linkcut.IncrementalMSF) {
 // history rounds per tree vertex, Σ(death+1) ÷ vertices, after the last
 // step. Fixed seeds make all three exact:
 //
-//	                    chain node per    compact gadgets,   compact gadgets,
-//	                    edge end, coins   coins              local maxima       bound
-//	rctree vertices          1498              614                614           1000
-//	wave work per step       3840             2117               1210           1600
-//	rounds per vertex                         3.22               2.15           2.7
+//	                    chain node per   compact gadgets,  compact gadgets,  node pool,
+//	                    edge end, coins  coins             local maxima      local maxima  bound
+//	rctree vertices          1498             614               614               614      1000
+//	wave work per step       3840            2117              1210              1209      1600
+//	rounds per vertex                        3.22              2.15              2.17      2.7
 //
 // A layout that gives every forest edge its own chain node at both ends
 // holds n + 2m vertices; compact gadgets let a vertex anchor up to three
 // forest edges itself (package ternary). The coin rule compresses a
 // degree-2 vertex on heads beside two tails; the local-maximum rule
 // compresses it when it outranks its degree-2 neighbours (package rctree).
+// With the node pool a real vertex takes its rctree vertex on its first
+// forest edge, so ids are assigned in order of first touch: the forest
+// here touches all 500 vertices, and the counts moved only with the ids.
 // The vertex bound fails with chain nodes; the other two fail with coins.
 func TestWaveLocalityRecency(t *testing.T) {
 	const n, window, l, steps = 500, 2000, 32, 400
