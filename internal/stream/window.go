@@ -175,10 +175,11 @@ type WindowManager struct {
 	// (when MaxAge > 0 they are clamped into [lastT, now] on insert so the
 	// sequence is monotone and prefix-expiry is sound against out-of-order
 	// or future timestamps); time-based expiry reads them back from here.
-	// A count-bounded window caps the ring at MaxArrivals slots: staging
-	// pushes a batch before it expires the excess, so a full ring drops
-	// the oldest arrivals itself, and those are exactly the ones the count
-	// cap expires. Kept only when keepsRing says so.
+	// A count-bounded window caps the ring at MaxArrivals slots, and that
+	// limit is the count cap: staging pushes a batch before it expires
+	// anything, a full ring drops the oldest arrivals itself, and the
+	// expiry delta is those dropped arrivals plus the age prefix of what
+	// the ring still holds. Kept only when keepsRing says so.
 	live  fifo.Ring[Edge]
 	lastT int64
 
@@ -605,26 +606,21 @@ func (w *WindowManager) ExpireByAge(now time.Time) int {
 }
 
 // stageExpiryLocked computes and stages the expiry delta under coord:
-// ring prefix by age, then the count cap, then the ring and the Expired
-// counter advance. The monitors have NOT seen the delta yet — the caller
-// applies it through the fan-out.
+// the arrivals the count-capped ring dropped, then the ring's prefix by
+// age, then the ring and the Expired counter advance. The monitors have
+// NOT seen the delta yet — the caller applies it through the fan-out.
 func (w *WindowManager) stageExpiryLocked(now time.Time) int {
 	if !w.keepsRing() {
 		return 0 // such a window has no expiry
 	}
-	// The arrivals a full count-capped ring dropped are older than all it
-	// holds, so they lead both the age prefix and the count excess.
+	// The dropped arrivals are older than all the ring holds, so they lead
+	// the age prefix.
 	dropped := int(w.windowLenLocked()) - w.live.Len()
 	delta := dropped
 	if w.cfg.MaxAge > 0 {
 		cutoff := now.Add(-w.cfg.MaxAge).UnixNano()
 		for i := 0; i < w.live.Len() && w.live.At(i).T.UnixNano() <= cutoff; i++ {
 			delta++
-		}
-	}
-	if w.cfg.MaxArrivals > 0 {
-		if excess := int(w.windowLenLocked()) - delta - w.cfg.MaxArrivals; excess > 0 {
-			delta += excess
 		}
 	}
 	if delta == 0 {
@@ -805,19 +801,12 @@ func (w *WindowManager) MSFWeight() (float64, error) {
 // edgeConnectivity is KCertInfo's min-cut, a variable for tests to hold.
 var edgeConnectivity = mincut.EdgeConnectivityUpTo
 
-// KCertInfo returns the k-certificate size and min(K, edge connectivity).
-// A disconnected window (c(G) > 1) has edge connectivity 0, so both come
-// from the published answers, with no lock and no copy. Otherwise both come
-// from one copy of F_1, ..., F_K taken under ONE read-lock hold, and the
+// KCertInfo returns the k-certificate size and min(K, edge connectivity),
+// both from one copy of F_1, ..., F_K taken under ONE read-lock hold. The
 // min-cut runs on the copy after the lock is released, so neither the
 // forest's apply nor the conn reads behind it wait it out: O(n) for K <= 2,
 // a dense Stoer–Wagner above (mincut.EdgeConnectivityUpTo).
 func (w *WindowManager) KCertInfo() (size, conn int, err error) {
-	if w.ans.Load().components > 1 {
-		if a, err := w.published(MonitorKCert); err != nil || a.components > 1 {
-			return a.kcertSize, 0, err
-		}
-	}
 	k := w.mux.cfg.K
 	var cert []wgraph.Edge
 	err = w.readMonitor(MonitorKCert, func(m Monitor) {
